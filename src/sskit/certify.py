@@ -24,15 +24,7 @@ from .core import (
     compose,
 )
 from .homotopy import DEFAULT_WORD_BUDGET, homotopy_category, pi0
-from .lifting import BUDGET, FOUND, NONE
-
-# legal horn indices per class, in each dimension
-HORN_RANGES = {
-    "inner": lambda n: range(1, n),
-    "left": lambda n: range(0, n),
-    "right": lambda n: range(1, n + 1),
-    "kan": lambda n: range(0, n + 1),
-}
+from .lifting import BUDGET, FOUND, HORN_RANGES, NONE
 
 Step = tuple[int, int, CellId]  # (dimension, horn index, filler cell)
 
@@ -115,7 +107,7 @@ def search_certificate(
         raise ValueError(f"unknown anodyne class {family!r}")
     if not i.is_mono():
         raise ValueError("certificate search requires a mono inclusion")
-    budget = node_budget if isinstance(node_budget, Budget) else Budget(node_budget)
+    budget = Budget.of(node_budget)
     B = i.target
     allc = frozenset(B.all_cells())
     start = frozenset(i.images[a].base for a in i.source.all_cells())

@@ -9,6 +9,7 @@ Structured output (`--format structured`) is a single JSON object with a
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -16,25 +17,21 @@ from dataclasses import dataclass
 
 from . import certify, factorize, homotopy, lifting
 from .core import (
+    GENERATORS,
     Simplex,
-    cosk0_complex,
-    boundary_complex,
-    horn_complex,
-    identity_map,
-    j_truncation,
     join,
     product,
-    spine_complex,
     standard_simplex,
     terminal_map,
     hom_left,
-    restricted_function_complex,
 )
 from .fileformat import (
     ParseError,
     name_table,
+    parse_certificate,
     parse_complex,
     parse_map,
+    serialize_certificate,
     serialize_complex,
     serialize_map,
 )
@@ -108,27 +105,15 @@ def _cmd_validate(args, cfg):
     return OK
 
 
-_GEN_KINDS = ("simplex", "boundary", "horn", "spine", "cosk0", "jtrunc")
-
-
 def _cmd_gen(args, cfg):
     kind, ps = args.kind, args.params
+    make = GENERATORS[kind]
+    arity = len(inspect.signature(make).parameters)
     try:
-        if kind == "simplex":
-            G = standard_simplex(int(ps[0]))
-        elif kind == "boundary":
-            G = boundary_complex(int(ps[0]))
-        elif kind == "horn":
-            G = horn_complex(int(ps[0]), int(ps[1]))
-        elif kind == "spine":
-            G = spine_complex(int(ps[0]))
-        elif kind == "cosk0":
-            G = cosk0_complex(int(ps[0]), int(ps[1]))
-        elif kind == "jtrunc":
-            G = j_truncation(int(ps[0]))
-        else:
-            raise ValueError(f"unknown generator {kind!r}")
-    except (IndexError, ValueError) as e:
+        if len(ps) != arity:
+            raise ValueError(f"takes {arity} parameters")
+        G = make(*(int(p) for p in ps))
+    except ValueError as e:
         raise ValueError(f"gen {kind}: bad parameters {ps} ({e})") from None
     _write_or_print(serialize_complex(G.complex), args.output)
     return OK
@@ -268,9 +253,7 @@ def _cmd_dk_check(args, cfg):
     _emit(report, cfg)
     if "no" in (rep.essentially_surjective, rep.fully_faithful):
         return REFUTED
-    if (rep.essentially_surjective, rep.fully_faithful) == ("yes", "yes"):
-        return UNKNOWN  # bounded positive
-    return UNKNOWN
+    return UNKNOWN  # a yes is bounded, so never a complete positive
 
 
 def _cmd_mapspace(args, cfg):
@@ -292,48 +275,18 @@ def _cmd_mapspace(args, cfg):
     return OK
 
 
-def _serialize_certificate(cert, B) -> str:
-    names = name_table(B)
-    lines = [f"class {cert.family}"]
-    for n, hi, top in cert.steps:
-        lines.append(f"step {n} {hi} {names[top]}")
-    return "\n".join(lines) + "\n"
-
-
-def _parse_certificate(text: str, B):
-    family = None
-    steps = []
-    byname = {v: k for k, v in name_table(B).items()}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
-        if toks[0] == "class" and len(toks) == 2:
-            family = toks[1]
-        elif toks[0] == "step" and len(toks) == 4:
-            if toks[3] not in byname:
-                raise ParseError(lineno, f"unknown cell {toks[3]!r}")
-            steps.append((int(toks[1]), int(toks[2]), byname[toks[3]]))
-        else:
-            raise ParseError(lineno, f"bad certificate record {line!r}")
-    if family is None:
-        raise ParseError(1, "missing class header")
-    return certify.AnodyneCertificate(family, steps)
-
-
 def _cmd_certify(args, cfg):
     i = _load_map(args.map)
     if args.verify:
         with open(args.verify, encoding="utf-8") as fh:
-            cert = _parse_certificate(fh.read(), i.target)
+            cert = parse_certificate(fh.read(), i.target)
         ok = certify.verify_certificate(cert, i)
         _emit({"command": "certify", "verified": ok}, cfg)
         return OK if ok else REFUTED
     r = certify.search_certificate(i, args.family, cfg.node_budget)
     report = {"command": "certify", "class": args.family, "status": r.status}
     if r.certificate is not None:
-        report["certificate"] = _serialize_certificate(r.certificate, i.target)
+        report["certificate"] = serialize_certificate(r.certificate, i.target)
     _emit(report, cfg)
     return _status_code(r.status)
 
@@ -407,7 +360,7 @@ def _cmd_complete(args, cfg):
     sizes = [X.total_cells()]
     for _ in range(cfg.stage_count):
         cur, _inc, _atts = factorize.soa_stage(
-            cur, gens, lambda i, a: True, "inner", cfg.node_budget
+            cur, gens, lambda i, a: True, cfg.node_budget
         )
         sizes.append(cur.total_cells())
     _emit({"command": "complete", "stages": sizes, "bound": bound}, cfg)
@@ -469,7 +422,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_validate)
 
     p = sub.add_parser("gen")
-    p.add_argument("kind", choices=_GEN_KINDS)
+    p.add_argument("kind", choices=tuple(GENERATORS))
     p.add_argument("params", nargs="*")
     p.add_argument("-o", "--output")
     p.set_defaults(fn=_cmd_gen)
@@ -525,7 +478,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify")
     p.add_argument("map")
     p.add_argument("--class", dest="family", default="inner",
-                   choices=tuple(certify.HORN_RANGES))
+                   choices=tuple(lifting.HORN_RANGES))
     p.add_argument("--verify", help="verify this certificate file instead of searching")
     p.set_defaults(fn=_cmd_certify)
 

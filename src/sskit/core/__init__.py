@@ -3,27 +3,28 @@
 from .budget import Budget, BudgetExceeded, DEFAULT_NODE_BUDGET
 from .complex import EMPTY, ComplexBuilder, SimplicialSet, validate
 from .generators import (
+    GENERATORS,
     GeneratorComplex,
     boundary_complex,
     cosk0_complex,
     from_vertex_tuples,
     horn_complex,
     j_truncation,
-    make_generator,
     spine_complex,
     standard_simplex,
     tuple_simplex,
 )
 from .maps import (
+    Attachment,
     Join,
     Product,
     Pushout,
     SimplicialMap,
     all_extensions,
     apply_images,
+    attach_all,
     compose,
     enumerate_maps,
-    full_subset,
     identity_map,
     join,
     join_functor,
@@ -33,8 +34,6 @@ from .maps import (
     pushout,
     simplex_as_map,
     simplex_label,
-    skeleton,
-    skeleton_inclusion,
     sub_complex,
     terminal_map,
 )

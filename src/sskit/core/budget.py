@@ -22,6 +22,11 @@ class Budget:
         self.limit = limit
         self.used = 0
 
+    @classmethod
+    def of(cls, budget: int | Budget) -> Budget:
+        """The budget itself, or a fresh one with the given node limit."""
+        return budget if isinstance(budget, Budget) else cls(budget)
+
     def spend(self, n: int = 1) -> None:
         self.used += n
         if self.used > self.limit:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
+from typing import Callable
 
 from .complex import SimplicialSet
 from .simplex import CellId, Simplex, apply_degeneracy
@@ -153,18 +154,12 @@ def j_truncation(n: int) -> GeneratorComplex:
     return cosk0_complex(2, n)
 
 
-def make_generator(kind: str, n: int, i: int | None = None) -> SimplicialSet:
-    """Dispatcher over the named generator kinds."""
-    if kind == "simplex":
-        return standard_simplex(n).complex
-    if kind == "boundary":
-        return boundary_complex(n).complex
-    if kind == "horn":
-        if i is None:
-            raise ValueError("horn needs an index i")
-        return horn_complex(n, i).complex
-    if kind == "spine":
-        return spine_complex(n).complex
-    if kind == "j_trunc":
-        return j_truncation(n).complex
-    raise ValueError(f"unknown generator kind {kind!r}")
+# the named generator kinds, each built from integer parameters
+GENERATORS: dict[str, Callable[..., GeneratorComplex]] = {
+    "simplex": standard_simplex,
+    "boundary": boundary_complex,
+    "horn": horn_complex,
+    "spine": spine_complex,
+    "cosk0": cosk0_complex,
+    "jtrunc": j_truncation,
+}

@@ -1,8 +1,9 @@
 """Simplicial maps and the constructions built on them.
 
 A map is stored by its images on nondegenerate cells; the action on
-degenerate simplices is forced by naturality.  Pushouts, products, joins,
-subcomplexes, and exhaustive map enumeration all live here.
+degenerate simplices is forced by naturality.  Cell attachment and
+pushouts, products, joins, subcomplexes, and exhaustive map enumeration
+all live here.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .budget import Budget
 from .complex import SimplicialSet
 from .generators import GeneratorComplex, standard_simplex, tuple_simplex
-from .simplex import CellId, Simplex, degenerate
+from .simplex import CellId, Simplex, apply_degeneracy, constant_simplex, degenerate
 
 
 def apply_images(images: dict[CellId, Simplex], s: Simplex) -> Simplex:
@@ -117,8 +118,6 @@ def compose(f: SimplicialMap, g: SimplicialMap) -> SimplicialMap:
 def terminal_map(X: SimplicialSet, pt: SimplicialSet) -> SimplicialMap:
     """The unique map to a one-vertex complex with no other cells."""
     v = CellId(0, 0)
-    from .simplex import constant_simplex
-
     return SimplicialMap(
         X, pt, {c: constant_simplex(v, c.dim) for c in X.all_cells()}
     )
@@ -155,29 +154,61 @@ def sub_complex(
     return sub, inc
 
 
-def skeleton(X: SimplicialSet, n: int) -> SimplicialSet:
-    return sub_complex(X, (c for c in X.all_cells() if c.dim <= n))[0]
+# -- cell attachment and pushouts -------------------------------------------
 
 
-def skeleton_inclusion(X: SimplicialSet, n: int) -> SimplicialMap:
-    return sub_complex(X, (c for c in X.all_cells() if c.dim <= n))[1]
+@dataclass
+class Attachment:
+    inclusion: SimplicialMap  # generator A -> B
+    map: SimplicialMap  # attaching map A -> S
+    new_cells: list[CellId] = field(default_factory=list)  # cells of the result
+    total_map: SimplicialMap = field(init=False, repr=False)  # B -> result
 
 
-def full_subset(X: SimplicialSet, V: Iterable[CellId]) -> SimplicialMap:
-    """Inclusion of the full subcomplex on a set of vertices."""
-    vs = set(V)
-    for v in vs:
-        if v.dim != 0 or not X.has_cell(v):
-            raise ValueError(f"{v} is not a vertex of the complex")
-    keep = [
-        c
-        for c in X.all_cells()
-        if all(w in vs for w in X.vertices_of(Simplex(c)))
-    ]
-    return sub_complex(X, keep)[1]
+def attach_all(
+    S: SimplicialSet, attachments: list[Attachment]
+) -> tuple[SimplicialSet, SimplicialMap]:
+    """Pushout of the coproduct of all attachments into S, at once.
 
+    The cells of each generator outside the image of its inclusion become
+    new cells in (dim, index) order, labelled by the generator's label,
+    primed until unique.
+    """
+    counts = [S.n_cells(d) for d in range(S.dim + 1)]
+    faces = {c: S.cell_faces(c) for c in S.all_cells() if c.dim > 0}
+    labels = dict(S.labels)
+    used = set(labels.values())
+    totals: list[dict[CellId, Simplex]] = []
 
-# -- pushouts ---------------------------------------------------------------
+    for att in attachments:
+        i, alpha = att.inclusion, att.map
+        B = i.target
+        hit = {i.images[a].base: a for a in i.source.all_cells()}
+        g: dict[CellId, Simplex] = {}
+        for b in B.all_cells():
+            if b in hit:
+                g[b] = alpha.images[hit[b]]
+                continue
+            while len(counts) <= b.dim:
+                counts.append(0)
+            nc = CellId(b.dim, counts[b.dim])
+            counts[b.dim] += 1
+            g[b] = Simplex(nc)
+            att.new_cells.append(nc)
+            if b.dim > 0:
+                faces[nc] = tuple(apply_images(g, s) for s in B.cell_faces(b))
+            lab = B.label(b)
+            while lab in used:
+                lab += "'"
+            used.add(lab)
+            labels[nc] = lab
+        totals.append(g)
+
+    out = SimplicialSet(counts, faces, labels)
+    inc = SimplicialMap(S, out, {c: Simplex(c) for c in S.all_cells()})
+    for att, g in zip(attachments, totals):
+        att.total_map = SimplicialMap(att.inclusion.target, out, g)
+    return out, inc
 
 
 @dataclass
@@ -194,47 +225,9 @@ def pushout(i: SimplicialMap, f: SimplicialMap) -> Pushout:
         raise ValueError("pushout legs must share their source")
     if not i.is_mono():
         raise ValueError("pushout requires a mono inclusion")
-    A, B, C = i.source, i.target, f.target
-
-    hit: dict[CellId, CellId] = {}  # B-cell -> A-cell
-    for a in A.all_cells():
-        hit[i.images[a].base] = a
-
-    counts = [C.n_cells(d) for d in range(max(C.dim, B.dim) + 1)]
-    faces: dict[CellId, tuple[Simplex, ...]] = {
-        c: C.cell_faces(c) for c in C.all_cells() if c.dim > 0
-    }
-    labels = dict(C.labels)
-    used = set(labels.values())
-    g_images: dict[CellId, Simplex] = {}
-    new_cells: list[CellId] = []
-
-    for d in range(B.dim + 1):
-        for b in B.cells(d):
-            if b in hit:
-                g_images[b] = f.images[hit[b]]
-    for d in range(B.dim + 1):
-        for b in B.cells(d):
-            if b in hit:
-                continue
-            nc = CellId(d, counts[d])
-            counts[d] += 1
-            g_images[b] = Simplex(nc)
-            new_cells.append(nc)
-            if d > 0:
-                faces[nc] = tuple(
-                    apply_images(g_images, s) for s in B.cell_faces(b)
-                )
-            lab = B.label(b)
-            while lab in used:
-                lab += "'"
-            used.add(lab)
-            labels[nc] = lab
-
-    D = SimplicialSet(counts, faces, labels)
-    inc_c = SimplicialMap(C, D, {c: Simplex(c) for c in C.all_cells()})
-    g = SimplicialMap(B, D, g_images)
-    return Pushout(D, inc_c, g, new_cells)
+    att = Attachment(i, f)
+    D, inc_c = attach_all(f.target, [att])
+    return Pushout(D, inc_c, att.total_map, att.new_cells)
 
 
 # -- products ---------------------------------------------------------------
@@ -244,18 +237,32 @@ def pushout(i: SimplicialMap, f: SimplicialMap) -> Pushout:
 class Product:
     x: SimplicialSet
     y: SimplicialSet
-    complex: SimplicialSet
     cell_pair: dict[CellId, tuple[Simplex, Simplex]]
-    pair_cell: dict[tuple[Simplex, Simplex], CellId]
+    pair_cell: dict[tuple[Simplex, Simplex], CellId] = field(init=False)
+    complex: SimplicialSet = field(init=False)
     proj1: SimplicialMap = field(init=False)
     proj2: SimplicialMap = field(init=False)
 
     def __post_init__(self) -> None:
+        X, Y = self.x, self.y
+        self.pair_cell = {p: c for c, p in self.cell_pair.items()}
+        counts = [0] * (X.dim + Y.dim + 1)
+        faces = {}
+        labels = {}
+        for c, (u, v) in self.cell_pair.items():
+            counts[c.dim] += 1
+            labels[c] = f"{simplex_label(X, u)}|{simplex_label(Y, v)}"
+            if c.dim > 0:
+                faces[c] = tuple(
+                    self.simplex_of_pair(X.face(u, i), Y.face(v, i))
+                    for i in range(c.dim + 1)
+                )
+        self.complex = SimplicialSet(counts, faces, labels)
         self.proj1 = SimplicialMap(
-            self.complex, self.x, {c: p[0] for c, p in self.cell_pair.items()}
+            self.complex, X, {c: p[0] for c, p in self.cell_pair.items()}
         )
         self.proj2 = SimplicialMap(
-            self.complex, self.y, {c: p[1] for c, p in self.cell_pair.items()}
+            self.complex, Y, {c: p[1] for c, p in self.cell_pair.items()}
         )
 
     def simplex_of_pair(self, u: Simplex, v: Simplex) -> Simplex:
@@ -265,47 +272,22 @@ class Product:
             return Simplex(self.pair_cell[(u, v)])
         j = max(common)
         inner = self.simplex_of_pair(self.x.face(u, j), self.y.face(v, j))
-        from .simplex import apply_degeneracy
-
         return Simplex(inner.base, apply_degeneracy(inner.word, j))
 
 
 def product(X: SimplicialSet, Y: SimplicialSet) -> Product:
     """Binary product; nondegenerate cells are word-disjoint simplex pairs."""
-    top = X.dim + Y.dim
     cell_pair: dict[CellId, tuple[Simplex, Simplex]] = {}
-    pair_cell: dict[tuple[Simplex, Simplex], CellId] = {}
-    counts: list[int] = []
-    for n in range(top + 1):
+    for n in range(X.dim + Y.dim + 1):
         pairs = sorted(
             (u, v)
             for u in X.simplices(n)
             for v in Y.simplices(n)
             if not set(u.word) & set(v.word)
         )
-        counts.append(len(pairs))
         for idx, p in enumerate(pairs):
-            c = CellId(n, idx)
-            cell_pair[c] = p
-            pair_cell[p] = c
-
-    prod = Product.__new__(Product)
-    prod.x, prod.y = X, Y
-    prod.cell_pair, prod.pair_cell = cell_pair, pair_cell
-
-    faces = {}
-    labels = {}
-    for c, (u, v) in cell_pair.items():
-        labels[c] = f"{simplex_label(X, u)}|{simplex_label(Y, v)}"
-        if c.dim == 0:
-            continue
-        faces[c] = tuple(
-            prod.simplex_of_pair(X.face(u, i), Y.face(v, i))
-            for i in range(c.dim + 1)
-        )
-    prod.complex = SimplicialSet(counts, faces, labels)
-    prod.__post_init__()
-    return prod
+            cell_pair[CellId(n, idx)] = p
+    return Product(X, Y, cell_pair)
 
 
 def product_functor(P: Product, Q: Product, f: SimplicialMap, g: SimplicialMap) -> SimplicialMap:
@@ -334,16 +316,62 @@ def simplex_label(X: SimplicialSet, s: Simplex) -> str:
 class Join:
     x: SimplicialSet
     y: SimplicialSet
-    complex: SimplicialSet
-    inc_x: SimplicialMap
-    inc_y: SimplicialMap
+    x_cell: dict[CellId, CellId]  # cell of X -> its copy in the join
+    y_cell: dict[CellId, CellId]  # cell of Y -> its copy in the join
     pair_cell: dict[tuple[CellId, CellId], CellId]
+    complex: SimplicialSet = field(init=False)
+    inc_x: SimplicialMap = field(init=False)
+    inc_y: SimplicialMap = field(init=False)
+
+    def __post_init__(self) -> None:
+        X, Y = self.x, self.y
+        labels = {jc: X.label(c) for c, jc in self.x_cell.items()}
+        labels.update((jc, Y.label(c) + "~") for c, jc in self.y_cell.items())
+        labels.update(
+            (jc, X.label(cx) + "*" + Y.label(cy))
+            for (cx, cy), jc in self.pair_cell.items()
+        )
+        counts = [0] * (max(X.dim, Y.dim, X.dim + Y.dim + 1) + 1)
+        for jc in labels:
+            counts[jc.dim] += 1
+
+        faces: dict[CellId, tuple[Simplex, ...]] = {}
+        for c, jc in self.x_cell.items():
+            if c.dim > 0:
+                faces[jc] = tuple(self.embed_x(s) for s in X.cell_faces(c))
+        for c, jc in self.y_cell.items():
+            if c.dim > 0:
+                faces[jc] = tuple(self.embed_y(s) for s in Y.cell_faces(c))
+        for (cx, cy), jc in self.pair_cell.items():
+            a, b = Simplex(cx), Simplex(cy)
+            p, q = cx.dim, cy.dim
+            fs = []
+            for i in range(p + q + 2):
+                if i <= p:
+                    if p == 0:
+                        fs.append(self.embed_y(b))
+                    else:
+                        fs.append(self.join_simplex(X.face(a, i), b))
+                else:
+                    if q == 0:
+                        fs.append(self.embed_x(a))
+                    else:
+                        fs.append(self.join_simplex(a, Y.face(b, i - p - 1)))
+            faces[jc] = tuple(fs)
+
+        self.complex = SimplicialSet(counts, faces, labels)
+        self.inc_x = SimplicialMap(
+            X, self.complex, {c: Simplex(jc) for c, jc in self.x_cell.items()}
+        )
+        self.inc_y = SimplicialMap(
+            Y, self.complex, {c: Simplex(jc) for c, jc in self.y_cell.items()}
+        )
 
     def embed_x(self, s: Simplex) -> Simplex:
-        return Simplex(self.inc_x.images[s.base].base, s.word)
+        return Simplex(self.x_cell[s.base], s.word)
 
     def embed_y(self, s: Simplex) -> Simplex:
-        return Simplex(self.inc_y.images[s.base].base, s.word)
+        return Simplex(self.y_cell[s.base], s.word)
 
     def join_simplex(self, a: Simplex, b: Simplex) -> Simplex:
         """Normal form of a * b: the pair base with b's word shifted past a."""
@@ -353,81 +381,27 @@ class Join:
 
 def join(X: SimplicialSet, Y: SimplicialSet) -> Join:
     """Join: cells of X, cells of Y, and one (p+q+1)-cell per cell pair."""
-    xdim, ydim = X.dim, Y.dim
-    top = max(xdim, ydim, xdim + ydim + 1 if xdim >= 0 and ydim >= 0 else -1)
-    counts = [0] * (top + 1)
-    xmap: dict[CellId, CellId] = {}
-    ymap: dict[CellId, CellId] = {}
-    pair_cell: dict[tuple[CellId, CellId], CellId] = {}
-    labels: dict[CellId, str] = {}
+    allocated: dict[int, int] = {}
 
     def alloc(d: int) -> CellId:
-        c = CellId(d, counts[d])
-        counts[d] += 1
-        return c
+        allocated[d] = allocated.get(d, 0) + 1
+        return CellId(d, allocated[d] - 1)
 
-    for c in X.all_cells():
-        xmap[c] = alloc(c.dim)
-        labels[xmap[c]] = X.label(c)
-    for c in Y.all_cells():
-        ymap[c] = alloc(c.dim)
-        labels[ymap[c]] = Y.label(c) + "~"
-    for cx in X.all_cells():
-        for cy in Y.all_cells():
-            jc = alloc(cx.dim + cy.dim + 1)
-            pair_cell[(cx, cy)] = jc
-            labels[jc] = X.label(cx) + "*" + Y.label(cy)
-
-    J = Join.__new__(Join)
-    J.x, J.y, J.pair_cell = X, Y, pair_cell
-    J.inc_x = None  # type: ignore[assignment]
-    J.inc_y = None  # type: ignore[assignment]
-    # temporary embed helpers usable before the complex exists
-    embed_x = lambda s: Simplex(xmap[s.base], s.word)  # noqa: E731
-    embed_y = lambda s: Simplex(ymap[s.base], s.word)  # noqa: E731
-
-    def jsimp(a: Simplex, b: Simplex) -> Simplex:
-        return Simplex(
-            pair_cell[(a.base, b.base)],
-            a.word + tuple(j + a.dim + 1 for j in b.word),
-        )
-
-    faces: dict[CellId, tuple[Simplex, ...]] = {}
-    for c in X.all_cells():
-        if c.dim > 0:
-            faces[xmap[c]] = tuple(embed_x(s) for s in X.cell_faces(c))
-    for c in Y.all_cells():
-        if c.dim > 0:
-            faces[ymap[c]] = tuple(embed_y(s) for s in Y.cell_faces(c))
-    for (cx, cy), jc in pair_cell.items():
-        p, q = cx.dim, cy.dim
-        fs = []
-        for i in range(p + q + 2):
-            if i <= p:
-                if p == 0:
-                    fs.append(embed_y(Simplex(cy)))
-                else:
-                    fs.append(jsimp(X.face(Simplex(cx), i), Simplex(cy)))
-            else:
-                if q == 0:
-                    fs.append(embed_x(Simplex(cx)))
-                else:
-                    fs.append(jsimp(Simplex(cx), Y.face(Simplex(cy), i - p - 1)))
-        faces[jc] = tuple(fs)
-
-    J.complex = SimplicialSet(counts, faces, labels)
-    J.inc_x = SimplicialMap(X, J.complex, {c: Simplex(n) for c, n in xmap.items()})
-    J.inc_y = SimplicialMap(Y, J.complex, {c: Simplex(n) for c, n in ymap.items()})
-    return J
+    x_cell = {c: alloc(c.dim) for c in X.all_cells()}
+    y_cell = {c: alloc(c.dim) for c in Y.all_cells()}
+    pair_cell = {
+        (cx, cy): alloc(cx.dim + cy.dim + 1)
+        for cx in X.all_cells()
+        for cy in Y.all_cells()
+    }
+    return Join(X, Y, x_cell, y_cell, pair_cell)
 
 
 def join_functor(J: Join, K: Join, f: SimplicialMap, g: SimplicialMap) -> SimplicialMap:
     """Induced map J -> K for f: J.x -> K.x and g: J.y -> K.y."""
-    images = {
-        J.inc_x.images[c].base: K.embed_x(f.images[c]) for c in J.x.all_cells()
-    }
-    for c in J.y.all_cells():
-        images[J.inc_y.images[c].base] = K.embed_y(g.images[c])
+    images = {jc: K.embed_x(f.images[c]) for c, jc in J.x_cell.items()}
+    for c, jc in J.y_cell.items():
+        images[jc] = K.embed_y(g.images[c])
     for (cx, cy), jc in J.pair_cell.items():
         images[jc] = K.join_simplex(f.images[cx], g.images[cy])
     return SimplicialMap(J.complex, K.complex, images)

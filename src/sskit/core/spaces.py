@@ -8,7 +8,7 @@ iff s_j(d_j e) = e for some j) and normalizing recursively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .budget import Budget
@@ -171,8 +171,12 @@ class FunctionComplexTruncation:
     deltas: list[GeneratorComplex]
     products: list[Product]  # product(K, Delta^n)
     levels: list[list[SimplicialMap]]
-    space: SimplicialSet
-    _lw: LevelwiseSpace
+    space: SimplicialSet = field(init=False)
+    _lw: LevelwiseSpace = field(init=False)
+
+    def __post_init__(self) -> None:
+        self._lw = LevelwiseSpace(self.levels, self.face_map, self.deg_map)
+        self.space = self._lw.space
 
     def normalize(self, n: int, u: SimplicialMap) -> Simplex:
         return self._lw.normalize(n, u)
@@ -234,17 +238,7 @@ def function_complex(
         list(enumerate_maps(products[n].complex, C, budget=budget))
         for n in range(up_to + 1)
     ]
-    return _assemble_fc(C, K, up_to, deltas, products, levels)
-
-
-def _assemble_fc(C, K, up_to, deltas, products, levels) -> FunctionComplexTruncation:
-    fc = FunctionComplexTruncation(
-        C, K, up_to, deltas, products, levels, None, None  # type: ignore[arg-type]
-    )
-    lw = LevelwiseSpace(levels, fc.face_map, fc.deg_map)
-    fc.space = lw.space
-    fc._lw = lw
-    return fc
+    return FunctionComplexTruncation(C, K, up_to, deltas, products, levels)
 
 
 def restricted_function_complex(
@@ -279,6 +273,6 @@ def restricted_function_complex(
             if all(v in ok for v in verts):
                 kept.append(u)
         levels.append(kept)
-    return _assemble_fc(C, K, up_to, fc.deltas, fc.products, levels)
+    return FunctionComplexTruncation(C, K, up_to, fc.deltas, fc.products, levels)
 
 

@@ -11,94 +11,52 @@ stage of inner-horn attachments.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from .certify import AnodyneCertificate
 from .core import (
+    Attachment,
     Budget,
     BudgetExceeded,
     DEFAULT_NODE_BUDGET,
     CellId,
+    LevelwiseSpace,
     SimplicialMap,
     SimplicialSet,
     Simplex,
     apply_images,
+    attach_all,
     compose,
     constant_simplex,
+    degeneracy_words,
+    degenerate,
     enumerate_maps,
     hom_left,
     horn_complex,
+    identity_map,
     is_constant,
-    product,
     restricted_function_complex,
     simplex_as_map,
     standard_simplex,
     sub_complex,
     tuple_simplex,
+    validate,
 )
 from .lifting import (
     BUDGET,
     FOUND,
     NONE,
-    LiftResult,
     extend_along,
     generator_inclusion,
-    generating_family,
     horn_inclusion,
     classify_map,
 )
 
-# -- simultaneous attachment (one pushout per stage) ---------------------------
-
-
-@dataclass
-class Attachment:
-    inclusion: SimplicialMap  # generator A -> B
-    map: SimplicialMap  # attaching map A -> S(m)
-    new_cells: list[CellId] = field(default_factory=list)  # cells of S(m+1)
-    total_map: SimplicialMap | None = None  # B -> S(m+1)
-
-
-def attach_all(S: SimplicialSet, attachments: list[Attachment]) -> tuple[SimplicialSet, SimplicialMap]:
-    """Pushout of the coproduct of all attachments into S, at once."""
-    counts = [S.n_cells(d) for d in range(S.dim + 1)]
-    faces = {c: S.cell_faces(c) for c in S.all_cells() if c.dim > 0}
-    labels = dict(S.labels)
-    used = set(labels.values())
-
-    for att in attachments:
-        i, alpha = att.inclusion, att.map
-        B = i.target
-        hit = {i.images[a].base: a for a in i.source.all_cells()}
-        g: dict[CellId, Simplex] = {}
-        for b in sorted(B.all_cells()):
-            if b in hit:
-                g[b] = alpha.images[hit[b]]
-                continue
-            while len(counts) <= b.dim:
-                counts.append(0)
-            nc = CellId(b.dim, counts[b.dim])
-            counts[b.dim] += 1
-            g[b] = Simplex(nc)
-            att.new_cells.append(nc)
-            if b.dim > 0:
-                faces[nc] = tuple(apply_images(g, s) for s in B.cell_faces(b))
-            lab = B.label(b)
-            while lab in used:
-                lab += "'"
-            used.add(lab)
-            labels[nc] = lab
-        att.total_map = g
-
-    out = SimplicialSet(counts, faces, labels)
-    inc = SimplicialMap(S, out, {c: Simplex(c) for c in S.all_cells()})
-    for att in attachments:
-        att.total_map = SimplicialMap(att.inclusion.target, out, att.total_map)
-    return out, inc
+# -- small-object stages (one pushout per stage) -------------------------------
 
 
 @dataclass
 class SoaTrace:
-    selector_id: str
     stages: list[SimplicialSet]
     inclusions: list[SimplicialMap]  # S(m) -> S(m+1)
     attachments: list[list[Attachment]]  # per stage
@@ -112,8 +70,6 @@ class SoaTrace:
         for inc in self.inclusions:
             f = inc if f is None else compose(f, inc)
         if f is None:
-            from .core import identity_map
-
             return identity_map(self.stages[0])
         return f
 
@@ -122,19 +78,19 @@ def soa_stage(
     S: SimplicialSet,
     generators: list[SimplicialMap],
     selector,
-    selector_id: str = "custom",
     node_budget: int | Budget = DEFAULT_NODE_BUDGET,
 ) -> tuple[SimplicialSet, SimplicialMap, list[Attachment]]:
     """One stage of the small object argument: enumerate every map from a
     generator domain into S, keep those passing the selector, attach all
     of them as a single pushout.  All-or-nothing: a budget overrun raises
     before any cell is attached."""
-    budget = node_budget if isinstance(node_budget, Budget) else Budget(node_budget)
-    attachments = []
-    for i in generators:
-        for alpha in enumerate_maps(i.source, S, budget=budget):
-            if selector(i, alpha):
-                attachments.append(Attachment(i, alpha))
+    budget = Budget.of(node_budget)
+    attachments = [
+        Attachment(i, alpha)
+        for i in generators
+        for alpha in enumerate_maps(i.source, S, budget=budget)
+        if selector(i, alpha)
+    ]
     out, inc = attach_all(S, attachments)
     return out, inc, attachments
 
@@ -162,6 +118,20 @@ def _horn_d0_cell(n: int, i: int) -> CellId:
     return horn_complex(n, i).lookup[tuple(range(1, n + 1))]
 
 
+def _needs_filler(
+    inc: SimplicialMap, d0: CellId | None, alpha: SimplicialMap, budget: Budget
+) -> bool:
+    """Whether the horn alpha is one pre-fibrancy asks to fill (a 2-horn,
+    or a higher inner horn with constant d_0 face) and has no filler."""
+    if d0 is not None and not is_constant(alpha.images[d0]):
+        return False
+    return extend_along(alpha, inc, budget).status != FOUND
+
+
+def _default_bound(S: SimplicialSet) -> int:
+    return S.dim + 1 if S.dim >= 2 else 3
+
+
 def is_prefibrant(
     S: SimplicialSet,
     max_dim: int | None = None,
@@ -170,13 +140,13 @@ def is_prefibrant(
     """Condition (i): every 2-horn at index 1 fills.  Condition (ii): every
     inner horn of dimension 3..max_dim whose d_0 face maps to a constant
     simplex fills."""
-    bound = (S.dim + 1 if S.dim >= 2 else 3) if max_dim is None else max_dim
-    budget = node_budget if isinstance(node_budget, Budget) else Budget(node_budget)
+    bound = _default_bound(S) if max_dim is None else max_dim
+    budget = Budget.of(node_budget)
     report = PreFibrantReport("yes", None, {}, None, bound)
     try:
         inc = horn_inclusion(2, 1)
         for alpha in enumerate_maps(inc.source, S, budget=budget):
-            if extend_along(alpha, inc, budget).status != FOUND:
+            if _needs_filler(inc, None, alpha, budget):
                 report.lambda21_verdict = "no"
                 report.lambda21_witness = alpha
                 return report
@@ -190,9 +160,7 @@ def is_prefibrant(
                 inc = horn_inclusion(n, i)
                 d0 = _horn_d0_cell(n, i)
                 for alpha in enumerate_maps(inc.source, S, budget=budget):
-                    if not is_constant(alpha.images[d0]):
-                        continue
-                    if extend_along(alpha, inc, budget).status != FOUND:
+                    if _needs_filler(inc, d0, alpha, budget):
                         report.constant_horn_verdicts[n] = "no"
                         report.constant_horn_witness = alpha
                         return report
@@ -216,25 +184,27 @@ def prefibrantize(
     """
     if stages < 1:
         raise ValueError("need at least one stage")
-    bound = (S.dim + 1 if S.dim >= 2 else 3) if max_dim is None else max_dim
-    trace = SoaTrace("prefibrantize", [S], [], [])
+    bound = _default_bound(S) if max_dim is None else max_dim
+    trace = SoaTrace([S], [], [])
     cur = S
     for _ in range(stages):
-        atts = []
-        budget = node_budget if isinstance(node_budget, Budget) else Budget(node_budget)
-        for n in range(2, bound + 1):
-            for hi in range(1, n):
-                inc = horn_inclusion(n, hi)
-                d0 = None if n == 2 else _horn_d0_cell(n, hi)
-                for alpha in enumerate_maps(inc.source, cur, budget=budget):
-                    if n > 2 and not is_constant(alpha.images[d0]):
-                        continue
-                    if extend_along(alpha, inc, budget).status == FOUND:
-                        continue
-                    atts.append(Attachment(inc, alpha))
+        budget = Budget.of(node_budget)
+        horns = [
+            (horn_inclusion(n, hi), None if n == 2 else _horn_d0_cell(n, hi))
+            for n in range(2, bound + 1)
+            for hi in range(1, n)
+        ]
+        d0_of = {id(inc): d0 for inc, d0 in horns}  # the inclusions live this stage
+
+        def selector(inc: SimplicialMap, alpha: SimplicialMap) -> bool:
+            return _needs_filler(inc, d0_of[id(inc)], alpha, budget)
+
+        nxt, step_inc, atts = soa_stage(
+            cur, [inc for inc, _ in horns], selector, budget
+        )
         if not atts:
             break
-        cur, step_inc = attach_all(cur, atts)
+        cur = nxt
         trace.stages.append(cur)
         trace.inclusions.append(step_inc)
         trace.attachments.append(atts)
@@ -253,9 +223,7 @@ class SaturationResult:
     hom_levels_equal: bool
     bound: int
 
-    def certificate(self):
-        from .certify import AnodyneCertificate
-
+    def certificate(self) -> AnodyneCertificate:
         return AnodyneCertificate("inner", list(self.steps))
 
 
@@ -272,7 +240,7 @@ def saturate_prefibrant(
     pre = is_prefibrant(S, up_to_dim, node_budget)
     if not pre.ok:
         raise ValueError("saturation requires a pre-fibrant input up to the bound")
-    budget = node_budget if isinstance(node_budget, Budget) else Budget(node_budget)
+    budget = Budget.of(node_budget)
 
     cur = S
     s_cells = set(S.all_cells())
@@ -357,32 +325,26 @@ def descend_over_triangle(
     q = compose(p, lam_in_d2)
     cur = X
     res = TriangleDescentResult([X], [], [q], True)
-    budget = node_budget if isinstance(node_budget, Budget) else Budget(node_budget)
+    budget = Budget.of(node_budget)
+    horns = [horn_inclusion(n, hi) for n in range(2, max_dim + 1) for hi in range(1, n)]
+
+    def spans_the_ends(inc: SimplicialMap, alpha: SimplicialMap) -> bool:
+        """Whether the base simplex of the filler, read off on vertices
+        through the current stage's base map q, hits vertices 0 and 2."""
+        return {0, 2} <= {
+            q.apply(alpha.images[v]).base.index for v in inc.source.cells(0)
+        }
 
     for _ in range(stages):
-        atts: list[tuple[int, Attachment, tuple[int, ...]]] = []
-        for n in range(2, max_dim + 1):
-            for hi in range(1, n):
-                inc = horn_inclusion(n, hi)
-                horn = horn_complex(n, hi)
-                for alpha in enumerate_maps(inc.source, cur, budget=budget):
-                    # base simplex of the filler, read off on vertices
-                    vt = tuple(
-                        q.apply(alpha.images[horn.lookup[(v,)]]).base.index
-                        for v in range(n + 1)
-                    )
-                    if not {0, 2} <= set(vt):
-                        continue
-                    atts.append((hi, Attachment(inc, alpha), vt))
-        nxt, inc_step = attach_all(cur, [a for _, a, _ in atts])
-        q_imgs = {c: q.images[c] for c in cur.all_cells()}
-        for hi, att, vt in atts:
-            n = att.inclusion.target.dim
+        nxt, inc_step, atts = soa_stage(cur, horns, spans_the_ends, budget)
+        # a horn of dimension >= 2 has every vertex, so the new cells sit
+        # over the simplices of Delta^2 spanned by their vertex images
+        base_vertex = {v: q.images[v].base.index for v in cur.cells(0)}
+        q_imgs = dict(q.images)
+        for att in atts:
             for nc in att.new_cells:
-                if nc.dim == n:
-                    q_imgs[nc] = tuple_simplex(vt, d2.lookup)
-                else:  # the previously missing d_hi face
-                    q_imgs[nc] = tuple_simplex(vt[:hi] + vt[hi + 1 :], d2.lookup)
+                vt = tuple(base_vertex[v] for v in nxt.vertices_of(Simplex(nc)))
+                q_imgs[nc] = tuple_simplex(vt, d2.lookup)
         q = SimplicialMap(nxt, d2.complex, q_imgs)
         if q.check():
             raise RuntimeError("descent stage produced a non-simplicial base map")
@@ -422,10 +384,8 @@ def mapping_path_space(
     equivalence-restricted homotopy u: Delta^1 x Delta^n -> D whose
     0-endpoint is f(c).  The section embeds via constant homotopies and
     the projection evaluates the 1-endpoint; f factors as pi o i."""
-    from .core import LevelwiseSpace
-
     C, D = f.source, f.target
-    budget = node_budget if isinstance(node_budget, Budget) else Budget(node_budget)
+    budget = Budget.of(node_budget)
     rfc = restricted_function_complex(D, standard_simplex(1).complex, up_to, budget, word_budget)
 
     def endpoint(u: SimplicialMap, n: int, t: int) -> Simplex:
@@ -450,8 +410,6 @@ def mapping_path_space(
         ]
         for n in range(up_to + 1)
     ]
-
-    from .core import degenerate
 
     lw = LevelwiseSpace(
         levels,
@@ -515,7 +473,7 @@ def search_descent_extension(
     if p.target != A:
         raise ValueError("p must land in the domain of i")
     bound = B.dim + 1 if max_dim is None else max_dim
-    budget = node_budget if isinstance(node_budget, Budget) else Budget(node_budget)
+    budget = Budget.of(node_budget)
 
     a_cells = {i.images[a].base for a in A.all_cells()}
     q0 = {c: i.apply(p.images[c]) for c in X.all_cells()}
@@ -544,8 +502,6 @@ def search_descent_extension(
             Y = SimplicialSet(counts, faces)
         except ValueError:
             return None
-        from .core import validate
-
         if validate(Y):
             return None
         try:
@@ -567,8 +523,6 @@ def search_descent_extension(
         for k in range(min(d, bound) + 1):
             for idx in range(len(per_dim.get(k, []))):
                 c = CellId(k, base_counts[k] + idx)
-                from .core import degeneracy_words
-
                 for w in degeneracy_words(d - k, k, d):
                     out.append(Simplex(c, w))
         return out
@@ -619,15 +573,13 @@ def search_descent_extension(
         return [list(combo) for combo in itertools.product(*opts_per_face)]
 
     def _q_value(per_dim, s: Simplex) -> Simplex:
-        from .core import degenerate as dg
-
         if X.has_cell(s.base):
             return apply_images(q0, s)
         k = s.base.dim
         img = per_dim[k][s.base.index - X.n_cells(k)][0]
         r = img
         for j in s.word:
-            r = dg(r, j)
+            r = degenerate(r, j)
         return r
 
     try:

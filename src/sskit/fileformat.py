@@ -5,7 +5,10 @@ nondegenerate cell in (dim, index) order, with `faces: <f0> ... <fk>`
 for dim >= 1.  A face token is a cell name, or `s<j1>,<j2>,...@<name>`
 for a degenerate face.  `#` starts a comment.  Map files name the two
 complex files and give one `image <cell> <token>` line per cell of the
-source.  All parse failures carry the offending line number.
+source.  Certificate files give a `class <family>` header and one
+`step <n> <horn index> <filler cell>` record per horn filling, naming
+cells of the target complex.  All parse failures carry the offending
+line number.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import re
 from typing import Callable
 
+from .certify import AnodyneCertificate
 from .core import CellId, Simplex, SimplicialMap, SimplicialSet, validate
 
 _DEGENERATE = re.compile(r"s(\d+(?:,\d+)*)@(.+)")
@@ -68,6 +72,15 @@ def serialize_map(f: SimplicialMap, src_ref: str, tgt_ref: str) -> str:
         lines.append(
             f"image {src_names[c]} {_simplex_token(tgt_names, f.images[c])}"
         )
+    return "\n".join(lines) + "\n"
+
+
+def serialize_certificate(cert: AnodyneCertificate, B: SimplicialSet) -> str:
+    """A certificate for an inclusion into B, naming cells of B."""
+    names = name_table(B)
+    lines = [f"class {cert.family}"]
+    for n, hi, top in cert.steps:
+        lines.append(f"step {n} {hi} {names[top]}")
     return "\n".join(lines) + "\n"
 
 
@@ -219,3 +232,26 @@ def parse_map(
     if bad:
         raise ParseError(0, "; ".join(bad))
     return f
+
+
+def parse_certificate(text: str, B: SimplicialSet) -> AnodyneCertificate:
+    """Parse a certificate whose steps name cells of B."""
+    family = None
+    steps = []
+    byname = {v: k for k, v in name_table(B).items()}
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = _strip(raw)
+        if not line:
+            continue
+        toks = line.split()
+        if toks[0] == "class" and len(toks) == 2:
+            family = toks[1]
+        elif toks[0] == "step" and len(toks) == 4:
+            if toks[3] not in byname:
+                raise ParseError(lineno, f"unknown cell {toks[3]!r}")
+            steps.append((int(toks[1]), int(toks[2]), byname[toks[3]]))
+        else:
+            raise ParseError(lineno, f"bad certificate record {line!r}")
+    if family is None:
+        raise ParseError(1, "missing class header")
+    return AnodyneCertificate(family, steps)

@@ -19,6 +19,7 @@ from .core import (
     SimplicialMap,
     SimplicialSet,
     Simplex,
+    hom_left,
 )
 from .lifting import NO, RlpVerdict, YES, classify_map
 
@@ -354,8 +355,6 @@ def dwyer_kan_check(
 ) -> DwyerKanReport:
     """Essential surjectivity on homotopy categories, and a three-valued
     fully-faithfulness check on left mapping spaces."""
-    from .core import hom_left  # local: keeps import graph flat
-
     C, D = f.source, f.target
     hd = homotopy_category(D, word_budget)
     image_objs = {f.images[c].base for c in C.cells(0)}

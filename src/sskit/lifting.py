@@ -16,7 +16,6 @@ from .core import (
     DEFAULT_NODE_BUDGET,
     GeneratorComplex,
     SimplicialMap,
-    SimplicialSet,
     Simplex,
     all_extensions,
     boundary_complex,
@@ -35,6 +34,14 @@ YES = "yes"
 NO = "no"
 
 FIBRATION_CLASSES = ("inner", "left", "right", "kan", "trivial_kan")
+
+# legal horn indices per class, in each dimension
+HORN_RANGES = {
+    "inner": lambda n: range(1, n),
+    "left": lambda n: range(0, n),
+    "right": lambda n: range(1, n + 1),
+    "kan": lambda n: range(0, n + 1),
+}
 
 
 @dataclass
@@ -68,7 +75,7 @@ def solve_lift(
     bad = P.check()
     if bad:
         raise ValueError("; ".join(bad))
-    budget = node_budget if isinstance(node_budget, Budget) else Budget(node_budget)
+    budget = Budget.of(node_budget)
     fixed = {
         P.i.images[a].base: P.u.images[a] for a in P.i.source.all_cells()
     }
@@ -92,7 +99,7 @@ def extend_along(
     node_budget: int | Budget = DEFAULT_NODE_BUDGET,
 ) -> LiftResult:
     """First extension of f: A -> X along the mono inclusion i: A -> B."""
-    budget = node_budget if isinstance(node_budget, Budget) else Budget(node_budget)
+    budget = Budget.of(node_budget)
     try:
         for g in all_extensions(f, i, budget=budget):
             return LiftResult(FOUND, g)
@@ -129,18 +136,12 @@ def generating_family(name: str, max_dim: int) -> list[SimplicialMap]:
     """Horn/boundary inclusions of the named class, up to the bound."""
     if name == "trivial_kan":
         return [boundary_inclusion(n) for n in range(max_dim + 1)]
-    ranges = {
-        "inner": lambda n: range(1, n) if n >= 2 else range(0),
-        "left": lambda n: range(0, n),
-        "right": lambda n: range(1, n + 1),
-        "kan": lambda n: range(0, n + 1),
-    }
-    if name not in ranges:
+    if name not in HORN_RANGES:
         raise ValueError(f"unknown fibration class {name!r}")
     return [
         horn_inclusion(n, i)
         for n in range(1, max_dim + 1)
-        for i in ranges[name](n)
+        for i in HORN_RANGES[name](n)
     ]
 
 
@@ -168,7 +169,7 @@ def has_rlp(
     node_budget: int | Budget = DEFAULT_NODE_BUDGET,
 ) -> RlpVerdict:
     """Right lifting property of p against every instantiated square."""
-    budget = node_budget if isinstance(node_budget, Budget) else Budget(node_budget)
+    budget = Budget.of(node_budget)
     for i in generators:
         if i.target.dim > max_dim:
             continue

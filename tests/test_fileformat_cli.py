@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sskit import cli
+from sskit.certify import search_certificate, verify_certificate
 from sskit.core import (
+    GENERATORS,
     horn_complex,
     identity_map,
     join,
@@ -18,12 +20,14 @@ from sskit.core import (
 from sskit.fileformat import (
     ParseError,
     name_table,
+    parse_certificate,
     parse_complex,
     parse_map,
+    serialize_certificate,
     serialize_complex,
     serialize_map,
 )
-from sskit.lifting import generator_inclusion, horn_inclusion
+from sskit.lifting import generator_inclusion, horn_inclusion, spine_inclusion
 
 from conftest import build_walking_iso, random_generator_complex
 
@@ -57,6 +61,29 @@ def test_map_round_trip():
     complexes = {"A": i.source, "B": i.target}
     text = serialize_map(i, "A", "B")
     assert parse_map(text, complexes.__getitem__) == i
+
+
+@pytest.mark.parametrize("n, family", [(2, "inner"), (3, "inner"), (3, "left"), (4, "kan")])
+def test_certificate_round_trip(n, family):
+    i = spine_inclusion(n)
+    cert = search_certificate(i, family).certificate
+    text = serialize_certificate(cert, i.target)
+    back = parse_certificate(text, i.target)
+    assert (back.family, back.steps) == (cert.family, cert.steps)
+    assert verify_certificate(back, i)
+
+
+def test_certificate_text_names_cells_of_the_target():
+    i = spine_inclusion(3)
+    cert = search_certificate(i).certificate
+    assert serialize_certificate(cert, i.target) == (
+        "class inner\nstep 2 1 012\nstep 2 1 023\nstep 2 1 123\nstep 3 2 0123\n"
+    )
+    with pytest.raises(ParseError) as e:
+        parse_certificate("class inner\nstep 2 1 nope\n", i.target)
+    assert e.value.lineno == 2
+    with pytest.raises(ParseError):
+        parse_certificate("step 2 1 012\n", i.target)
 
 
 def test_name_table_uniquifies_duplicate_labels():
@@ -139,6 +166,17 @@ def test_cli_gen_matches_library_output(tmp_path, capsys):
     out = capsys.readouterr().out
     assert parse_complex(out) == standard_simplex(2).complex
     assert cli.main(["gen", "horn", "2"]) == 3  # missing parameter
+    assert cli.main(["gen", "simplex", "2", "5"]) == 3  # surplus parameter
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("simplex", [2]), ("boundary", [3]), ("horn", [3, 1]), ("spine", [2]),
+    ("cosk0", [2, 2]), ("jtrunc", [2]),
+])
+def test_cli_gen_covers_every_generator(kind, params, capsys):
+    assert cli.main(["gen", kind, *map(str, params)]) == 0
+    out = capsys.readouterr().out
+    assert parse_complex(out) == GENERATORS[kind](*params).complex
 
 
 def test_cli_structured_output_is_versioned_json(tmp_path, capsys):

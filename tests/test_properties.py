@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from sskit.core import (
     compose,
-    from_vertex_tuples,
     function_complex,
     identity_map,
     join,
