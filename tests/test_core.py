@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sskit.core import (
     CellId,
@@ -30,6 +30,7 @@ from sskit.core import (
     product,
     product_functor,
     pushout,
+    restricted_function_complex,
     slice_under,
     spine_complex,
     standard_simplex,
@@ -38,6 +39,8 @@ from sskit.core import (
     validate,
     word_is_valid,
 )
+from sskit.factorize import mapping_path_space
+from sskit.fileformat import serialize_complex
 from sskit.lifting import generator_inclusion
 
 from conftest import random_generator_complex
@@ -227,21 +230,33 @@ def test_hom_left_of_the_interval_is_a_point():
     assert hs.space.cell_counts() == (1,)
 
 
-def test_hom_left_embeds_in_the_slice():
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**30))
+def test_hom_left_embeds_in_the_slice(seed):
     # every hom-space level is a subset of the slice level
-    d2 = standard_simplex(2).complex
-    x, y = CellId(0, 0), CellId(0, 2)
-    hs = hom_left(d2, x, y, 2)
-    sl = slice_under(d2, x, 2)
-    for n in range(3):
-        assert set(hs.levels[n]) <= set(sl.levels[n])
+    X = random_generator_complex(random.Random(seed)).complex
+    for x in X.cells(0):
+        sl = slice_under(X, x, 2)
+        assert validate(sl.space) == []
+        for y in X.cells(0):
+            hs = hom_left(X, x, y, 2)
+            assert validate(hs.space) == []
+            for n in range(3):
+                assert set(hs.levels[n]) <= set(sl.levels[n])
 
 
-def test_slice_projection_is_simplicial():
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**30))
+def test_slice_projection_is_simplicial(seed):
     d2 = standard_simplex(2).complex
     sl = slice_under(d2, CellId(0, 0), 2)
     assert sl.space.cell_counts() == (3, 3, 1)
     assert sl.projection.check() == []
+    X = random_generator_complex(random.Random(seed)).complex
+    for x in X.cells(0):
+        sl = slice_under(X, x, 2)
+        assert validate(sl.space) == []
+        assert sl.projection.check() == []
 
 
 def test_function_complex_with_point_exponent_recovers_the_base():
@@ -258,3 +273,39 @@ def test_function_complex_evaluation_lands_in_the_base():
     ev = fc.restrict_to_vertex(CellId(0, 0))
     assert ev.check() == []
     assert ev.target == d1
+
+
+_TRIANGLE_TEXT = """dim 2
+cell c0_0 0
+cell c0_1 0
+cell c0_2 0
+cell c1_0 1 faces: c0_1 c0_0
+cell c1_1 1 faces: c0_2 c0_0
+cell c1_2 1 faces: c0_2 c0_1
+cell c2_0 2 faces: c1_2 c1_1 c1_0
+"""
+
+_MAPPING_SPACE_TEXTS = {
+    "slice_under": _TRIANGLE_TEXT,
+    "hom_left": "dim 0\ncell c0_0 0\n",
+    "function_complex": _TRIANGLE_TEXT.replace("dim 2", "dim 1").split("cell c2_0")[0],
+    "restricted_function_complex": _TRIANGLE_TEXT,
+    "mapping_path_space": "dim 1\ncell c0_0 0\ncell c0_1 0\ncell c1_0 1 faces: c0_1 c0_0\n",
+}
+
+
+def _mapping_space(name):
+    d1, d2 = standard_simplex(1).complex, standard_simplex(2).complex
+    x, y = CellId(0, 0), CellId(0, 2)
+    return {
+        "slice_under": lambda: slice_under(d2, x, 2).space,
+        "hom_left": lambda: hom_left(d2, x, y, 2).space,
+        "function_complex": lambda: function_complex(d1, d1, 1).space,
+        "restricted_function_complex": lambda: restricted_function_complex(d2, d1, 2).space,
+        "mapping_path_space": lambda: mapping_path_space(identity_map(d1), 1).space,
+    }[name]()
+
+
+@pytest.mark.parametrize("name", sorted(_MAPPING_SPACE_TEXTS))
+def test_mapping_space_cell_numbering_is_pinned(name):
+    assert serialize_complex(_mapping_space(name)) == _MAPPING_SPACE_TEXTS[name]

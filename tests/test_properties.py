@@ -16,13 +16,14 @@ from sskit.core import (
     product,
     product_functor,
     pushout,
+    restricted_function_complex,
     simplex_as_map,
     standard_simplex,
     sub_complex,
     terminal_map,
     validate,
 )
-from sskit.factorize import soa_stage
+from sskit.factorize import mapping_path_space, soa_stage
 from sskit.lifting import generating_family
 
 from conftest import random_generator_complex, random_mono_pair
@@ -118,10 +119,26 @@ def test_sub_complex_inclusions_are_simplicial(seed):
 def test_function_complex_evaluation_is_simplicial(seed):
     C = random_generator_complex(random.Random(seed)).complex
     K = standard_simplex(1).complex
-    fc = function_complex(C, K, 1)
-    assert validate(fc.space) == []
-    for v in K.cells(0):
-        assert fc.restrict_to_vertex(v).check() == []
+    for fc in (function_complex(C, K, 1), restricted_function_complex(C, K, 1)):
+        assert validate(fc.space) == []
+        for v in K.cells(0):
+            assert fc.restrict_to_vertex(v).check() == []
+
+
+def test_mapping_path_space_of_an_identity_factors_it():
+    cases = 0
+    for seed in range(40):
+        C = random_generator_complex(random.Random(seed)).complex
+        if C.dim > 1:
+            continue
+        f = identity_map(C)
+        res = mapping_path_space(f, 1)
+        assert validate(res.space) == []
+        for m in (res.section, res.projection, res.to_source):
+            assert m.check() == []
+        assert compose(res.section, res.projection) == f
+        cases += 1
+    assert cases == 15
 
 
 @pytest.mark.xfail(
