@@ -19,11 +19,12 @@ from .core import (
     BudgetExceeded,
     CellId,
     DEFAULT_NODE_BUDGET,
+    DEFAULT_WORD_BUDGET,
     SimplicialMap,
     Simplex,
     compose,
 )
-from .homotopy import DEFAULT_WORD_BUDGET, homotopy_category, pi0
+from .homotopy import homotopy_category, pi0
 from .lifting import BUDGET, FOUND, HORN_RANGES, NONE
 
 Step = tuple[int, int, CellId]  # (dimension, horn index, filler cell)

@@ -13,10 +13,11 @@ import inspect
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import certify, factorize, homotopy, lifting
 from .core import (
+    DEFAULT_NODE_BUDGET,
+    DEFAULT_WORD_BUDGET,
     GENERATORS,
     Simplex,
     join,
@@ -41,19 +42,6 @@ FORMAT_VERSION = 1
 OK, REFUTED, UNKNOWN, INPUT_ERROR = 0, 1, 2, 3
 
 
-@dataclass
-class RunConfig:
-    max_dim: int | None = None
-    node_budget: int = 10**6
-    word_budget: int = 8
-    stage_count: int = 2
-    output_format: str = "human"
-
-    def __post_init__(self) -> None:
-        if self.node_budget <= 0 or self.word_budget <= 0 or self.stage_count <= 0:
-            raise ValueError("budgets must be positive")
-
-
 def _load_complex(path: str):
     with open(path, encoding="utf-8") as fh:
         return parse_complex(fh.read())
@@ -69,9 +57,9 @@ def _load_map(path: str):
         return parse_map(fh.read(), resolve)
 
 
-def _emit(report: dict, cfg: RunConfig, out=None) -> None:
-    out = out or sys.stdout
-    if cfg.output_format == "structured":
+def _emit(report: dict, args: argparse.Namespace) -> None:
+    out = sys.stdout
+    if args.format == "structured":
         json.dump({"format_version": FORMAT_VERSION, **report}, out, indent=2)
         out.write("\n")
         return
@@ -99,13 +87,13 @@ def _status_code(status: str) -> int:
 # -- verb handlers ----------------------------------------------------------------
 
 
-def _cmd_validate(args, cfg):
+def _cmd_validate(args):
     X = _load_complex(args.file)
-    _emit({"command": "validate", "verdict": "ok", "cells": X.total_cells()}, cfg)
+    _emit({"command": "validate", "verdict": "ok", "cells": X.total_cells()}, args)
     return OK
 
 
-def _cmd_gen(args, cfg):
+def _cmd_gen(args):
     kind, ps = args.kind, args.params
     make = GENERATORS[kind]
     arity = len(inspect.signature(make).parameters)
@@ -119,7 +107,7 @@ def _cmd_gen(args, cfg):
     return OK
 
 
-def _cmd_op(args, cfg):
+def _cmd_op(args):
     X = _load_complex(args.a)
     Y = _load_complex(args.b)
     if args.name == "product":
@@ -132,7 +120,7 @@ def _cmd_op(args, cfg):
     return OK
 
 
-def _cmd_lift(args, cfg):
+def _cmd_lift(args):
     i = _load_map(args.along)
     u = _load_map(args.map)
     if args.p:
@@ -145,21 +133,21 @@ def _cmd_lift(args, cfg):
         p = terminal_map(u.target, pt)
         v = terminal_map(i.target, pt)
     P = lifting.LiftingProblem(i, p, u, v)
-    r = lifting.solve_lift(P, cfg.node_budget)
+    r = lifting.solve_lift(P, args.node_budget)
     report = {"command": "lift", "status": r.status}
     if r.status == lifting.FOUND:
         report["lift"] = serialize_map(r.lift, "<target-of-i>", "<source-of-p>")
     elif r.status == lifting.NONE:
         report["witness_u"] = serialize_map(u, "<source-of-i>", "<source-of-p>")
         report["witness_v"] = serialize_map(v, "<target-of-i>", "<target-of-p>")
-    _emit(report, cfg)
+    _emit(report, args)
     return _status_code(r.status)
 
 
-def _cmd_classify(args, cfg):
+def _cmd_classify(args):
     p = _load_map(args.map)
     classes = tuple(args.classes.split(",")) if args.classes else lifting.FIBRATION_CLASSES
-    rep = lifting.classify_map(p, cfg.max_dim, cfg.node_budget, classes)
+    rep = lifting.classify_map(p, args.max_dim, args.node_budget, classes)
     verdicts = {k: str(v) for k, v in rep.classes.items()}
     _emit(
         {
@@ -169,7 +157,7 @@ def _cmd_classify(args, cfg):
             "checked_dim": rep.checked_dim,
             **verdicts,
         },
-        cfg,
+        args,
     )
     statuses = [v.status for v in rep.classes.values()]
     if lifting.NO in statuses:
@@ -177,9 +165,9 @@ def _cmd_classify(args, cfg):
     return UNKNOWN  # bounded yes (or budget) is never a complete positive
 
 
-def _cmd_homcat(args, cfg):
+def _cmd_homcat(args):
     X = _load_complex(args.file)
-    h = homotopy.homotopy_category(X, cfg.word_budget)
+    h = homotopy.homotopy_category(X, args.word_budget)
     names = name_table(X)
     report = {
         "command": "homcat",
@@ -192,23 +180,23 @@ def _cmd_homcat(args, cfg):
         "confluent": h.confluent,
         "exact": h.exact,
     }
-    _emit(report, cfg)
+    _emit(report, args)
     return OK if h.exact else UNKNOWN
 
 
-def _cmd_equiv_edge(args, cfg):
+def _cmd_equiv_edge(args):
     X = _load_complex(args.file)
     e = X.cell_by_label(args.edge)
     if e is None or e.dim != 1:
         raise ValueError(f"no edge named {args.edge!r}")
-    v = homotopy.is_equivalence_edge(X, Simplex(e), cfg.word_budget)
-    _emit({"command": "equiv-edge", "verdict": v.value}, cfg)
+    v = homotopy.is_equivalence_edge(X, Simplex(e), args.word_budget)
+    _emit({"command": "equiv-edge", "verdict": v.value}, args)
     return _status_code(v.value)
 
 
-def _cmd_isofib(args, cfg):
+def _cmd_isofib(args):
     p = _load_map(args.map)
-    rep = homotopy.check_isofibration(p, cfg.word_budget)
+    rep = homotopy.check_isofibration(p, args.word_budget)
     report = {"command": "isofib", "verdict": rep.verdict}
     if rep.witness:
         f, x = rep.witness
@@ -216,15 +204,15 @@ def _cmd_isofib(args, cfg):
             "base_edge": name_table(p.target)[f],
             "stranded_vertex": name_table(p.source)[x],
         }
-    _emit(report, cfg)
+    _emit(report, args)
     # equivalence detection is word-budget bounded, so yes is bounded
     return UNKNOWN if rep.verdict == "yes" else _status_code(rep.verdict)
 
 
-def _cmd_catfib(args, cfg):
+def _cmd_catfib(args):
     p = _load_map(args.map)
     rep = homotopy.check_categorical_fibration(
-        p, cfg.max_dim, cfg.node_budget, cfg.word_budget
+        p, args.max_dim, args.node_budget, args.word_budget
     )
     _emit(
         {
@@ -234,14 +222,14 @@ def _cmd_catfib(args, cfg):
             "isofibration": rep.isofibration.verdict,
             "bound": rep.bound,
         },
-        cfg,
+        args,
     )
     return UNKNOWN if rep.verdict == "yes" else _status_code(rep.verdict)
 
 
-def _cmd_dk_check(args, cfg):
+def _cmd_dk_check(args):
     f = _load_map(args.map)
-    rep = homotopy.dwyer_kan_check(f, args.dims, cfg.word_budget)
+    rep = homotopy.dwyer_kan_check(f, args.dims, args.word_budget)
     report = {
         "command": "dk-check",
         "essentially_surjective": rep.essentially_surjective,
@@ -250,13 +238,13 @@ def _cmd_dk_check(args, cfg):
     if rep.failing_pair:
         names = name_table(f.source)
         report["failing_pair"] = [names[c] for c in rep.failing_pair]
-    _emit(report, cfg)
+    _emit(report, args)
     if "no" in (rep.essentially_surjective, rep.fully_faithful):
         return REFUTED
     return UNKNOWN  # a yes is bounded, so never a complete positive
 
 
-def _cmd_mapspace(args, cfg):
+def _cmd_mapspace(args):
     X = _load_complex(args.file)
     x = X.cell_by_label(args.x)
     y = X.cell_by_label(args.y)
@@ -270,31 +258,31 @@ def _cmd_mapspace(args, cfg):
             "levels": [len(lv) for lv in hs.levels],
             "pi0_classes": len(homotopy.pi0(hs)),
         },
-        cfg,
+        args,
     )
     return OK
 
 
-def _cmd_certify(args, cfg):
+def _cmd_certify(args):
     i = _load_map(args.map)
     if args.verify:
         with open(args.verify, encoding="utf-8") as fh:
             cert = parse_certificate(fh.read(), i.target)
         ok = certify.verify_certificate(cert, i)
-        _emit({"command": "certify", "verified": ok}, cfg)
+        _emit({"command": "certify", "verified": ok}, args)
         return OK if ok else REFUTED
-    r = certify.search_certificate(i, args.family, cfg.node_budget)
+    r = certify.search_certificate(i, args.family, args.node_budget)
     report = {"command": "certify", "class": args.family, "status": r.status}
     if r.certificate is not None:
         report["certificate"] = serialize_certificate(r.certificate, i.target)
-    _emit(report, cfg)
+    _emit(report, args)
     return _status_code(r.status)
 
 
-def _cmd_two_of_three(args, cfg):
+def _cmd_two_of_three(args):
     u = _load_map(args.u)
     v = _load_map(args.v)
-    rep = certify.check_two_out_of_three(u, v, cfg.node_budget, cfg.word_budget)
+    rep = certify.check_two_out_of_three(u, v, args.node_budget, args.word_budget)
     _emit(
         {
             "command": "two-of-three",
@@ -303,7 +291,7 @@ def _cmd_two_of_three(args, cfg):
             "vu": rep.vu.value,
             "alarm": rep.alarm,
         },
-        cfg,
+        args,
     )
     if rep.alarm:
         return REFUTED
@@ -312,9 +300,9 @@ def _cmd_two_of_three(args, cfg):
     return OK
 
 
-def _cmd_prefibrantize(args, cfg):
+def _cmd_prefibrantize(args):
     X = _load_complex(args.file)
-    trace = factorize.prefibrantize(X, cfg.stage_count, cfg.max_dim, cfg.node_budget)
+    trace = factorize.prefibrantize(X, args.stages, args.max_dim, args.node_budget)
     for k, stage in enumerate(trace.stages):
         text = serialize_complex(stage)
         if args.output:
@@ -325,16 +313,16 @@ def _cmd_prefibrantize(args, cfg):
             "stages": [s.total_cells() for s in trace.stages],
             "attachments": [len(a) for a in trace.attachments],
         },
-        cfg,
+        args,
     )
     if not args.output:
         sys.stdout.write(serialize_complex(trace.result))
     return OK
 
 
-def _cmd_saturate(args, cfg):
+def _cmd_saturate(args):
     X = _load_complex(args.file)
-    res = factorize.saturate_prefibrant(X, args.up_to, cfg.node_budget)
+    res = factorize.saturate_prefibrant(X, args.up_to, args.node_budget)
     ok = not res.p2_violations and res.hom_levels_equal
     _emit(
         {
@@ -345,38 +333,38 @@ def _cmd_saturate(args, cfg):
             "p2_violations": len(res.p2_violations),
             "hom_levels_equal": res.hom_levels_equal,
         },
-        cfg,
+        args,
     )
     if args.output:
         _write_or_print(serialize_complex(res.truncation), args.output)
     return OK if ok else REFUTED
 
 
-def _cmd_complete(args, cfg):
+def _cmd_complete(args):
     X = _load_complex(args.file)
-    bound = cfg.max_dim if cfg.max_dim is not None else max(X.dim, 0) + 1
+    bound = args.max_dim if args.max_dim is not None else max(X.dim, 0) + 1
     gens = lifting.generating_family("inner", bound)
     cur = X
     sizes = [X.total_cells()]
-    for _ in range(cfg.stage_count):
+    for _ in range(args.stages):
         cur, _inc, _atts = factorize.soa_stage(
-            cur, gens, lambda i, a: True, cfg.node_budget
+            cur, gens, lambda i, a: True, args.node_budget
         )
         sizes.append(cur.total_cells())
-    _emit({"command": "complete", "stages": sizes, "bound": bound}, cfg)
+    _emit({"command": "complete", "stages": sizes, "bound": bound}, args)
     if args.output:
         _write_or_print(serialize_complex(cur), args.output)
     return OK
 
 
-def _cmd_descend_triangle(args, cfg):
+def _cmd_descend_triangle(args):
     p = _load_map(args.map)
     try:
         res = factorize.descend_over_triangle(
-            p, cfg.stage_count, cfg.max_dim or 3, cfg.node_budget
+            p, args.stages, 3 if args.max_dim is None else args.max_dim, args.node_budget
         )
     except RuntimeError as e:
-        _emit({"command": "descend-triangle", "verdict": "failed", "reason": str(e)}, cfg)
+        _emit({"command": "descend-triangle", "verdict": "failed", "reason": str(e)}, args)
         return REFUTED
     _emit(
         {
@@ -384,21 +372,21 @@ def _cmd_descend_triangle(args, cfg):
             "verdict": "ok",
             "stages": [s.total_cells() for s in res.stages],
         },
-        cfg,
+        args,
     )
     return OK
 
 
-def _cmd_pathspace(args, cfg):
+def _cmd_pathspace(args):
     f = _load_map(args.map)
-    res = factorize.mapping_path_space(f, args.up_to, cfg.node_budget, cfg.word_budget)
+    res = factorize.mapping_path_space(f, args.up_to, args.node_budget, args.word_budget)
     _emit(
         {
             "command": "pathspace",
             "bound": res.bound,
             "cells": [res.space.n_cells(d) for d in range(res.space.dim + 1)],
         },
-        cfg,
+        args,
     )
     if args.output:
         _write_or_print(serialize_complex(res.space), args.output)
@@ -412,8 +400,8 @@ def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="sskit")
     top.add_argument("--format", choices=("human", "structured"), default="human")
     top.add_argument("--max-dim", type=int, default=None)
-    top.add_argument("--node-budget", type=int, default=10**6)
-    top.add_argument("--word-budget", type=int, default=8)
+    top.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
+    top.add_argument("--word-budget", type=int, default=DEFAULT_WORD_BUDGET)
     top.add_argument("--stages", type=int, default=2)
     sub = top.add_subparsers(dest="command")
 
@@ -526,10 +514,9 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return INPUT_ERROR
     try:
-        cfg = RunConfig(
-            args.max_dim, args.node_budget, args.word_budget, args.stages, args.format
-        )
-        return args.fn(args, cfg)
+        if min(args.node_budget, args.word_budget, args.stages) <= 0:
+            raise ValueError("budgets must be positive")
+        return args.fn(args)
     except (ParseError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return INPUT_ERROR

@@ -1,7 +1,7 @@
 """Finite simplicial sets: cells, maps, and the standard constructions."""
 
-from .budget import Budget, BudgetExceeded, DEFAULT_NODE_BUDGET
-from .complex import EMPTY, ComplexBuilder, SimplicialSet, validate
+from .budget import Budget, BudgetExceeded, DEFAULT_NODE_BUDGET, DEFAULT_WORD_BUDGET
+from .complex import ComplexBuilder, SimplicialSet, validate
 from .generators import (
     GENERATORS,
     GeneratorComplex,
@@ -49,7 +49,6 @@ from .simplex import (
 )
 from .spaces import (
     FunctionComplexTruncation,
-    HomSpace,
     LevelwiseSpace,
     SliceSpace,
     function_complex,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 DEFAULT_NODE_BUDGET = 10**6
+DEFAULT_WORD_BUDGET = 8
 
 
 class BudgetExceeded(Exception):

@@ -45,10 +45,6 @@ class SimplicialSet:
         """Top dimension with a nondegenerate cell; -1 for the empty complex."""
         return len(self._counts) - 1
 
-    @property
-    def is_empty(self) -> bool:
-        return not self._counts
-
     def n_cells(self, dim: int) -> int:
         if 0 <= dim <= self.dim:
             return self._counts[dim]
@@ -166,9 +162,6 @@ class SimplicialSet:
                 for word in degeneracy_words(n - p, p, n):
                     yield Simplex(base, word)
 
-    def n_simplices(self, n: int) -> int:
-        return sum(1 for _ in self.simplices(n))
-
     def simplices_with_boundary(
         self, n: int, faces: tuple[Simplex, ...]
     ) -> list[Simplex]:
@@ -250,6 +243,3 @@ def validate(X: SimplicialSet) -> list[str]:
                             f"d_{i} d_{j} = {lhs} but d_{j-1} d_{i} = {rhs}"
                         )
     return violations
-
-
-EMPTY = SimplicialSet((), {})

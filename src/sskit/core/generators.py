@@ -30,14 +30,6 @@ class GeneratorComplex:
     complex: SimplicialSet
     lookup: dict[tuple[int, ...], CellId]
 
-    def simplex(self, t: tuple[int, ...]) -> Simplex:
-        """The simplex named by a weakly increasing vertex tuple."""
-        return tuple_simplex(t, self.lookup)
-
-    def top(self) -> Simplex:
-        t = max(self.lookup, key=len)
-        return Simplex(self.lookup[t])
-
 
 def tuple_simplex(t: tuple[int, ...], lookup: dict[tuple[int, ...], CellId]) -> Simplex:
     """Normal form of the simplex named by a weakly increasing tuple.

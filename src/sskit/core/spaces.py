@@ -1,17 +1,17 @@
 """Mapping spaces: slices, left hom-spaces, and function-complex truncations.
 
-All three are produced by the same levelwise-to-cellular converter: a
-space given by finite level sets with face/degeneracy actions is turned
-into a SimplicialSet by detecting degenerate elements (e is degenerate
-iff s_j(d_j e) = e for some j) and normalizing recursively.
+Each of them is a LevelwiseSpace: a space given by finite level sets
+with face/degeneracy actions, turned into a SimplicialSet by detecting
+degenerate elements (e is degenerate iff s_j(d_j e) = e for some j) and
+normalizing recursively.  Slices and left hom-spaces are SliceSpaces;
+function complexes are FunctionComplexTruncations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .budget import Budget
+from .budget import Budget, DEFAULT_WORD_BUDGET
 from .complex import SimplicialSet
 from .generators import GeneratorComplex, standard_simplex
 from .maps import (
@@ -31,16 +31,11 @@ class LevelwiseSpace:
     """Cellular model of a space presented by levels and actions."""
 
     def __init__(
-        self,
-        levels: Sequence[Sequence],
-        face_fn: Callable,
-        deg_fn: Callable,
-        label_fn: Callable | None = None,
+        self, levels: Sequence[Sequence], face_fn: Callable, deg_fn: Callable
     ) -> None:
         self.levels = [list(lev) for lev in levels]
         self.face_fn = face_fn
         self.deg_fn = deg_fn
-        self.up_to = len(self.levels) - 1
         self._cell_of: dict[tuple[int, object], CellId] = {}
         self.elements: list[list] = []  # nondegenerate elements per dim
 
@@ -53,18 +48,12 @@ class LevelwiseSpace:
                 self._cell_of[(n, e)] = CellId(n, idx)
 
         faces = {}
-        labels = {}
-        for n, nondeg in enumerate(self.elements):
+        for n, nondeg in enumerate(self.elements[1:], start=1):
             for idx, e in enumerate(nondeg):
-                c = CellId(n, idx)
-                if label_fn is not None:
-                    labels[c] = label_fn(n, e)
-                if n > 0:
-                    faces[c] = tuple(
-                        self.normalize(n - 1, self.face_fn(n, e, i))
-                        for i in range(n + 1)
-                    )
-        self.space = SimplicialSet(counts, faces, labels)
+                faces[CellId(n, idx)] = tuple(
+                    self.normalize(n - 1, self.face_fn(n, e, i)) for i in range(n + 1)
+                )
+        self.space = SimplicialSet(counts, faces)
 
     def _is_degenerate(self, n: int, e) -> bool:
         return n > 0 and any(
@@ -89,14 +78,19 @@ class LevelwiseSpace:
 # -- slices and hom-spaces ---------------------------------------------------
 
 
-@dataclass
-class SliceSpace:
-    ambient: SimplicialSet
-    base_vertex: CellId
-    computed_up_to: int
-    space: SimplicialSet
-    levels: list[list[Simplex]]  # ambient (n+1)-simplices per level n
-    _lw: LevelwiseSpace
+class SliceSpace(LevelwiseSpace):
+    """Level n holds ambient (n+1)-simplices with a fixed initial vertex;
+    d_i and s_j act as d_{i+1} and s_{j+1} in the ambient complex."""
+
+    def __init__(self, ambient: SimplicialSet, levels: list[list[Simplex]]) -> None:
+        self.ambient = ambient
+        super().__init__(levels, self.face_map, self.deg_map)
+
+    def face_map(self, n: int, u: Simplex, i: int) -> Simplex:
+        return self.ambient.face(u, i + 1)
+
+    def deg_map(self, n: int, u: Simplex, j: int) -> Simplex:
+        return degenerate(u, j + 1)
 
     @property
     def projection(self) -> SimplicialMap:
@@ -105,21 +99,10 @@ class SliceSpace:
             self.space,
             self.ambient,
             {
-                c: self.ambient.face(self._lw.element_of(c), 0)
+                c: self.ambient.face(self.element_of(c), 0)
                 for c in self.space.all_cells()
             },
         )
-
-
-@dataclass
-class HomSpace:
-    ambient: SimplicialSet
-    source_vertex: CellId
-    target_vertex: CellId
-    computed_up_to: int
-    space: SimplicialSet
-    levels: list[list[Simplex]]
-    _lw: LevelwiseSpace
 
 
 def slice_under(X: SimplicialSet, x: CellId, up_to: int) -> SliceSpace:
@@ -130,15 +113,10 @@ def slice_under(X: SimplicialSet, x: CellId, up_to: int) -> SliceSpace:
         [u for u in X.simplices(n + 1) if X.vertex(u, 0) == x]
         for n in range(up_to + 1)
     ]
-    lw = LevelwiseSpace(
-        levels,
-        lambda n, u, i: X.face(u, i + 1),
-        lambda n, u, j: degenerate(u, j + 1),
-    )
-    return SliceSpace(X, x, up_to, lw.space, lw.levels, lw)
+    return SliceSpace(X, levels)
 
 
-def hom_left(X: SimplicialSet, x: CellId, y: CellId, up_to: int) -> HomSpace:
+def hom_left(X: SimplicialSet, x: CellId, y: CellId, up_to: int) -> SliceSpace:
     """Left mapping space: level n holds the (n+1)-simplices u with
     initial vertex x and d_0(u) constant at y."""
     for v in (x, y):
@@ -152,66 +130,68 @@ def hom_left(X: SimplicialSet, x: CellId, y: CellId, up_to: int) -> HomSpace:
         ]
         for n in range(up_to + 1)
     ]
-    lw = LevelwiseSpace(
-        levels,
-        lambda n, u, i: X.face(u, i + 1),
-        lambda n, u, j: degenerate(u, j + 1),
-    )
-    return HomSpace(X, x, y, up_to, lw.space, lw.levels, lw)
+    return SliceSpace(X, levels)
 
 
 # -- function complexes ------------------------------------------------------
 
 
-@dataclass
-class FunctionComplexTruncation:
-    base: SimplicialSet  # C
-    exponent: SimplicialSet  # K
-    bound: int
-    deltas: list[GeneratorComplex]
-    products: list[Product]  # product(K, Delta^n)
-    levels: list[list[SimplicialMap]]
-    space: SimplicialSet = field(init=False)
-    _lw: LevelwiseSpace = field(init=False)
+class FunctionComplexTruncation(LevelwiseSpace):
+    """Level n holds simplicial maps K x Delta^n -> C, where
+    products[n] = product(K, Delta^n)."""
 
-    def __post_init__(self) -> None:
-        self._lw = LevelwiseSpace(self.levels, self.face_map, self.deg_map)
-        self.space = self._lw.space
-
-    def normalize(self, n: int, u: SimplicialMap) -> Simplex:
-        return self._lw.normalize(n, u)
-
-    def element_of(self, c: CellId) -> SimplicialMap:
-        return self._lw.element_of(c)
+    def __init__(
+        self,
+        base: SimplicialSet,
+        exponent: SimplicialSet,
+        deltas: list[GeneratorComplex],
+        products: list[Product],
+        levels: list[list[SimplicialMap]],
+    ) -> None:
+        self.base = base  # C
+        self.exponent = exponent  # K
+        self.deltas = deltas
+        self.products = products
+        super().__init__(levels, self.face_map, self.deg_map)
 
     def face_map(self, n: int, u: SimplicialMap, i: int) -> SimplicialMap:
         """Restriction along id x delta_i : K x Delta^{n-1} -> K x Delta^n."""
-        return compose(self._connecting(n - 1, n, _coface(i)), u)
+        return compose(_connecting(self.deltas, self.products, n - 1, n, _coface(i)), u)
 
     def deg_map(self, n: int, u: SimplicialMap, j: int) -> SimplicialMap:
-        return compose(self._connecting(n + 1, n, _codegeneracy(j)), u)
+        return compose(_connecting(self.deltas, self.products, n + 1, n, _codegeneracy(j)), u)
+
+    def evaluate(self, n: int, u: SimplicialMap, v: CellId) -> Simplex:
+        """The n-simplex of the base that the level-n element u takes
+        on v x Delta^n, for a vertex v of the exponent."""
+        top = self.deltas[n].lookup[tuple(range(n + 1))]
+        return u.apply(
+            self.products[n].simplex_of_pair(constant_simplex(v, n), Simplex(top))
+        )
 
     def restrict_to_vertex(self, v: CellId) -> SimplicialMap:
         """Evaluation at a vertex of the exponent, as a map to the base."""
-        images = {}
-        for c in self.space.all_cells():
-            u = self.element_of(c)
-            P = self.products[c.dim]
-            top = self.deltas[c.dim].lookup[tuple(range(c.dim + 1))]
-            images[c] = u.apply(
-                P.simplex_of_pair(constant_simplex(v, c.dim), Simplex(top))
-            )
+        images = {
+            c: self.evaluate(c.dim, self.element_of(c), v)
+            for c in self.space.all_cells()
+        }
         return SimplicialMap(self.space, self.base, images)
 
-    def _connecting(self, m: int, n: int, vfun: Callable[[int], int]) -> SimplicialMap:
-        d = map_by_vertices(
-            self.deltas[m].complex,
-            self.deltas[n],
-            {CellId(0, v): vfun(v) for v in range(m + 1)},
-        )
-        return product_functor(
-            self.products[m], self.products[n], identity_map(self.exponent), d
-        )
+
+def _connecting(
+    deltas: list[GeneratorComplex],
+    products: list[Product],
+    m: int,
+    n: int,
+    vfun: Callable[[int], int],
+) -> SimplicialMap:
+    """id x d : K x Delta^m -> K x Delta^n, where d has vertex function vfun."""
+    d = map_by_vertices(
+        deltas[m].complex,
+        deltas[n],
+        {CellId(0, v): vfun(v) for v in range(m + 1)},
+    )
+    return product_functor(products[m], products[n], identity_map(products[m].x), d)
 
 
 def _coface(i: int) -> Callable[[int], int]:
@@ -222,6 +202,18 @@ def _codegeneracy(j: int) -> Callable[[int], int]:
     return lambda v: v if v <= j else v - 1
 
 
+def _enumerate_levels(
+    C: SimplicialSet, K: SimplicialSet, up_to: int, budget: Budget | None
+) -> tuple[list[GeneratorComplex], list[Product], list[list[SimplicialMap]]]:
+    """Delta^n, K x Delta^n and every map K x Delta^n -> C, for n <= up_to."""
+    if up_to < 0:
+        raise ValueError("truncation bound must be >= 0")
+    deltas = [standard_simplex(n) for n in range(up_to + 1)]
+    products = [product(K, d.complex) for d in deltas]
+    levels = [list(enumerate_maps(P.complex, C, budget=budget)) for P in products]
+    return deltas, products, levels
+
+
 def function_complex(
     C: SimplicialSet, K: SimplicialSet, up_to: int, budget: Budget | None = None
 ) -> FunctionComplexTruncation:
@@ -230,15 +222,7 @@ def function_complex(
     Raises BudgetExceeded when the enumeration outgrows the node budget;
     an empty level is an ordinary result, never an error.
     """
-    if up_to < 0:
-        raise ValueError("truncation bound must be >= 0")
-    deltas = [standard_simplex(n) for n in range(up_to + 1)]
-    products = [product(K, d.complex) for d in deltas]
-    levels = [
-        list(enumerate_maps(products[n].complex, C, budget=budget))
-        for n in range(up_to + 1)
-    ]
-    return FunctionComplexTruncation(C, K, up_to, deltas, products, levels)
+    return FunctionComplexTruncation(C, K, *_enumerate_levels(C, K, up_to, budget))
 
 
 def restricted_function_complex(
@@ -246,33 +230,30 @@ def restricted_function_complex(
     K: SimplicialSet,
     up_to: int,
     budget: Budget | None = None,
-    word_budget: int = 8,
+    word_budget: int = DEFAULT_WORD_BUDGET,
 ) -> FunctionComplexTruncation:
     """Full simplicial subset of the function complex on the vertices
     K -> C whose image edges are all equivalence edges of C."""
     from ..homotopy import is_equivalence_edge  # deferred: avoids module cycle
 
-    fc = function_complex(C, K, up_to, budget)
-    P0 = fc.products[0]
+    deltas, products, all_levels = _enumerate_levels(C, K, up_to, budget)
 
     def vertex_ok(u: SimplicialMap) -> bool:
-        for e in P0.complex.cells(1):
+        for e in products[0].complex.cells(1):
             if is_equivalence_edge(C, u.images[e], word_budget).value != "yes":
                 return False
         return True
 
-    ok = {u for u in fc.levels[0] if vertex_ok(u)}
-    levels = [[u for u in fc.levels[0] if u in ok]]
+    ok = {u for u in all_levels[0] if vertex_ok(u)}
+    levels = [[u for u in all_levels[0] if u in ok]]
     for n in range(1, up_to + 1):
         kept = []
-        for u in fc.levels[n]:
+        for u in all_levels[n]:
             verts = (
-                compose(fc._connecting(0, n, lambda v, j=j: j), u)
+                compose(_connecting(deltas, products, 0, n, lambda v, j=j: j), u)
                 for j in range(n + 1)
             )
             if all(v in ok for v in verts):
                 kept.append(u)
         levels.append(kept)
-    return FunctionComplexTruncation(C, K, up_to, fc.deltas, fc.products, levels)
-
-
+    return FunctionComplexTruncation(C, K, deltas, products, levels)

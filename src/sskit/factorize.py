@@ -19,6 +19,7 @@ from .core import (
     Budget,
     BudgetExceeded,
     DEFAULT_NODE_BUDGET,
+    DEFAULT_WORD_BUDGET,
     CellId,
     LevelwiseSpace,
     SimplicialMap,
@@ -27,7 +28,6 @@ from .core import (
     apply_images,
     attach_all,
     compose,
-    constant_simplex,
     degeneracy_words,
     degenerate,
     enumerate_maps,
@@ -46,6 +46,7 @@ from .lifting import (
     BUDGET,
     FOUND,
     NONE,
+    YES,
     extend_along,
     generator_inclusion,
     horn_inclusion,
@@ -378,7 +379,7 @@ def mapping_path_space(
     f: SimplicialMap,
     up_to: int,
     node_budget: int | Budget = DEFAULT_NODE_BUDGET,
-    word_budget: int = 8,
+    word_budget: int = DEFAULT_WORD_BUDGET,
 ) -> PathSpaceResult:
     """Level n of Q(f): pairs (c, u) of an n-simplex of the source and an
     equivalence-restricted homotopy u: Delta^1 x Delta^n -> D whose
@@ -387,26 +388,14 @@ def mapping_path_space(
     C, D = f.source, f.target
     budget = Budget.of(node_budget)
     rfc = restricted_function_complex(D, standard_simplex(1).complex, up_to, budget, word_budget)
-
-    def endpoint(u: SimplicialMap, n: int, t: int) -> Simplex:
-        P = rfc.products[n]
-        delta = rfc.deltas[n]
-        e = SimplicialMap(
-            delta.complex,
-            P.complex,
-            {
-                c: P.simplex_of_pair(constant_simplex(CellId(0, t), c.dim), Simplex(c))
-                for c in delta.complex.all_cells()
-            },
-        )
-        return u.apply(e.images[delta.lookup[tuple(range(n + 1))]])
+    start, end = CellId(0, 0), CellId(0, 1)
 
     levels = [
         [
             (c, u)
             for c in C.simplices(n)
             for u in rfc.levels[n]
-            if endpoint(u, n, 0) == f.apply(c)
+            if rfc.evaluate(n, u, start) == f.apply(c)
         ]
         for n in range(up_to + 1)
     ]
@@ -431,7 +420,7 @@ def mapping_path_space(
     src_imgs = {}
     for c in Q.all_cells():
         ce, u = lw.element_of(c)
-        proj_imgs[c] = endpoint(u, c.dim, 1)
+        proj_imgs[c] = rfc.evaluate(c.dim, u, end)
         src_imgs[c] = ce
     projection = SimplicialMap(Q, D, proj_imgs)
     to_source = SimplicialMap(Q, C, src_imgs)
@@ -466,7 +455,8 @@ def search_descent_extension(
     New cells sit over simplices whose base lies outside the image of i;
     at most cell_cap new cells are tried per dimension.  NONE is a
     bounded refutation (the caps are part of the verdict); BUDGET is a
-    distinct outcome.
+    distinct outcome.  The inner-fibration check of each candidate spends
+    the same budget as the search.
     """
     A, B = i.source, i.target
     X = p.source
@@ -510,8 +500,11 @@ def search_descent_extension(
             return None
         if qm.check():
             return None
-        rep = classify_map(qm, bound, budget.remaining() or 1, classes=("inner",))
-        if rep.classes["inner"].status != "yes":
+        rep = classify_map(qm, bound, budget, classes=("inner",))
+        status = rep.classes["inner"].status
+        if status == BUDGET:
+            raise BudgetExceeded(f"node budget {budget.limit} exceeded")
+        if status != YES:
             return None
         inc = SimplicialMap(X, Y, {c: Simplex(c) for c in X.all_cells()})
         return Y, inc, qm

@@ -15,19 +15,19 @@ import functools
 from dataclasses import dataclass, field
 
 from .core import (
+    DEFAULT_NODE_BUDGET,
+    DEFAULT_WORD_BUDGET,
     CellId,
     SimplicialMap,
     SimplicialSet,
     Simplex,
+    SliceSpace,
     hom_left,
 )
 from .lifting import NO, RlpVerdict, YES, classify_map
 
 Word = tuple[CellId, ...]
 
-EXACT = "exact"
-
-DEFAULT_WORD_BUDGET = 8
 _MAX_RULES = 300
 _MAX_PASSES = 60
 
@@ -117,9 +117,6 @@ class CategoryPresentation:
     hom: dict[tuple[CellId, CellId], list[Word]] = field(default_factory=dict)
     exact: bool = False
 
-    def closure_status(self, x: CellId, y: CellId) -> str:
-        return EXACT if self.exact else f"truncated({self.word_budget})"
-
     def hom_set(self, x: CellId, y: CellId) -> list[Word]:
         return self.hom.get((x, y), [])
 
@@ -146,7 +143,7 @@ def _edge_endpoints(S: SimplicialSet, e: CellId) -> tuple[CellId, CellId]:
     return fs[1].base, fs[0].base  # (source, target)
 
 
-def _path_of(S: SimplicialSet, *faces: Simplex) -> Word:
+def _path_of(*faces: Simplex) -> Word:
     return tuple(f.base for f in faces if f.nondegenerate)
 
 
@@ -157,7 +154,7 @@ def homotopy_category(S: SimplicialSet, word_budget: int = DEFAULT_WORD_BUDGET) 
     relations = []
     for t in S.cells(2):
         d0, d1, d2 = S.cell_faces(t)
-        relations.append((_path_of(S, d2, d0), _path_of(S, d1)))
+        relations.append((_path_of(d2, d0), _path_of(d1)))
     rules, confluent = complete(relations)
     pres = CategoryPresentation(
         objects, edges, relations, rules, confluent, word_budget
@@ -293,7 +290,7 @@ class CategoricalFibrationReport:
 def check_categorical_fibration(
     p: SimplicialMap,
     max_dim: int | None = None,
-    node_budget: int = 10**6,
+    node_budget: int = DEFAULT_NODE_BUDGET,
     word_budget: int = DEFAULT_WORD_BUDGET,
 ) -> CategoricalFibrationReport:
     rep = classify_map(p, max_dim, node_budget, classes=("inner",))
@@ -391,8 +388,7 @@ def _level_bijection(f: SimplicialMap, src_level, tgt_level) -> bool:
     return len(set(images)) == len(images) and sorted(images) == sorted(tgt_level)
 
 
-def _pi0_bijection(f: SimplicialMap, hc, hdm) -> bool:
-    X, Y = hc.space, hdm.space
+def _pi0_bijection(f: SimplicialMap, hc: SliceSpace, hdm: SliceSpace) -> bool:
     cls_c = pi0(hc)
     cls_d = pi0(hdm)
     rep_of = {}
@@ -402,9 +398,9 @@ def _pi0_bijection(f: SimplicialMap, hc, hdm) -> bool:
     seen = set()
     for cls in cls_c:
         v = next(iter(cls))
-        u = hc._lw.element_of(v)  # ambient edge representing this vertex
+        u = hc.element_of(v)  # ambient edge representing this vertex
         img = f.apply(u)
-        tgt_vertex = hdm._lw.normalize(0, img).base
+        tgt_vertex = hdm.normalize(0, img).base
         k = rep_of[tgt_vertex]
         if k in seen:
             return False

@@ -202,7 +202,7 @@ def default_max_dim(p: SimplicialMap) -> int:
 def classify_map(
     p: SimplicialMap,
     max_dim: int | None = None,
-    node_budget: int = DEFAULT_NODE_BUDGET,
+    node_budget: int | Budget = DEFAULT_NODE_BUDGET,
     classes: tuple[str, ...] = FIBRATION_CLASSES,
 ) -> FibrationReport:
     """Run has_rlp against each generating family up to the bound."""

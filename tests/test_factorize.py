@@ -6,6 +6,7 @@ import random
 import pytest
 
 from sskit.core import (
+    Budget,
     compose,
     horn_complex,
     identity_map,
@@ -25,7 +26,7 @@ from sskit.factorize import (
     search_descent_extension,
     soa_stage,
 )
-from sskit.lifting import FOUND, generator_inclusion, horn_inclusion
+from sskit.lifting import BUDGET, FOUND, generator_inclusion, horn_inclusion
 
 from conftest import (
     build_edges_over_horn,
@@ -166,3 +167,21 @@ def test_descent_extension_search_over_the_spine():
     res = search_descent_extension(identity_map(sp.complex), i)
     assert res.status == FOUND
     assert res.extension.cell_counts() == (3, 3, 1)
+
+
+@pytest.mark.parametrize("limit", [50, 200, 1000, 1500])
+def test_descent_search_spends_no_more_than_its_budget(limit, monkeypatch):
+    spent = []
+    spend = Budget.spend
+
+    def counting_spend(self, n=1):
+        spent.append(n)
+        spend(self, n)
+
+    monkeypatch.setattr(Budget, "spend", counting_spend)
+    sp = spine_complex(2)
+    i = generator_inclusion(sp, standard_simplex(2))
+    res = search_descent_extension(identity_map(sp.complex), i, node_budget=limit)
+    assert sum(spent) <= limit + 1
+    # the unbounded search finds its extension after 1,394 nodes
+    assert res.status == (FOUND if limit >= 1394 else BUDGET)

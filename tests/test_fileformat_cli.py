@@ -256,6 +256,29 @@ def test_cli_saturate_and_descend(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag", ["--node-budget", "--word-budget", "--stages"])
+def test_cli_rejects_a_budget_that_is_not_positive(flag, tmp_path, capsys):
+    _, full, _ = _gen_files(tmp_path)
+    assert cli.main([flag, "0", "validate", full]) == 3
+    assert "budgets must be positive" in capsys.readouterr().err
+
+
+def test_cli_descend_triangle_honours_max_dim_zero(tmp_path, capsys):
+    _gen_files(tmp_path)
+    ident = _write(
+        tmp_path,
+        "id.map",
+        serialize_map(identity_map(horn_complex(2, 1).complex), "horn.txt", "horn.txt"),
+    )
+    stages = {}
+    for max_dim in ("0", "1", "3"):
+        argv = ["--format", "structured", "--max-dim", max_dim, "descend-triangle", ident]
+        assert cli.main(argv) == 0
+        stages[max_dim] = json.loads(capsys.readouterr().out)["stages"]
+    assert stages["3"] == [5, 7, 37]
+    assert stages["0"] == stages["1"] == [5, 5, 5]
+
+
 def test_cli_two_of_three_exit_codes(tmp_path, capsys):
     sp = _write(tmp_path, "sp.txt", serialize_complex(spine_complex(3).complex))
     horn3 = _write(tmp_path, "h3.txt", serialize_complex(horn_complex(3, 1).complex))
