@@ -137,19 +137,17 @@ def hom_left(X: SimplicialSet, x: CellId, y: CellId, up_to: int) -> SliceSpace:
 
 
 class FunctionComplexTruncation(LevelwiseSpace):
-    """Level n holds simplicial maps K x Delta^n -> C, where
-    products[n] = product(K, Delta^n)."""
+    """Level n holds simplicial maps K x Delta^n -> C from the exponent K,
+    where products[n] = product(K, Delta^n)."""
 
     def __init__(
         self,
         base: SimplicialSet,
-        exponent: SimplicialSet,
         deltas: list[GeneratorComplex],
         products: list[Product],
         levels: list[list[SimplicialMap]],
     ) -> None:
         self.base = base  # C
-        self.exponent = exponent  # K
         self.deltas = deltas
         self.products = products
         super().__init__(levels, self.face_map, self.deg_map)
@@ -222,7 +220,7 @@ def function_complex(
     Raises BudgetExceeded when the enumeration outgrows the node budget;
     an empty level is an ordinary result, never an error.
     """
-    return FunctionComplexTruncation(C, K, *_enumerate_levels(C, K, up_to, budget))
+    return FunctionComplexTruncation(C, *_enumerate_levels(C, K, up_to, budget))
 
 
 def restricted_function_complex(
@@ -256,4 +254,4 @@ def restricted_function_complex(
             if all(v in ok for v in verts):
                 kept.append(u)
         levels.append(kept)
-    return FunctionComplexTruncation(C, K, deltas, products, levels)
+    return FunctionComplexTruncation(C, deltas, products, levels)
