@@ -2,12 +2,15 @@
 saturation, descent, and mapping path spaces."""
 
 import random
+from itertools import combinations
 
 import pytest
 
 from sskit.core import (
     Budget,
     compose,
+    cosk0_complex,
+    from_vertex_tuples,
     horn_complex,
     identity_map,
     is_constant,
@@ -185,3 +188,81 @@ def test_descent_search_spends_no_more_than_its_budget(limit, monkeypatch):
     assert sum(spent) <= limit + 1
     # the unbounded search finds its extension after 1,394 nodes
     assert res.status == (FOUND if limit >= 1394 else BUDGET)
+
+
+# The node counts and results below were recorded before the pre-fibrancy
+# code shared one inner-horn table; they pin the search order.
+PIN_COMPLEXES = {
+    "simplex2": lambda: standard_simplex(2).complex,
+    "spine2": lambda: spine_complex(2).complex,
+    "simplex3": lambda: standard_simplex(3).complex,
+    "cosk0_3_2": lambda: cosk0_complex(3, 2).complex,
+    "simplex3_1skeleton": lambda: from_vertex_tuples(combinations(range(4), 2)).complex,
+}
+
+
+def _images(f):
+    return repr([f.images[c] for c in sorted(f.images)])
+
+
+@pytest.mark.parametrize(
+    "name, used, lambda21, constant, witness",
+    [
+        ("simplex2", 5055, "yes", {3: "yes", 4: "yes"}, None),
+        ("spine2", 25, "no", {}, "[<0.0>, <0.1>, <0.2>, <1.0>, <1.1>]"),
+        ("simplex3", 16631, "yes", {3: "yes", 4: "yes"}, None),
+        ("cosk0_3_2", 19152, "yes", {3: "yes", 4: "yes"}, None),
+        ("simplex3_1skeleton", 34, "no", {}, "[<0.0>, <0.1>, <0.2>, <1.0>, <1.3>]"),
+    ],
+)
+def test_is_prefibrant_results_and_node_counts_are_pinned(
+    name, used, lambda21, constant, witness
+):
+    budget = Budget(10**6)
+    rep = is_prefibrant(PIN_COMPLEXES[name](), 4, budget)
+    assert budget.used == used
+    assert rep.lambda21_verdict == lambda21
+    assert rep.constant_horn_verdicts == constant
+    assert rep.constant_horn_witness is None
+    if witness is None:
+        assert rep.lambda21_witness is None
+    else:
+        assert _images(rep.lambda21_witness) == witness
+
+
+@pytest.mark.parametrize(
+    "name, used, counts, attached",
+    [
+        ("simplex2", 825, [(3, 3, 1)], []),
+        ("spine2", 1459, [(3, 2), (3, 3, 1)], [1]),
+        ("simplex3", 2174, [(4, 6, 4, 1)], []),
+        ("cosk0_3_2", 1881, [(3, 6, 12)], []),
+        ("simplex3_1skeleton", 7939, [(4, 6), (4, 10, 4), (4, 12, 6)], [4, 2]),
+    ],
+)
+def test_prefibrantize_results_and_node_counts_are_pinned(name, used, counts, attached):
+    budget = Budget(10**6)
+    tr = prefibrantize(PIN_COMPLEXES[name](), 2, 3, budget)
+    assert budget.used == used
+    assert [s.cell_counts() for s in tr.stages] == counts
+    assert [len(a) for a in tr.attachments] == attached
+    assert all(validate(s) == [] for s in tr.stages)
+    assert all(a.total_map.check() == [] for atts in tr.attachments for a in atts)
+
+
+def test_saturation_result_and_node_count_are_pinned():
+    budget = Budget(10**6)
+    res = saturate_prefibrant(cosk0_complex(3, 2).complex, 3, budget)
+    assert budget.used == 3579
+    assert res.truncation.cell_counts() == (3, 6, 120, 108)
+    assert len(res.steps) == 108
+    assert res.p2_violations == []
+    assert res.hom_levels_equal
+
+
+def test_descent_result_and_node_count_are_pinned():
+    budget = Budget(10**6)
+    lam = horn_complex(2, 1).complex
+    res = descend_over_triangle(identity_map(lam), 2, 3, budget)
+    assert budget.used == 1381
+    assert [s.cell_counts() for s in res.stages] == [(3, 2), (3, 3, 1), (3, 6, 16, 12)]
