@@ -25,6 +25,7 @@ from .core import (
     SimplicialMap,
     SimplicialSet,
     Simplex,
+    all_extensions,
     apply_images,
     attach_all,
     compose,
@@ -45,12 +46,12 @@ from .core import (
 from .lifting import (
     BUDGET,
     FOUND,
+    HORN_RANGES,
     NONE,
     YES,
-    extend_along,
-    generator_inclusion,
-    horn_inclusion,
     classify_map,
+    generating_family,
+    generator_inclusion,
 )
 
 # -- small-object stages (one pushout per stage) -------------------------------
@@ -105,7 +106,6 @@ class PreFibrantReport:
     lambda21_witness: SimplicialMap | None
     constant_horn_verdicts: dict[int, str]  # per dimension n >= 3
     constant_horn_witness: SimplicialMap | None
-    max_dim: int
 
     @property
     def ok(self) -> bool:
@@ -114,19 +114,30 @@ class PreFibrantReport:
         )
 
 
-def _horn_d0_cell(n: int, i: int) -> CellId:
-    """The cell of the horn carrying the d_0 face of the filler (i >= 1)."""
-    return horn_complex(n, i).lookup[tuple(range(1, n + 1))]
+def _inner_horns(
+    lo: int, bound: int
+) -> tuple[tuple[int, int, SimplicialMap, CellId], ...]:
+    """(n, i, the inclusion of the horn into Delta^n, the horn cell carrying
+    the d_0 face of the filler) for each inner horn with lo <= n <= bound,
+    in (n, i) order."""
+    table = []
+    for n in range(lo, bound + 1):
+        for i in HORN_RANGES["inner"](n):
+            horn = horn_complex(n, i)
+            inc = generator_inclusion(horn, standard_simplex(n))
+            table.append((n, i, inc, horn.lookup[tuple(range(1, n + 1))]))
+    return tuple(table)
 
 
 def _needs_filler(
-    inc: SimplicialMap, d0: CellId | None, alpha: SimplicialMap, budget: Budget
+    n: int, inc: SimplicialMap, d0: CellId, alpha: SimplicialMap, budget: Budget
 ) -> bool:
     """Whether the horn alpha is one pre-fibrancy asks to fill (a 2-horn,
-    or a higher inner horn with constant d_0 face) and has no filler."""
-    if d0 is not None and not is_constant(alpha.images[d0]):
+    or a higher inner horn with constant d_0 face) and has no filler.
+    Raises BudgetExceeded when the filler search runs out of budget."""
+    if n > 2 and not is_constant(alpha.images[d0]):
         return False
-    return extend_along(alpha, inc, budget).status != FOUND
+    return next(all_extensions(alpha, inc, budget=budget), None) is None
 
 
 def _default_bound(S: SimplicialSet) -> int:
@@ -143,31 +154,26 @@ def is_prefibrant(
     simplex fills."""
     bound = _default_bound(S) if max_dim is None else max_dim
     budget = Budget.of(node_budget)
-    report = PreFibrantReport("yes", None, {}, None, bound)
+    report = PreFibrantReport("yes", None, {}, None)
+
+    def settle(n: int, verdict: str, witness: SimplicialMap | None = None) -> None:
+        if n == 2:
+            report.lambda21_verdict, report.lambda21_witness = verdict, witness
+        else:
+            report.constant_horn_verdicts[n] = verdict
+            report.constant_horn_witness = witness
+
+    horns = _inner_horns(2, max(bound, 2))
     try:
-        inc = horn_inclusion(2, 1)
-        for alpha in enumerate_maps(inc.source, S, budget=budget):
-            if _needs_filler(inc, None, alpha, budget):
-                report.lambda21_verdict = "no"
-                report.lambda21_witness = alpha
-                return report
+        for n, _, inc, d0 in horns:
+            if n > 2:
+                report.constant_horn_verdicts.setdefault(n, "yes")
+            for alpha in enumerate_maps(inc.source, S, budget=budget):
+                if _needs_filler(n, inc, d0, alpha, budget):
+                    settle(n, "no", alpha)
+                    return report
     except BudgetExceeded:
-        report.lambda21_verdict = "budget"
-        return report
-    for n in range(3, bound + 1):
-        report.constant_horn_verdicts[n] = "yes"
-        try:
-            for i in range(1, n):
-                inc = horn_inclusion(n, i)
-                d0 = _horn_d0_cell(n, i)
-                for alpha in enumerate_maps(inc.source, S, budget=budget):
-                    if _needs_filler(inc, d0, alpha, budget):
-                        report.constant_horn_verdicts[n] = "no"
-                        report.constant_horn_witness = alpha
-                        return report
-        except BudgetExceeded:
-            report.constant_horn_verdicts[n] = "budget"
-            return report
+        settle(n, "budget")
     return report
 
 
@@ -186,23 +192,19 @@ def prefibrantize(
     if stages < 1:
         raise ValueError("need at least one stage")
     bound = _default_bound(S) if max_dim is None else max_dim
+    horns = _inner_horns(2, bound)
+    generators = [inc for _, _, inc, _ in horns]
+    n_d0 = {id(inc): (n, d0) for n, _, inc, d0 in horns}
     trace = SoaTrace([S], [], [])
     cur = S
     for _ in range(stages):
         budget = Budget.of(node_budget)
-        horns = [
-            (horn_inclusion(n, hi), None if n == 2 else _horn_d0_cell(n, hi))
-            for n in range(2, bound + 1)
-            for hi in range(1, n)
-        ]
-        d0_of = {id(inc): d0 for inc, d0 in horns}  # the inclusions live this stage
 
         def selector(inc: SimplicialMap, alpha: SimplicialMap) -> bool:
-            return _needs_filler(inc, d0_of[id(inc)], alpha, budget)
+            n, d0 = n_d0[id(inc)]
+            return _needs_filler(n, inc, d0, alpha, budget)
 
-        nxt, step_inc, atts = soa_stage(
-            cur, [inc for inc, _ in horns], selector, budget
-        )
+        nxt, step_inc, atts = soa_stage(cur, generators, selector, budget)
         if not atts:
             break
         cur = nxt
@@ -247,7 +249,7 @@ def saturate_prefibrant(
     s_cells = set(S.all_cells())
     attached: set[CellId] = set()
     steps: list[tuple[int, int, CellId]] = []
-    for n in range(3, up_to_dim + 1):
+    for n, horns in itertools.groupby(_inner_horns(3, up_to_dim), lambda h: h[0]):
         allowed = [
             c
             for c in cur.all_cells()
@@ -255,9 +257,7 @@ def saturate_prefibrant(
         ]
         part, part_inc = sub_complex(cur, allowed)
         atts = []
-        for hi in range(1, n):
-            inc = horn_inclusion(n, hi)
-            d0 = _horn_d0_cell(n, hi)
+        for _, hi, inc, d0 in horns:
             for alpha in enumerate_maps(inc.source, part, budget=budget):
                 img = alpha.images[d0]
                 # both cells created by the pushout must satisfy (P-2):
@@ -327,7 +327,7 @@ def descend_over_triangle(
     cur = X
     res = TriangleDescentResult([X], [], [q], True)
     budget = Budget.of(node_budget)
-    horns = [horn_inclusion(n, hi) for n in range(2, max_dim + 1) for hi in range(1, n)]
+    horns = generating_family("inner", max_dim)
 
     def spans_the_ends(inc: SimplicialMap, alpha: SimplicialMap) -> bool:
         """Whether the base simplex of the filler, read off on vertices
@@ -438,8 +438,9 @@ class DescentSearchResult:
     extension: SimplicialSet | None = None
     inclusion: SimplicialMap | None = None
     base_map: SimplicialMap | None = None
-    cell_cap: int = 0
-    max_dim: int = 0
+
+
+_CELL_CAP = 2  # new cells tried per dimension by the descent search
 
 
 def search_descent_extension(
@@ -447,16 +448,15 @@ def search_descent_extension(
     i: SimplicialMap,
     max_dim: int | None = None,
     node_budget: int | Budget = DEFAULT_NODE_BUDGET,
-    cell_cap: int = 2,
 ) -> DescentSearchResult:
     """Exhaustive bounded search for Y over the codomain of i pulling back
     to the given complex over its domain.
 
     New cells sit over simplices whose base lies outside the image of i;
-    at most cell_cap new cells are tried per dimension.  NONE is a
-    bounded refutation (the caps are part of the verdict); BUDGET is a
-    distinct outcome.  The inner-fibration check of each candidate spends
-    the same budget as the search.
+    at most two new cells are tried per dimension.  NONE is a bounded
+    refutation (the caps are part of the verdict); BUDGET is a distinct
+    outcome.  The inner-fibration check of each candidate spends the same
+    budget as the search.
     """
     A, B = i.source, i.target
     X = p.source
@@ -466,7 +466,11 @@ def search_descent_extension(
     budget = Budget.of(node_budget)
 
     a_cells = {i.images[a].base for a in A.all_cells()}
-    q0 = {c: i.apply(p.images[c]) for c in X.all_cells()}
+    # the partial extension: X plus the new cells chosen so far, with the
+    # image in B and the face tuple of every cell
+    q = {c: i.apply(p.images[c]) for c in X.all_cells()}
+    faces = {c: X.cell_faces(c) for c in X.all_cells() if c.dim > 0}
+    new: list[list[tuple[Simplex, tuple[Simplex, ...]]]] = [[] for _ in range(bound + 1)]
 
     # candidate target simplices per dimension, outside A
     outside = {
@@ -477,25 +481,21 @@ def search_descent_extension(
         for d in range(bound + 1)
     }
 
-    def try_build(per_dim: dict[int, list[tuple[Simplex, tuple[Simplex, ...]]]]):
+    def new_cell(d: int, idx: int) -> CellId:
+        return CellId(d, X.n_cells(d) + idx)
+
+    def try_build():
         counts = [X.n_cells(d) for d in range(max(X.dim, bound) + 1)]
-        faces = {c: X.cell_faces(c) for c in X.all_cells() if c.dim > 0}
-        q = dict(q0)
-        for d in range(bound + 1):
-            for img, fs in per_dim.get(d, []):
-                nc = CellId(d, counts[d])
-                counts[d] += 1
-                q[nc] = img
-                if d > 0:
-                    faces[nc] = fs
+        for d, cells in enumerate(new):
+            counts[d] += len(cells)
         try:
-            Y = SimplicialSet(counts, faces)
+            Y = SimplicialSet(counts, dict(faces))
         except ValueError:
             return None
         if validate(Y):
             return None
         try:
-            qm = SimplicialMap(Y, B, q)
+            qm = SimplicialMap(Y, B, dict(q))
         except ValueError:
             return None
         if qm.check():
@@ -509,77 +509,58 @@ def search_descent_extension(
         inc = SimplicialMap(X, Y, {c: Simplex(c) for c in X.all_cells()})
         return Y, inc, qm
 
-    def simplices_so_far(per_dim, d):
-        """All d-simplices of the partial extension (X plus chosen cells)."""
+    def simplices_so_far(d: int) -> list[Simplex]:
+        """All d-simplices of the partial extension."""
         out = list(X.simplices(d))
-        base_counts = [X.n_cells(k) for k in range(bound + 1)]
         for k in range(min(d, bound) + 1):
-            for idx in range(len(per_dim.get(k, []))):
-                c = CellId(k, base_counts[k] + idx)
-                for w in degeneracy_words(d - k, k, d):
-                    out.append(Simplex(c, w))
+            for idx in range(len(new[k])):
+                c = new_cell(k, idx)
+                out.extend(Simplex(c, w) for w in degeneracy_words(d - k, k, d))
         return out
 
-    def rec(d: int, per_dim: dict[int, list]):
-        budget.spend()
-        if d > bound:
-            return try_build(per_dim)
-        # choose 0..cell_cap new cells at dimension d
-        built = try_rec_dim(d, per_dim, [])
-        return built
-
-    def try_rec_dim(d: int, per_dim: dict[int, list], chosen: list):
-        per_dim = dict(per_dim)
-        per_dim[d] = chosen
-        r = rec(d + 1, per_dim)
-        if r is not None:
-            return r
-        if len(chosen) >= cell_cap:
-            return None
-        last_key = chosen[-1] if chosen else None
-        for img in outside[d]:
-            face_options = [[]]
-            if d > 0:
-                face_options = _face_choices(per_dim, d, img)
-            for fs in face_options:
-                cand = (img, tuple(fs))
-                if last_key is not None and cand < last_key:
-                    continue  # canonical nondecreasing order
-                budget.spend()
-                r = try_rec_dim(d, {k: v for k, v in per_dim.items() if k != d}, chosen + [cand])
-                if r is not None:
-                    return r
-        return None
-
-    def _face_choices(per_dim, d, img: Simplex):
+    def face_choices(d: int, img: Simplex) -> list[tuple[Simplex, ...]]:
+        below = simplices_so_far(d - 1)
         opts_per_face = []
         for j in range(d + 1):
             want = B.face(img, j)
-            opts = [
-                s
-                for s in simplices_so_far(per_dim, d - 1)
-                if _q_value(per_dim, s) == want
-            ]
+            opts = [s for s in below if apply_images(q, s) == want]
             if not opts:
                 return []
             opts_per_face.append(opts)
-        return [list(combo) for combo in itertools.product(*opts_per_face)]
+        return list(itertools.product(*opts_per_face))
 
-    def _q_value(per_dim, s: Simplex) -> Simplex:
-        if X.has_cell(s.base):
-            return apply_images(q0, s)
-        k = s.base.dim
-        img = per_dim[k][s.base.index - X.n_cells(k)][0]
-        r = img
-        for j in s.word:
-            r = degenerate(r, j)
-        return r
+    def grow(d: int):
+        """Search on from dimension d, keeping the new cells chosen so far
+        and adding up to the cap more at d in canonical nondecreasing order."""
+        budget.spend()
+        if d > bound:
+            return try_build()
+        found = grow(d + 1)
+        if found is not None or len(new[d]) >= _CELL_CAP:
+            return found
+        last = new[d][-1] if new[d] else None
+        for img in outside[d]:
+            for fs in face_choices(d, img) if d > 0 else [()]:
+                cand = (img, fs)
+                if last is not None and cand < last:
+                    continue
+                c = new_cell(d, len(new[d]))
+                new[d].append(cand)
+                q[c] = img
+                if d > 0:
+                    faces[c] = fs
+                found = grow(d)
+                if found is not None:
+                    return found
+                new[d].pop()
+                del q[c]
+                faces.pop(c, None)
+        return None
 
     try:
-        found = rec(0, {})
+        found = grow(0)
     except BudgetExceeded:
-        return DescentSearchResult(BUDGET, cell_cap=cell_cap, max_dim=bound)
+        return DescentSearchResult(BUDGET)
     if found is None:
-        return DescentSearchResult(NONE, cell_cap=cell_cap, max_dim=bound)
-    Y, inc, qm = found
-    return DescentSearchResult(FOUND, Y, inc, qm, cell_cap, bound)
+        return DescentSearchResult(NONE)
+    return DescentSearchResult(FOUND, *found)

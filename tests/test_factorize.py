@@ -8,6 +8,7 @@ import pytest
 
 from sskit.core import (
     Budget,
+    BudgetExceeded,
     compose,
     cosk0_complex,
     from_vertex_tuples,
@@ -266,3 +267,18 @@ def test_descent_result_and_node_count_are_pinned():
     res = descend_over_triangle(identity_map(lam), 2, 3, budget)
     assert budget.used == 1381
     assert [s.cell_counts() for s in res.stages] == [(3, 2), (3, 3, 1), (3, 6, 16, 12)]
+
+
+@pytest.mark.parametrize("limit", range(1, 12))
+def test_a_starved_prefibrancy_check_answers_budget(limit):
+    rep = is_prefibrant(standard_simplex(2).complex, node_budget=limit)
+    assert rep.lambda21_verdict == "budget"
+    assert rep.lambda21_witness is None
+
+
+@pytest.mark.parametrize("limit", [823, 824])
+def test_a_starved_filler_search_attaches_nothing(limit):
+    # the triangle is pre-fibrant, so no stage may attach a filler; these
+    # limits run out inside the last filler search of the stage
+    with pytest.raises(BudgetExceeded):
+        prefibrantize(standard_simplex(2).complex, 1, 3, limit)
