@@ -150,14 +150,24 @@ class FunctionComplexTruncation(LevelwiseSpace):
         self.base = base  # C
         self.deltas = deltas
         self.products = products
+        # id x d_i : K x Delta^n -> K x Delta^{n+1} at [n][i], and
+        # id x s_j : K x Delta^{n+1} -> K x Delta^n at [n][j]
+        self._cofaces = [
+            [_connecting(deltas, products, n, n + 1, _coface(i)) for i in range(n + 2)]
+            for n in range(len(deltas) - 1)
+        ]
+        self._codegeneracies = [
+            [_connecting(deltas, products, n + 1, n, _codegeneracy(j)) for j in range(n + 1)]
+            for n in range(len(deltas) - 1)
+        ]
         super().__init__(levels, self.face_map, self.deg_map)
 
     def face_map(self, n: int, u: SimplicialMap, i: int) -> SimplicialMap:
         """Restriction along id x delta_i : K x Delta^{n-1} -> K x Delta^n."""
-        return compose(_connecting(self.deltas, self.products, n - 1, n, _coface(i)), u)
+        return compose(self._cofaces[n - 1][i], u)
 
     def deg_map(self, n: int, u: SimplicialMap, j: int) -> SimplicialMap:
-        return compose(_connecting(self.deltas, self.products, n + 1, n, _codegeneracy(j)), u)
+        return compose(self._codegeneracies[n][j], u)
 
     def evaluate(self, n: int, u: SimplicialMap, v: CellId) -> Simplex:
         """The n-simplex of the base that the level-n element u takes
@@ -232,26 +242,24 @@ def restricted_function_complex(
 ) -> FunctionComplexTruncation:
     """Full simplicial subset of the function complex on the vertices
     K -> C whose image edges are all equivalence edges of C."""
-    from ..homotopy import is_equivalence_edge  # deferred: avoids module cycle
+    from ..homotopy import homotopy_category  # deferred: avoids module cycle
 
     deltas, products, all_levels = _enumerate_levels(C, K, up_to, budget)
+    hc = homotopy_category(C, word_budget)
 
     def vertex_ok(u: SimplicialMap) -> bool:
-        for e in products[0].complex.cells(1):
-            if is_equivalence_edge(C, u.images[e], word_budget).value != "yes":
-                return False
-        return True
+        return all(
+            hc.is_equivalence(u.images[e]).value == "yes"
+            for e in products[0].complex.cells(1)
+        )
 
     ok = {u for u in all_levels[0] if vertex_ok(u)}
     levels = [[u for u in all_levels[0] if u in ok]]
     for n in range(1, up_to + 1):
-        kept = []
-        for u in all_levels[n]:
-            verts = (
-                compose(_connecting(deltas, products, 0, n, lambda v, j=j: j), u)
-                for j in range(n + 1)
-            )
-            if all(v in ok for v in verts):
-                kept.append(u)
-        levels.append(kept)
+        vertices = [
+            _connecting(deltas, products, 0, n, lambda v, j=j: j) for j in range(n + 1)
+        ]
+        levels.append(
+            [u for u in all_levels[n] if all(compose(w, u) in ok for w in vertices)]
+        )
     return FunctionComplexTruncation(C, deltas, products, levels)

@@ -11,7 +11,6 @@ inside the word budget.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 from .core import (
@@ -107,13 +106,18 @@ def complete(relations: list[tuple[Word, Word]]) -> tuple[list[tuple[Word, Word]
 
 
 @dataclass
+class EquivalenceVerdict:
+    value: str  # "yes" | "no" | "unknown"
+    witness: Word | None = None
+
+
+@dataclass
 class CategoryPresentation:
     objects: list[CellId]
     edges: dict[CellId, tuple[CellId, CellId]]  # generator -> (src, tgt)
     relations: list[tuple[Word, Word]]
     rules: list[tuple[Word, Word]]
     confluent: bool
-    word_budget: int
     hom: dict[tuple[CellId, CellId], list[Word]] = field(default_factory=dict)
     exact: bool = False
 
@@ -137,6 +141,18 @@ class CategoryPresentation:
             self.inverse_of(w, x, y) is not None for w in self.hom_set(x, y)
         )
 
+    def is_equivalence(self, e: Simplex) -> EquivalenceVerdict:
+        """Is the class of an edge invertible?"""
+        if e.dim != 1:
+            raise ValueError("equivalence test takes an edge")
+        if not e.nondegenerate:
+            return EquivalenceVerdict("yes", ())
+        src, tgt = self.edges[e.base]
+        g = self.inverse_of((e.base,), src, tgt)
+        if g is not None:
+            return EquivalenceVerdict("yes", g)
+        return EquivalenceVerdict("no" if self.exact else "unknown")
+
 
 def _edge_endpoints(S: SimplicialSet, e: CellId) -> tuple[CellId, CellId]:
     fs = S.cell_faces(e)
@@ -147,7 +163,6 @@ def _path_of(*faces: Simplex) -> Word:
     return tuple(f.base for f in faces if f.nondegenerate)
 
 
-@functools.lru_cache(maxsize=256)
 def homotopy_category(S: SimplicialSet, word_budget: int = DEFAULT_WORD_BUDGET) -> CategoryPresentation:
     objects = S.cells(0)
     edges = {e: _edge_endpoints(S, e) for e in S.cells(1)}
@@ -156,9 +171,7 @@ def homotopy_category(S: SimplicialSet, word_budget: int = DEFAULT_WORD_BUDGET) 
         d0, d1, d2 = S.cell_faces(t)
         relations.append((_path_of(d2, d0), _path_of(d1)))
     rules, confluent = complete(relations)
-    pres = CategoryPresentation(
-        objects, edges, relations, rules, confluent, word_budget
-    )
+    pres = CategoryPresentation(objects, edges, relations, rules, confluent)
 
     out: dict[CellId, list[CellId]] = {x: [] for x in objects}
     for e, (src, _) in edges.items():
@@ -189,26 +202,11 @@ def homotopy_category(S: SimplicialSet, word_budget: int = DEFAULT_WORD_BUDGET) 
 # -- equivalence edges ---------------------------------------------------------
 
 
-@dataclass
-class EquivalenceVerdict:
-    value: str  # "yes" | "no" | "unknown"
-    witness: Word | None = None
-
-
 def is_equivalence_edge(
     S: SimplicialSet, e: Simplex, word_budget: int = DEFAULT_WORD_BUDGET
 ) -> EquivalenceVerdict:
     """Is the class of an edge invertible in the homotopy category?"""
-    if e.dim != 1:
-        raise ValueError("equivalence test takes an edge")
-    if not e.nondegenerate:
-        return EquivalenceVerdict("yes", ())
-    pres = homotopy_category(S, word_budget)
-    src, tgt = pres.edges[e.base]
-    g = pres.inverse_of((e.base,), src, tgt)
-    if g is not None:
-        return EquivalenceVerdict("yes", g)
-    return EquivalenceVerdict("no" if pres.exact else "unknown")
+    return homotopy_category(S, word_budget).is_equivalence(e)
 
 
 # -- pi0 -----------------------------------------------------------------------
@@ -249,9 +247,10 @@ def check_isofibration(
     """Every equivalence edge of the base lifts, with prescribed source,
     to an equivalence edge of the total complex."""
     X, S = p.source, p.target
+    hx, hs = homotopy_category(X, word_budget), homotopy_category(S, word_budget)
     unknown = False
     for f in S.cells(1):
-        vf = is_equivalence_edge(S, Simplex(f), word_budget)
+        vf = hs.is_equivalence(Simplex(f))
         if vf.value == "no":
             continue
         f_src = _edge_endpoints(S, f)[0]
@@ -265,7 +264,7 @@ def check_isofibration(
                     continue
                 if _edge_endpoints(X, u)[0] != x:
                     continue
-                vu = is_equivalence_edge(X, Simplex(u), word_budget)
+                vu = hx.is_equivalence(Simplex(u))
                 if vu.value == "yes":
                     lifted = True
                     break
