@@ -32,6 +32,3 @@ class Budget:
         self.used += n
         if self.used > self.limit:
             raise BudgetExceeded(f"node budget {self.limit} exceeded")
-
-    def remaining(self) -> int:
-        return max(self.limit - self.used, 0)

@@ -479,13 +479,10 @@ def enumerate_maps(
 
 
 def all_extensions(
-    f: SimplicialMap,
-    i: SimplicialMap,
-    constraint: Callable[[CellId, Simplex], bool] | None = None,
-    budget: Budget | None = None,
+    f: SimplicialMap, i: SimplicialMap, budget: Budget | None = None
 ) -> Iterator[SimplicialMap]:
     """All maps B -> Y with g o i = f, for a mono inclusion i: A -> B."""
     if not i.is_mono():
         raise ValueError("extension requires a mono inclusion")
     fixed = {i.images[a].base: f.images[a] for a in i.source.all_cells()}
-    return enumerate_maps(i.target, f.target, fixed, constraint, budget)
+    return enumerate_maps(i.target, f.target, fixed, budget=budget)
