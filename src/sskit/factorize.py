@@ -167,7 +167,7 @@ def is_prefibrant(
     try:
         for n, _, inc, d0 in horns:
             if n > 2:
-                report.constant_horn_verdicts.setdefault(n, "yes")
+                report.constant_horn_verdicts[n] = "yes"
             for alpha in enumerate_maps(inc.source, S, budget=budget):
                 if _needs_filler(n, inc, d0, alpha, budget):
                     settle(n, "no", alpha)
