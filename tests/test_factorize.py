@@ -67,10 +67,12 @@ def test_full_simplices_are_prefibrant():
 
 
 def test_spine_is_not_prefibrant_and_the_witness_is_the_open_horn():
-    rep = is_prefibrant(spine_complex(2).complex, 3)
-    assert not rep.ok
-    assert rep.lambda21_verdict == "no"
-    assert rep.lambda21_witness is not None
+    # the 2-horns at index 1 are checked whatever the bound
+    for max_dim in (3, 1):
+        rep = is_prefibrant(spine_complex(2).complex, max_dim)
+        assert not rep.ok
+        assert rep.lambda21_verdict == "no"
+        assert rep.lambda21_witness is not None
 
 
 def test_prefibrantize_is_idempotent_on_prefibrant_input():
