@@ -1,6 +1,9 @@
 """Homotopy categories, equivalence edges, and fibration checks on them."""
 
+import hashlib
 import random
+
+import pytest
 
 from hypothesis import given, settings, strategies as st
 
@@ -8,9 +11,11 @@ from sskit.core import (
     CellId,
     Simplex,
     SimplicialMap,
+    cosk0_complex,
     identity_map,
     product,
     standard_simplex,
+    sub_complex,
 )
 from sskit.homotopy import (
     check_categorical_fibration,
@@ -48,6 +53,99 @@ def test_triangle_relations_hold_under_normal_form(seed):
     h = homotopy_category(X)
     for lhs, rhs in h.relations:
         assert h.nf(lhs) == h.nf(rhs)
+
+
+def leftmost_normal_form(w, rules):
+    """Reference rewriting: apply the first rule (in rule order) that
+    matches at the leftmost position where any rule matches, then scan
+    again from position 0."""
+    changed = True
+    guard = 0
+    while changed:
+        changed = False
+        guard += 1
+        if guard > 10000:
+            raise RuntimeError("rewrite did not terminate")
+        for i in range(len(w) + 1):
+            for l, r in rules:
+                if w[i : i + len(l)] == l and len(l) > 0:
+                    w = w[:i] + r + w[i + len(l) :]
+                    changed = True
+                    break
+            if changed:
+                break
+    return w
+
+
+def random_triangle_subset(n, k, rng):
+    """All vertices and edges of cosk0(n, 2) and k of its triangles."""
+    X = cosk0_complex(n, 2).complex
+    return sub_complex(X, X.cells(0) + X.cells(1) + sorted(rng.sample(X.cells(2), k)))[0]
+
+
+def random_word(h, rng, max_len):
+    """A composable edge word of length at most max_len from a random object."""
+    at = rng.choice(h.objects)
+    w = ()
+    for _ in range(rng.randint(0, max_len)):
+        out = [e for e, (src, _) in h.edges.items() if src == at]
+        if not out:
+            break
+        e = rng.choice(out)
+        w += (e,)
+        at = h.edges[e][1]
+    return w
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(3, 6), st.integers(0, 2**30))
+def test_normal_forms_and_hom_sets_match_leftmost_rewriting(n, seed):
+    rng = random.Random(seed)
+    X = random_triangle_subset(n, rng.randint(0, n * (n - 1) ** 2), rng)
+    h = homotopy_category(X, 4)
+    rules = list(h.rules)
+    for _ in range(60):
+        w = random_word(h, rng, 8)
+        assert h.nf(w) == leftmost_normal_form(w, rules)
+    # the hom-sets are exactly the irreducible words within the budget
+    words = 0
+    for x in h.objects:
+        frontier = [()]
+        for _ in range(4):
+            frontier = [
+                w + (e,)
+                for w in frontier
+                for e, (src, _) in h.edges.items()
+                if src == (h.edges[w[-1]][1] if w else x)
+                and leftmost_normal_form(w + (e,), rules) == w + (e,)
+            ]
+            words += len(frontier)
+    assert sum(len(ws) for ws in h.hom.values()) == words + len(h.objects)
+    for ws in h.hom.values():
+        for w in ws:
+            assert h.nf(w) == w == leftmost_normal_form(w, rules)
+
+
+# the indiscrete groupoid on n objects: n (n - 1)^2 triangle relations, already
+# complete; digests of the rule lists recorded before the rule table was indexed
+COSK0_CATEGORIES = [
+    (4, 4, 36, 16, "a7af1807564d9096"),
+    (5, 4, 80, 25, "f6cff93fdf12b798"),
+    (6, 4, 150, 36, "6b82564952f4f217"),
+    (7, 3, 252, 49, "698e02e67d420756"),
+]
+
+
+@pytest.mark.parametrize(
+    "n, word_budget, rules, words, digest", COSK0_CATEGORIES, ids=[f"n{c[0]}" for c in COSK0_CATEGORIES]
+)
+def test_indiscrete_groupoid_presentations_are_pinned(n, word_budget, rules, words, digest):
+    h = homotopy_category(cosk0_complex(n, 2).complex, word_budget)
+    assert h.confluent and h.exact
+    assert len(h.rules) == rules
+    assert sum(len(ws) for ws in h.hom.values()) == words
+    text = repr([(l, r) for l, r in h.rules])
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 def test_mutually_inverse_edges_are_equivalences(walking_iso):
