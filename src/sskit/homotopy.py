@@ -11,6 +11,7 @@ inside the word budget.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 from .core import (
@@ -35,23 +36,67 @@ def _key(w: Word) -> tuple:
     return (len(w), w)
 
 
-def normal_form(w: Word, rules: list[tuple[Word, Word]]) -> Word:
-    """Reduce a word to normal form (leftmost, first matching rule)."""
-    changed = True
-    guard = 0
-    while changed:
-        changed = False
-        guard += 1
-        if guard > 10000:
+class RuleTable:
+    """Rewriting rules in the order they were added, left sides indexed.
+
+    Left sides are distinct (each new one is irreducible under the rules
+    before it), so `position` maps a left side to its rule; `lengths` holds
+    the distinct left-side lengths in increasing order and `starting[g]`
+    the positions of the rules whose left side starts with generator g.
+    """
+
+    def __init__(self) -> None:
+        self.rules: list[tuple[Word, Word]] = []
+        self.position: dict[Word, int] = {}
+        self.lengths: list[int] = []
+        self.starting: dict[CellId, list[int]] = {}
+
+    def __len__(self) -> int:
+        return len(self.rules)
+
+    def __iter__(self):
+        return iter(self.rules)
+
+    def add(self, l: Word, r: Word) -> None:
+        p = len(self.rules)
+        self.rules.append((l, r))
+        self.position[l] = p
+        if len(l) not in self.lengths:
+            bisect.insort(self.lengths, len(l))
+        self.starting.setdefault(l[0], []).append(p)
+
+    def has_suffix_rule(self, w: Word) -> bool:
+        """Is some left side a suffix of w?"""
+        return any(w[len(w) - n :] in self.position for n in self.lengths if n <= len(w))
+
+
+def normal_form(w: Word, rules: RuleTable) -> Word:
+    """Reduce a word to normal form.
+
+    Rewrites at the leftmost position where a left side matches, with the
+    lowest-positioned rule among those matching there.  Only windows of
+    the indexed left-side lengths are looked up, and after a rewrite at i
+    the scan resumes at i - maxlen + 1: windows ending before i did not
+    change, and none of them matched.
+    """
+    position, lengths = rules.position, rules.lengths
+    back = lengths[-1] - 1 if lengths else 0
+    i = rewrites = 0
+    while i < len(w):
+        hits = [
+            position[u]
+            for n in lengths
+            if i + n <= len(w) and (u := w[i : i + n]) in position
+        ]
+        if not hits:
+            i += 1
+            continue
+        rewrites += 1
+        if rewrites >= 10000:
             raise RuntimeError("rewrite did not terminate")
-        for i in range(len(w) + 1):
-            for l, r in rules:
-                if w[i : i + len(l)] == l and len(l) > 0:
-                    w = w[:i] + r + w[i + len(l) :]
-                    changed = True
-                    break
-            if changed:
-                break
+        l, r = rules.rules[min(hits)]
+        w = w[:i] + r + w[i + len(l) :]
+        i = max(0, i - back)
     return w
 
 
@@ -69,13 +114,13 @@ def _critical_pairs(r1: tuple[Word, Word], r2: tuple[Word, Word]):
                 yield (o1, l1[:i] + o2 + l1[i + len(l2) :])
 
 
-def complete(relations: list[tuple[Word, Word]]) -> tuple[list[tuple[Word, Word]], bool]:
+def complete(relations: list[tuple[Word, Word]]) -> tuple[RuleTable, bool]:
     """Knuth-Bendix completion under the shortlex order.
 
     Returns (rules, confluent); confluent is False when the rule or pass
     limits are hit, in which case the rules are still sound rewrites.
     """
-    rules: list[tuple[Word, Word]] = []
+    rules = RuleTable()
 
     def add(a: Word, b: Word) -> bool:
         a, b = normal_form(a, rules), normal_form(b, rules)
@@ -83,7 +128,7 @@ def complete(relations: list[tuple[Word, Word]]) -> tuple[list[tuple[Word, Word]
             return True
         if _key(a) < _key(b):
             a, b = b, a
-        rules.append((a, b))
+        rules.add(a, b)
         return len(rules) <= _MAX_RULES
 
     for a, b in relations:
@@ -93,8 +138,9 @@ def complete(relations: list[tuple[Word, Word]]) -> tuple[list[tuple[Word, Word]
     for _ in range(_MAX_PASSES):
         new: list[tuple[Word, Word]] = []
         for r1 in rules:
-            for r2 in rules:
-                for a, b in _critical_pairs(r1, r2):
+            # a rule overlapping l1, or inside it, starts with a generator of l1
+            for p in sorted(p for g in set(r1[0]) for p in rules.starting.get(g, ())):
+                for a, b in _critical_pairs(r1, rules.rules[p]):
                     if normal_form(a, rules) != normal_form(b, rules):
                         new.append((a, b))
         if not new:
@@ -116,7 +162,7 @@ class CategoryPresentation:
     objects: list[CellId]
     edges: dict[CellId, tuple[CellId, CellId]]  # generator -> (src, tgt)
     relations: list[tuple[Word, Word]]
-    rules: list[tuple[Word, Word]]
+    rules: RuleTable
     confluent: bool
     hom: dict[tuple[CellId, CellId], list[Word]] = field(default_factory=dict)
     exact: bool = False
@@ -185,7 +231,7 @@ def homotopy_category(S: SimplicialSet, word_budget: int = DEFAULT_WORD_BUDGET) 
             for at, w in frontier:
                 for e in out[at]:
                     w2 = w + (e,)
-                    if normal_form(w2, rules) != w2:
+                    if rules.has_suffix_rule(w2):
                         continue
                     tgt = edges[e][1]
                     pres.hom.setdefault((x, tgt), []).append(w2)
