@@ -118,9 +118,12 @@ def complete(relations: list[tuple[Word, Word]]) -> tuple[RuleTable, bool]:
     """Knuth-Bendix completion under the shortlex order.
 
     Returns (rules, confluent); confluent is False when the rule or pass
-    limits are hit, in which case the rules are still sound rewrites.
+    limits are hit, in which case the rules are still sound rewrites.  The
+    rule limit counts only the rules completion adds beyond one per
+    relation.
     """
     rules = RuleTable()
+    cap = len(relations) + _MAX_RULES
 
     def add(a: Word, b: Word) -> bool:
         a, b = normal_form(a, rules), normal_form(b, rules)
@@ -129,7 +132,7 @@ def complete(relations: list[tuple[Word, Word]]) -> tuple[RuleTable, bool]:
         if _key(a) < _key(b):
             a, b = b, a
         rules.add(a, b)
-        return len(rules) <= _MAX_RULES
+        return len(rules) <= cap
 
     for a, b in relations:
         if not add(a, b):

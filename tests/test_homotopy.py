@@ -148,6 +148,15 @@ def test_indiscrete_groupoid_presentations_are_pinned(n, word_budget, rules, wor
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
+def test_the_rule_cap_counts_only_rules_beyond_the_relations():
+    # 392 relations: a cap on all rules stopped at 301, before any critical pair
+    X = cosk0_complex(8, 2).complex
+    h = homotopy_category(X, 3)
+    assert h.confluent and h.exact
+    assert len(h.rules) == 392
+    assert all(h.is_equivalence(Simplex(e)).value == "yes" for e in X.cells(1))
+
+
 def test_mutually_inverse_edges_are_equivalences(walking_iso):
     S, x, y = walking_iso
     h = homotopy_category(S)
