@@ -7,6 +7,12 @@ are composable edge sequences in diagrammatic order.  Completion is a
 length-lexicographic Knuth-Bendix pass; Exact status is claimed only on
 confluent termination with the irreducible-word enumeration exhausted
 inside the word budget.
+
+The rules live in a `RuleTable` that indexes their left sides.  Rewriting
+is leftmost, with the lowest rule position among the rules matching
+there, in one left-to-right pass.  Completion stops, not confluent, once
+it has added more than `_MAX_RULES` rules beyond one per relation, or
+after `_MAX_PASSES` passes.
 """
 
 from __future__ import annotations
