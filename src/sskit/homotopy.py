@@ -141,8 +141,7 @@ def complete(relations: list[tuple[Word, Word]]) -> tuple[RuleTable, bool]:
         return len(rules) <= cap
 
     for a, b in relations:
-        if not add(a, b):
-            return rules, False
+        add(a, b)  # at most one rule each: the cap cannot be reached here
 
     for _ in range(_MAX_PASSES):
         new: list[tuple[Word, Word]] = []
