@@ -16,6 +16,7 @@ from sskit.core import (
     boundary_complex,
     constant_simplex,
     cosk0_complex,
+    degeneracy_words,
     degenerate,
     enumerate_maps,
     from_vertex_tuples,
@@ -72,6 +73,96 @@ def test_constant_simplex_detection():
     assert constant_simplex(v, 0) == Simplex(v)
     e = Simplex(CellId(1, 0))
     assert not is_constant(degenerate(e, 0))
+
+
+def recursive_degeneracy_words(length, base_dim, top):
+    """Reference: the recursive enumeration of the valid words of a length
+    over a base dimension, with indices below top."""
+    if length == 0:
+        yield ()
+        return
+
+    def rec(prefix, start, m):
+        if m == length:
+            yield tuple(prefix)
+            return
+        bound = min(top - 1, base_dim + m)
+        for j in range(start, bound + 1):
+            prefix.append(j)
+            yield from rec(prefix, j + 1, m + 1)
+            prefix.pop()
+
+    yield from rec([], 0, 0)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_degeneracy_words_match_the_recursive_reference(n):
+    for p in range(n + 1):
+        words = list(degeneracy_words(n - p, p, n))
+        assert words == list(recursive_degeneracy_words(n - p, p, n))
+        assert len(words) == math.comb(n, n - p)
+        assert all(word_is_valid(w, p) for w in words)
+
+
+# -- cell and simplex values ------------------------------------------------------
+
+
+def _random_simplex_fields(rng, k):
+    out = []
+    for _ in range(k):
+        d, i = rng.randrange(4), rng.randrange(5)
+        word = tuple(sorted(rng.sample(range(d + 3), rng.randrange(3))))
+        out.append(((d, i), word))
+    return out
+
+
+def test_cells_and_simplices_hash_as_their_field_tuples():
+    for d in range(4):
+        for i in range(6):
+            c = CellId(d, i)
+            assert hash(c) == hash((d, i))
+            for w in [(), (0,), (0, 2), (1, 2, 4)]:
+                assert hash(Simplex(c, w)) == hash(((c.dim, c.index), w))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_cells_and_simplices_sort_as_their_field_tuples(seed):
+    rng = random.Random(seed)
+    fields = _random_simplex_fields(rng, 60)
+    cells = [CellId(*c) for c, _ in fields]
+    assert sorted(cells) == [CellId(*c) for c in sorted(c for c, _ in fields)]
+    simplices = [Simplex(CellId(*c), w) for c, w in fields]
+    assert sorted(simplices) == [Simplex(CellId(*c), w) for c, w in sorted(fields)]
+
+
+def test_cell_and_simplex_construction_and_immutability():
+    c = CellId(1, 2)
+    assert repr(c) == "CellId(1,2)"
+    assert repr(Simplex(c)) == "<1.2>"
+    assert repr(Simplex(c, (0, 2))) == "<s0,2@1.2>"
+    assert Simplex(c).word == ()
+    assert Simplex(c, (0,)).dim == 2 and not Simplex(c, (0,)).nondegenerate
+    assert Simplex(c).nondegenerate
+    assert Simplex(c, ()) == Simplex(c) and CellId(1, 2) == c
+    with pytest.raises(AttributeError):
+        c.dim = 3
+    with pytest.raises(AttributeError):
+        Simplex(c).word = (0,)
+
+
+def test_cell_lists_are_in_dim_index_order_and_copies():
+    X = cosk0_complex(3, 2).complex
+    expected = [CellId(d, i) for d in range(X.dim + 1) for i in range(X.n_cells(d))]
+    assert list(X.all_cells()) == expected == sorted(expected)
+    assert [c for d in range(X.dim + 1) for c in X.cells(d)] == expected
+    assert X.cells(X.dim + 1) == [] and X.cells(-1) == []
+    edges = X.cells(1)
+    edges.append(CellId(1, 99))
+    edges.reverse()
+    X.cells(0).clear()
+    assert X.cells(1) == expected[X.n_cells(0) : X.n_cells(0) + X.n_cells(1)]
+    assert X.cells(0) == expected[: X.n_cells(0)]
+    assert list(X.all_cells()) == expected
 
 
 # -- complexes and validation ---------------------------------------------------
