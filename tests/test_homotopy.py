@@ -17,6 +17,7 @@ from sskit.core import (
     standard_simplex,
     sub_complex,
 )
+from sskit import homotopy
 from sskit.homotopy import (
     check_categorical_fibration,
     check_isofibration,
@@ -155,6 +156,31 @@ def test_the_rule_cap_counts_only_rules_beyond_the_relations():
     assert h.confluent and h.exact
     assert len(h.rules) == 392
     assert all(h.is_equivalence(Simplex(e)).value == "yes" for e in X.cells(1))
+
+
+def _five_triangles_of_cosk0_3():
+    X = cosk0_complex(3, 2).complex
+    tris = [X.cell_by_label(t) for t in ("010", "012", "020", "021", "101")]
+    return sub_complex(X, X.cells(0) + X.cells(1) + tris)[0]
+
+
+def test_a_capped_completion_answers_unknown_where_the_full_one_says_no(monkeypatch):
+    S = _five_triangles_of_cosk0_3()
+    edges = [Simplex(e) for e in S.cells(1)]
+    full = homotopy_category(S)
+    assert len(full.relations) == 5 and len(full.rules) == 8
+    assert full.confluent and full.exact
+    refuted = [e for e in edges if full.is_equivalence(e).value == "no"]
+    assert len(refuted) == 4
+
+    # no rule beyond one per relation: the first critical pair hits the cap
+    monkeypatch.setattr(homotopy, "_MAX_RULES", 0)
+    capped = homotopy_category(S)
+    assert not capped.confluent and not capped.exact
+    assert [capped.is_equivalence(e).value for e in refuted] == ["unknown"] * 4
+    for e in edges:
+        if e not in refuted:
+            assert capped.is_equivalence(e).value == full.is_equivalence(e).value
 
 
 def test_mutually_inverse_edges_are_equivalences(walking_iso):
