@@ -32,6 +32,10 @@ class SimplicialSet:
         while counts and counts[-1] == 0:
             counts.pop()
         self._counts: tuple[int, ...] = tuple(counts)
+        self._cells: tuple[tuple[CellId, ...], ...] = tuple(
+            tuple(CellId(d, i) for i in range(n)) for d, n in enumerate(counts)
+        )
+        self._all_cells: tuple[CellId, ...] = sum(self._cells, ())
         self._faces: dict[CellId, tuple[Simplex, ...]] = dict(faces)
         self.labels: dict[CellId, str] = dict(labels or {})
         self._face_cache: dict[tuple[Simplex, int], Simplex] = {}
@@ -57,12 +61,11 @@ class SimplicialSet:
         return sum(self._counts)
 
     def cells(self, dim: int) -> list[CellId]:
-        return [CellId(dim, i) for i in range(self.n_cells(dim))]
+        """A fresh list of the cells of one dimension, in index order."""
+        return list(self._cells[dim]) if 0 <= dim <= self.dim else []
 
     def all_cells(self) -> Iterator[CellId]:
-        for d in range(self.dim + 1):
-            for i in range(self._counts[d]):
-                yield CellId(d, i)
+        return iter(self._all_cells)
 
     def has_cell(self, c: CellId) -> bool:
         return 0 <= c.dim <= self.dim and 0 <= c.index < self._counts[c.dim]
@@ -157,9 +160,9 @@ class SimplicialSet:
     def simplices(self, n: int) -> Iterator[Simplex]:
         """All n-simplices, degenerate ones included."""
         for p in range(min(n, self.dim) + 1):
-            for i in range(self._counts[p]):
-                base = CellId(p, i)
-                for word in degeneracy_words(n - p, p, n):
+            words = list(degeneracy_words(p, n))
+            for base in self._cells[p]:
+                for word in words:
                     yield Simplex(base, word)
 
     def simplices_with_boundary(
@@ -180,8 +183,7 @@ class SimplicialSet:
 
     def _structural_check(self) -> None:
         for d in range(1, self.dim + 1):
-            for i in range(self._counts[d]):
-                c = CellId(d, i)
+            for c in self._cells[d]:
                 fs = self._faces.get(c)
                 if fs is None or len(fs) != d + 1:
                     raise ValueError(f"cell {c} lacks a full face tuple")

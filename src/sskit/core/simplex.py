@@ -5,16 +5,21 @@ strictly increasing word of degeneracy indices (Eilenberg-Zilber normal
 form): ``word = (j1, ..., jk)`` with ``j1 < ... < jk`` denotes
 ``s_{jk} ... s_{j1}`` applied to the base.  Equality of simplices is then
 a plain pair comparison.
+
+Cells and simplices are named tuples, so hashing, equality and order are
+tuple operations run in C, with the hash values of their field tuples:
+``hash(CellId(d, i)) == hash((d, i))``.  They also compare equal to plain
+tuples of the same fields, so never key one table by both cells and
+plain int pairs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from itertools import combinations
+from typing import Iterator, NamedTuple
 
 
-@dataclass(frozen=True, order=True)
-class CellId:
+class CellId(NamedTuple):
     """Reference to a nondegenerate cell: (dimension, index in that dimension)."""
 
     dim: int
@@ -24,8 +29,7 @@ class CellId:
         return f"CellId({self.dim},{self.index})"
 
 
-@dataclass(frozen=True, order=True)
-class Simplex:
+class Simplex(NamedTuple):
     """A possibly-degenerate simplex in normal form."""
 
     base: CellId
@@ -94,21 +98,13 @@ def is_constant(s: Simplex) -> bool:
     return s.base.dim == 0
 
 
-def degeneracy_words(length: int, base_dim: int, top: int) -> Iterator[tuple[int, ...]]:
-    """All valid degeneracy words of the given length over a base of the
-    given dimension, with indices < top (= resulting dim)."""
-    if length == 0:
-        yield ()
-        return
+def degeneracy_words(base_dim: int, n: int) -> Iterator[tuple[int, ...]]:
+    """All normal-form words taking a base_dim-cell to an n-simplex, in
+    lexicographic order.
 
-    def rec(prefix: list[int], start: int, m: int) -> Iterator[tuple[int, ...]]:
-        if m == length:
-            yield tuple(prefix)
-            return
-        bound = min(top - 1, base_dim + m)
-        for j in range(start, bound + 1):
-            prefix.append(j)
-            yield from rec(prefix, j + 1, m + 1)
-            prefix.pop()
-
-    yield from rec([], 0, 0)
+    These are exactly the strictly increasing (n - base_dim)-tuples below
+    n: the m-th index (from 0) of such a tuple is at most
+    n - (n - base_dim) + m = base_dim + m, so the normal-form bound holds
+    by itself, and `combinations` yields the tuples in lexicographic order.
+    """
+    return combinations(range(n), n - base_dim)

@@ -515,7 +515,7 @@ def search_descent_extension(
         for k in range(min(d, bound) + 1):
             for idx in range(len(new[k])):
                 c = new_cell(k, idx)
-                out.extend(Simplex(c, w) for w in degeneracy_words(d - k, k, d))
+                out.extend(Simplex(c, w) for w in degeneracy_words(k, d))
         return out
 
     def face_choices(d: int, img: Simplex) -> list[tuple[Simplex, ...]]:

@@ -98,7 +98,7 @@ def recursive_degeneracy_words(length, base_dim, top):
 @pytest.mark.parametrize("n", range(9))
 def test_degeneracy_words_match_the_recursive_reference(n):
     for p in range(n + 1):
-        words = list(degeneracy_words(n - p, p, n))
+        words = list(degeneracy_words(p, n))
         assert words == list(recursive_degeneracy_words(n - p, p, n))
         assert len(words) == math.comb(n, n - p)
         assert all(word_is_valid(w, p) for w in words)
