@@ -25,7 +25,11 @@ def tuple_label(t: tuple[int, ...]) -> str:
 
 @dataclass(frozen=True)
 class GeneratorComplex:
-    """A complex whose cells are indexed by vertex tuples."""
+    """A complex whose cells are indexed by vertex tuples.
+
+    Index `lookup` with vertex tuples only: a `CellId` equals the int pair
+    of its fields, so `lookup[CellId(0, 1)]` finds the edge on vertices 0, 1.
+    """
 
     complex: SimplicialSet
     lookup: dict[tuple[int, ...], CellId]
