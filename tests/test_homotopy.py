@@ -127,6 +127,33 @@ def test_normal_forms_and_hom_sets_match_leftmost_rewriting(n, seed):
             assert h.nf(w) == w == leftmost_normal_form(w, rules)
 
 
+# (n, confluent, exact, digest) over seeds 0-199 of the scheme above at word
+# budget 4; the digest covers every (confluent, exact, hom-set sizes) triple
+TRIANGLE_SUBSET_CATEGORIES = [
+    (3, 200, 122, "4c96c81fd8c0b78a"),
+    (4, 200, 133, "d3c2e0817fbab745"),
+    (5, 200, 138, "7577241fe5df8ec6"),
+    (6, 200, 148, "f32e28eefa8c1635"),
+]
+
+
+@pytest.mark.parametrize(
+    "n, confluent, exact, digest",
+    TRIANGLE_SUBSET_CATEGORIES,
+    ids=[f"n{c[0]}" for c in TRIANGLE_SUBSET_CATEGORIES],
+)
+def test_random_triangle_subsets_keep_their_hom_set_sizes(n, confluent, exact, digest):
+    rows = []
+    for seed in range(200):
+        rng = random.Random(seed)
+        h = homotopy_category(random_triangle_subset(n, rng.randint(0, n * (n - 1) ** 2), rng), 4)
+        sizes = tuple(len(h.hom_set(x, y)) for x in h.objects for y in h.objects)
+        rows.append((h.confluent, h.exact, sizes))
+    assert sum(r[0] for r in rows) == confluent
+    assert sum(r[1] for r in rows) == exact
+    assert hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == digest
+
+
 # the indiscrete groupoid on n objects: n (n - 1)^2 triangle relations, already
 # complete; digests of the rule lists recorded before the rule table was indexed
 COSK0_CATEGORIES = [
