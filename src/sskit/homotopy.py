@@ -3,16 +3,18 @@
 The category of a complex has its vertices as objects and its
 nondegenerate edges as generators; every nondegenerate triangle imposes
 one relation, and degenerate edges are identities structurally.  Words
-are composable edge sequences in diagrammatic order.  Completion is a
-length-lexicographic Knuth-Bendix pass; Exact status is claimed only on
+are composable edge sequences in diagrammatic order.  Completion is
+length-lexicographic Knuth-Bendix; Exact status is claimed only on
 confluent termination with the irreducible-word enumeration exhausted
 inside the word budget.
 
 The rules live in a `RuleTable` that indexes their left sides.  Rewriting
 is leftmost, with the lowest rule position among the rules matching
-there, in one left-to-right pass.  Completion stops, not confluent, once
-it has added more than `_MAX_RULES` rules beyond one per relation, or
-after `_MAX_PASSES` passes.
+there, in one left-to-right pass.  Completion has two bounds and no pass
+limit: more than `_MAX_RULES` rules beyond one per relation, and a left
+side longer than twice the word budget, the longest word a presentation
+normalises (an inverse check joins two hom words).  Hitting either makes
+the presentation inexact: answers turn "unknown", never into a wrong "no".
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .lifting import NO, RlpVerdict, YES, classify_map
 Word = tuple[CellId, ...]
 
 _MAX_RULES = 300
-_MAX_PASSES = 60
 
 
 def _key(w: Word) -> tuple:
@@ -47,15 +48,13 @@ class RuleTable:
 
     Left sides are distinct (each new one is irreducible under the rules
     before it), so `position` maps a left side to its rule; `lengths` holds
-    the distinct left-side lengths in increasing order and `starting[g]`
-    the positions of the rules whose left side starts with generator g.
+    the distinct left-side lengths in increasing order.
     """
 
     def __init__(self) -> None:
         self.rules: list[tuple[Word, Word]] = []
         self.position: dict[Word, int] = {}
         self.lengths: list[int] = []
-        self.starting: dict[CellId, list[int]] = {}
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -64,12 +63,10 @@ class RuleTable:
         return iter(self.rules)
 
     def add(self, l: Word, r: Word) -> None:
-        p = len(self.rules)
+        self.position[l] = len(self.rules)
         self.rules.append((l, r))
-        self.position[l] = p
         if len(l) not in self.lengths:
             bisect.insort(self.lengths, len(l))
-        self.starting.setdefault(l[0], []).append(p)
 
     def has_suffix_rule(self, w: Word) -> bool:
         """Is some left side a suffix of w?"""
@@ -83,11 +80,11 @@ def normal_form(w: Word, rules: RuleTable) -> Word:
     lowest-positioned rule among those matching there.  Only windows of
     the indexed left-side lengths are looked up, and after a rewrite at i
     the scan resumes at i - maxlen + 1: windows ending before i did not
-    change, and none of them matched.
+    change, and none of them matched.  Rewrites lower shortlex order.
     """
     position, lengths = rules.position, rules.lengths
     back = lengths[-1] - 1 if lengths else 0
-    i = rewrites = 0
+    i = 0
     while i < len(w):
         hits = [
             position[u]
@@ -97,9 +94,6 @@ def normal_form(w: Word, rules: RuleTable) -> Word:
         if not hits:
             i += 1
             continue
-        rewrites += 1
-        if rewrites >= 10000:
-            raise RuntimeError("rewrite did not terminate")
         l, r = rules.rules[min(hits)]
         w = w[:i] + r + w[i + len(l) :]
         i = max(0, i - back)
@@ -120,13 +114,13 @@ def _critical_pairs(r1: tuple[Word, Word], r2: tuple[Word, Word]):
                 yield (o1, l1[:i] + o2 + l1[i + len(l2) :])
 
 
-def complete(relations: list[tuple[Word, Word]]) -> tuple[RuleTable, bool]:
+def complete(relations: list[tuple[Word, Word]], max_len: int) -> tuple[RuleTable, bool]:
     """Knuth-Bendix completion under the shortlex order.
 
-    Returns (rules, confluent); confluent is False when the rule or pass
-    limits are hit, in which case the rules are still sound rewrites.  The
-    rule limit counts only the rules completion adds beyond one per
-    relation.
+    Each ordered pair of rules is examined once, when the later one comes
+    up.  Returns (rules, confluent) with sound rules; it stops, confluent
+    False, at more than `_MAX_RULES` rules beyond one per relation or at a
+    left side longer than `max_len`.  The two bounds keep the loop finite.
     """
     rules = RuleTable()
     cap = len(relations) + _MAX_RULES
@@ -138,25 +132,22 @@ def complete(relations: list[tuple[Word, Word]]) -> tuple[RuleTable, bool]:
         if _key(a) < _key(b):
             a, b = b, a
         rules.add(a, b)
-        return len(rules) <= cap
+        return len(rules) <= cap and len(a) <= max_len
 
-    for a, b in relations:
-        add(a, b)  # at most one rule each: the cap cannot be reached here
-
-    for _ in range(_MAX_PASSES):
-        new: list[tuple[Word, Word]] = []
-        for r1 in rules:
-            # a rule overlapping l1, or inside it, starts with a generator of l1
-            for p in sorted(p for g in set(r1[0]) for p in rules.starting.get(g, ())):
-                for a, b in _critical_pairs(r1, rules.rules[p]):
-                    if normal_form(a, rules) != normal_form(b, rules):
-                        new.append((a, b))
-        if not new:
-            return rules, True
-        for a, b in new:
-            if not add(a, b):
-                return rules, False
-    return rules, False
+    if not all(add(a, b) for a, b in relations):
+        return rules, False
+    # the loop also reaches the rules added inside it
+    for i, new in enumerate(rules):
+        for old in rules.rules[: i + 1]:
+            # a rule overlapping l1, or inside it, starts with a letter of l1
+            pairs = [(new, old)] if old is not new and old[0][0] in new[0] else []
+            if new[0][0] in old[0]:
+                pairs.append((old, new))
+            for r1, r2 in pairs:
+                for a, b in _critical_pairs(r1, r2):
+                    if not add(a, b):
+                        return rules, False
+    return rules, True
 
 
 @dataclass
@@ -224,7 +215,7 @@ def homotopy_category(S: SimplicialSet, word_budget: int = DEFAULT_WORD_BUDGET) 
     for t in S.cells(2):
         d0, d1, d2 = S.cell_faces(t)
         relations.append((_path_of(d2, d0), _path_of(d1)))
-    rules, confluent = complete(relations)
+    rules, confluent = complete(relations, 2 * word_budget)
     pres = CategoryPresentation(objects, edges, relations, rules, confluent)
 
     out: dict[CellId, list[CellId]] = {x: [] for x in objects}

@@ -82,6 +82,23 @@ def build_parallel_edge_square():
     return b.build(), V[0], V[3]
 
 
+def build_parallel_edges(n):
+    """Two vertices and n parallel edges from the first to the second."""
+    b = ComplexBuilder()
+    x, y = b.add_cell(0), b.add_cell(0)
+    for _ in range(n):
+        b.add_cell(1, (Simplex(y), Simplex(x)))
+    return b.build()
+
+
+def parallel_edges_map(m, n):
+    """The map from m parallel edges to n that is the identity on vertices
+    and sends every edge to the first one."""
+    C, D = build_parallel_edges(m), build_parallel_edges(n)
+    first = Simplex(D.cells(1)[0])
+    return SimplicialMap(C, D, {**{v: Simplex(v) for v in C.cells(0)}, **{e: first for e in C.cells(1)}})
+
+
 def build_edges_over_horn():
     """Two disjoint edges covering the two edges of the 2-horn at index 1."""
     lam = horn_complex(2, 1)

@@ -28,7 +28,7 @@ from sskit.homotopy import (
     pi0,
 )
 
-from conftest import random_generator_complex
+from conftest import parallel_edges_map, random_generator_complex
 
 
 def test_triangle_presentation_is_exact_with_one_composite():
@@ -210,6 +210,27 @@ def test_a_capped_completion_answers_unknown_where_the_full_one_says_no(monkeypa
             assert capped.is_equivalence(e).value == full.is_equivalence(e).value
 
 
+def test_a_long_rule_stops_completion_short_of_a_wrong_no():
+    # four triangles of cosk0(4, 2) whose completion grows long left sides;
+    # at word budget 4 it stops at the first one longer than 8 letters
+    X = cosk0_complex(4, 2).complex
+    tris = [X.cell_by_label(t) for t in ("031", "120", "203", "312")]
+    S = sub_complex(X, X.cells(0) + X.cells(1) + tris)[0]
+    h = homotopy_category(S, 4)
+    assert not h.confluent and not h.exact
+    assert max(len(l) for l, _ in h.rules) == 9
+    assert all(h.is_equivalence(Simplex(e)).value != "no" for e in S.cells(1))
+
+
+def test_the_braid_relation_stops_at_the_length_bound():
+    # bab = aba has no finite complete system under shortlex
+    a, b = CellId(1, 0), CellId(1, 1)
+    rules, confluent = homotopy.complete([((b, a, b), (a, b, a))], 16)
+    assert not confluent
+    assert max(len(l) for l, _ in rules) == 17
+    assert all(len(l) <= 16 for l, _ in rules.rules[:-1])
+
+
 def test_mutually_inverse_edges_are_equivalences(walking_iso):
     S, x, y = walking_iso
     h = homotopy_category(S)
@@ -283,6 +304,16 @@ def test_dwyer_kan_check_accepts_identities():
     rep = dwyer_kan_check(identity_map(d2))
     assert rep.essentially_surjective == "yes"
     assert rep.fully_faithful == "yes"
+
+
+@pytest.mark.parametrize("m, n", [(1, 2), (2, 1)], ids=["missed", "merged"])
+def test_dwyer_kan_check_refutes_on_components_of_mapping_spaces(m, n):
+    # the hom-spaces from the first vertex to the second are discrete, one
+    # point per edge; the map misses a point or merges two
+    rep = dwyer_kan_check(parallel_edges_map(m, n))
+    assert rep.essentially_surjective == "yes"
+    assert rep.fully_faithful == "no"
+    assert rep.failing_pair == (CellId(0, 0), CellId(0, 1))
 
 
 def test_dwyer_kan_check_flags_a_missing_object():
