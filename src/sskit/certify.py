@@ -255,8 +255,9 @@ def check_two_out_of_three(
         raise ValueError("u and v are not composable")
     if not (u.is_mono() and v.is_mono()):
         raise ValueError("both inclusions must be monos")
+    budget = Budget.of(node_budget)
     verdicts = [
-        classify_inclusion(f, node_budget, word_budget)
+        classify_inclusion(f, budget, word_budget)
         for f in (u, v, compose(u, v))
     ]
     values = [r.value for r in verdicts]

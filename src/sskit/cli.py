@@ -19,6 +19,7 @@ from .core import (
     DEFAULT_NODE_BUDGET,
     DEFAULT_WORD_BUDGET,
     GENERATORS,
+    Budget,
     Simplex,
     join,
     product,
@@ -346,10 +347,9 @@ def _cmd_complete(args):
     gens = lifting.generating_family("inner", bound)
     cur = X
     sizes = [X.total_cells()]
+    budget = Budget.of(args.node_budget)
     for _ in range(args.stages):
-        cur, _inc, _atts = factorize.soa_stage(
-            cur, gens, lambda i, a: True, args.node_budget
-        )
+        cur, _inc, _atts = factorize.soa_stage(cur, gens, lambda i, a: True, budget)
         sizes.append(cur.total_cells())
     _emit({"command": "complete", "stages": sizes, "bound": bound}, args)
     if args.output:

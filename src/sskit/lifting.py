@@ -205,8 +205,9 @@ def classify_map(
     node_budget: int | Budget = DEFAULT_NODE_BUDGET,
     classes: tuple[str, ...] = FIBRATION_CLASSES,
 ) -> FibrationReport:
-    """Run has_rlp against each generating family up to the bound."""
+    """Run has_rlp against each generating family up to the bound, on one budget."""
     bound = default_max_dim(p) if max_dim is None else max_dim
+    budget = Budget.of(node_budget)
     report = FibrationReport(
         mono=p.is_mono(),
         vertex_bijective=p.is_vertex_bijective(),
@@ -214,6 +215,6 @@ def classify_map(
     )
     for name in classes:
         report.classes[name] = has_rlp(
-            p, generating_family(name, bound), bound, node_budget
+            p, generating_family(name, bound), bound, budget
         )
     return report

@@ -278,6 +278,13 @@ def test_a_starved_prefibrancy_check_answers_budget(limit):
     assert rep.lambda21_witness is None
 
 
+@pytest.mark.parametrize("limit", [6000, Budget(6000)], ids=["int", "Budget"])
+def test_prefibrantize_spends_one_budget_across_its_stages(limit):
+    # each stage fits in 6,000 nodes, the two together take 7,939
+    with pytest.raises(BudgetExceeded):
+        prefibrantize(PIN_COMPLEXES["simplex3_1skeleton"](), 2, 3, limit)
+
+
 @pytest.mark.parametrize("limit", [823, 824])
 def test_a_starved_filler_search_attaches_nothing(limit):
     # the triangle is pre-fibrant, so no stage may attach a filler; these

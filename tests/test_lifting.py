@@ -96,6 +96,14 @@ def test_identity_has_every_lifting_property():
     assert rep.mono and rep.vertex_bijective
 
 
+@pytest.mark.parametrize("limit", [2500, Budget(2500)], ids=["int", "Budget"])
+def test_classify_map_spends_one_budget_across_its_classes(limit):
+    # the five classes take 941, 1,499, 1,499, 2,057 and 533 nodes: each
+    # fits in 2,500, and the third one runs the shared budget out
+    rep = classify_map(identity_map(standard_simplex(2).complex), 3, limit)
+    assert [v.status for v in rep.classes.values()] == [YES, YES, BUDGET, BUDGET, BUDGET]
+
+
 def test_interval_over_point_is_inner_but_not_kan():
     p = terminal_map(standard_simplex(1).complex, PT)
     rep = classify_map(p)
