@@ -10,6 +10,9 @@ from sskit import cli
 from sskit.certify import search_certificate, verify_certificate
 from sskit.core import (
     GENERATORS,
+    CellId,
+    Simplex,
+    SimplicialMap,
     horn_complex,
     identity_map,
     join,
@@ -27,9 +30,10 @@ from sskit.fileformat import (
     serialize_complex,
     serialize_map,
 )
+from sskit.homotopy import check_categorical_fibration, dwyer_kan_check
 from sskit.lifting import generator_inclusion, horn_inclusion, spine_inclusion
 
-from conftest import build_walking_iso, random_generator_complex
+from conftest import build_walking_iso, parallel_edges_map, random_generator_complex
 
 
 # -- round trips -----------------------------------------------------------------
@@ -277,6 +281,52 @@ def test_cli_descend_triangle_honours_max_dim_zero(tmp_path, capsys):
         stages[max_dim] = json.loads(capsys.readouterr().out)["stages"]
     assert stages["3"] == [5, 7, 37]
     assert stages["0"] == stages["1"] == [5, 5, 5]
+
+
+def _fibration_maps(tmp_path, name):
+    """(map, map file) for the identity of the walking isomorphism, the
+    inclusion of its vertex x, or one edge missing a parallel one."""
+    S, x, _ = build_walking_iso()
+    pt = standard_simplex(0).complex
+    f = {
+        "identity": identity_map(S),
+        "vertex": SimplicialMap(pt, S, {CellId(0, 0): Simplex(x)}),
+        "missed-edge": parallel_edges_map(1, 2),
+    }[name]
+    _write(tmp_path, "src.txt", serialize_complex(f.source))
+    _write(tmp_path, "tgt.txt", serialize_complex(f.target))
+    return f, _write(tmp_path, "f.map", serialize_map(f, "src.txt", "tgt.txt"))
+
+
+@pytest.mark.parametrize("name, code", [("identity", 2), ("vertex", 1)])
+def test_cli_catfib_reports_the_library_verdicts(name, code, tmp_path, capsys):
+    f, path = _fibration_maps(tmp_path, name)
+    rep = check_categorical_fibration(f)
+    assert cli.main(["--format", "structured", "catfib", path]) == code
+    assert json.loads(capsys.readouterr().out) == {
+        "format_version": 1,
+        "command": "catfib",
+        "verdict": rep.verdict,
+        "inner": str(rep.inner),
+        "isofibration": rep.isofibration.verdict,
+        "bound": rep.bound,
+    }
+
+
+# the vertex inclusion is an equivalence; a yes is bounded, so it exits 2
+@pytest.mark.parametrize("name, code", [("identity", 2), ("vertex", 2), ("missed-edge", 1)])
+def test_cli_dk_check_reports_the_library_verdicts(name, code, tmp_path, capsys):
+    f, path = _fibration_maps(tmp_path, name)
+    rep = dwyer_kan_check(f)
+    assert cli.main(["--format", "structured", "dk-check", path]) == code
+    report = json.loads(capsys.readouterr().out)
+    assert report == {
+        "format_version": 1,
+        "command": "dk-check",
+        "essentially_surjective": rep.essentially_surjective,
+        "fully_faithful": rep.fully_faithful,
+        **({"failing_pair": [name_table(f.source)[c] for c in rep.failing_pair]} if rep.failing_pair else {}),
+    }
 
 
 def test_cli_two_of_three_exit_codes(tmp_path, capsys):
