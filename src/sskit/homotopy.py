@@ -134,12 +134,13 @@ def complete(relations: list[tuple[Word, Word]], max_len: int) -> tuple[RuleTabl
         rules.add(a, b)
         return len(rules) <= cap and len(a) <= max_len
 
-    if not all(add(a, b) for a, b in relations):
-        return rules, False
+    for a, b in relations:
+        if not add(a, b):
+            return rules, False
     # the loop also reaches the rules added inside it
     for i, new in enumerate(rules):
         for old in rules.rules[: i + 1]:
-            # a rule overlapping l1, or inside it, starts with a letter of l1
+            # a left side overlapping another, or inside it, starts with a letter of it
             pairs = [(new, old)] if old is not new and old[0][0] in new[0] else []
             if new[0][0] in old[0]:
                 pairs.append((old, new))
