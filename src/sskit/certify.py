@@ -92,6 +92,58 @@ def verify_certificate(cert: AnodyneCertificate, i: SimplicialMap) -> bool:
 class CertificateSearchResult:
     status: str  # FOUND | NONE | BUDGET
     certificate: AnodyneCertificate | None = None
+    unmatched: CellId | None = None  # a NONE's witness from the matching check
+
+
+def _step_table(B, new: frozenset[CellId], family: str):
+    """Every step that some present-set could make legal, in search order.
+
+    Entries are (step, the two cells it creates, the new cells among the
+    faces it requires).  A step is dropped when its freed face is
+    degenerate, is not new, or is also the base of another face of the
+    filler: no present-set makes such a step legal.
+    """
+    table = []
+    for top in sorted(new):
+        if top.dim < 1:
+            continue
+        faces = B.cell_faces(top)
+        for hi in HORN_RANGES[family](top.dim):
+            free = faces[hi]
+            others = {f.base for j, f in enumerate(faces) if j != hi}
+            if free.word or free.base not in new or free.base in others:
+                continue
+            table.append(((top.dim, hi, top), (top, free.base), frozenset(others & new)))
+    return table
+
+
+def _unmatched_cell(new: frozenset[CellId], pairs) -> CellId | None:
+    """The first new cell that Kuhn's augmenting paths cannot match along
+    the (filler, freed face) pairs, or None when the pairs hold a perfect
+    matching of the new cells.
+
+    Every pair joins an even- and an odd-dimensional cell; paths start
+    from the even-dimensional cells in order.
+    """
+    partners: dict[CellId, list[CellId]] = {c: [] for c in new if c.dim % 2 == 0}
+    for top, free in pairs:
+        even, odd = (top, free) if top.dim % 2 == 0 else (free, top)
+        partners[even].append(odd)
+    mate: dict[CellId, CellId] = {}  # odd cell -> its even partner
+
+    def augment(c: CellId, seen: set[CellId]) -> bool:
+        for d in partners[c]:
+            if d not in seen:
+                seen.add(d)
+                if d not in mate or augment(mate[d], seen):
+                    mate[d] = c
+                    return True
+        return False
+
+    for c in sorted(partners):
+        if not augment(c, set()):
+            return c
+    return next((c for c in sorted(new) if c.dim % 2 and c not in mate), None)
 
 
 def search_certificate(
@@ -101,8 +153,15 @@ def search_certificate(
 ) -> CertificateSearchResult:
     """Depth-first search over attachment orders, lex-least step first.
 
-    NONE is order-complete: failed present-sets are memoized, so it is
-    returned only once no order of horn fillings can reach the target.
+    A certificate pairs each new cell with another: every filler with its
+    freed face.  So before searching, the new cells must admit a perfect
+    matching along the steps' (filler, freed face) pairs.  When none
+    exists the answer is NONE, with `unmatched` naming the cell that
+    augmenting paths could not match, and no node is spent.  A matching is necessary, not
+    sufficient (the certificates are its acyclic cases), so the search
+    still decides.  NONE is order-complete: failed present-sets are
+    memoized, so it is returned only once no order of horn fillings can
+    reach the target.
     """
     if family not in HORN_RANGES:
         raise ValueError(f"unknown anodyne class {family!r}")
@@ -114,16 +173,17 @@ def search_certificate(
     start = frozenset(i.images[a].base for a in i.source.all_cells())
     if (len(allc) - len(start)) % 2:
         return CertificateSearchResult(NONE)  # steps add two cells each
+    new = allc - start
+    table = _step_table(B, new, family)
+    unmatched = _unmatched_cell(new, (created for _, created, _ in table))
+    if unmatched is not None:
+        return CertificateSearchResult(NONE, unmatched=unmatched)
     dead: set[frozenset[CellId]] = set()
 
     def moves(present: frozenset[CellId]):
-        for top in sorted(allc - present):
-            if top.dim < 1:
-                continue
-            for hi in HORN_RANGES[family](top.dim):
-                r = _legal_step(B, set(present), family, (top.dim, hi, top))
-                if not isinstance(r, str):
-                    yield (top.dim, hi, top), r
+        for step, (top, free), required in table:
+            if top not in present and free not in present and required <= present:
+                yield step, (top, free)
 
     def dfs(present: frozenset[CellId], path: list[Step]):
         budget.spend()
@@ -215,11 +275,12 @@ def classify_inclusion(
     sr = search_certificate(i, "inner", node_budget)
     if sr.status == FOUND:
         return ClassifierVerdict(INNER_ANODYNE, certificate=sr.certificate)
-    diags = [
-        "exhausted-cellular-search"
-        if sr.status == NONE
-        else "certificate search hit the node budget"
-    ]
+    if sr.unmatched is not None:
+        diags = [f"no horn matching: {i.target.label(sr.unmatched)}"]
+    elif sr.status == NONE:
+        diags = ["exhausted-cellular-search"]
+    else:
+        diags = ["certificate search hit the node budget"]
     reason = _equivalence_refutation(i, word_budget)
     if reason is not None:
         return ClassifierVerdict(

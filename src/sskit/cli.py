@@ -276,6 +276,8 @@ def _cmd_certify(args):
     report = {"command": "certify", "class": args.family, "status": r.status}
     if r.certificate is not None:
         report["certificate"] = serialize_certificate(r.certificate, i.target)
+    if r.unmatched is not None:
+        report["unmatched"] = name_table(i.target)[r.unmatched]
     _emit(report, args)
     return _status_code(r.status)
 

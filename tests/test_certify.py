@@ -1,25 +1,41 @@
 """Anodyne certificates: replay, search, classification, consistency."""
 
 import dataclasses
+import json
 import random
 
 import pytest
 
-from sskit.core import Budget, CellId, Simplex, identity_map, standard_simplex
+from sskit import cli
+from sskit.core import (
+    Budget,
+    BudgetExceeded,
+    CellId,
+    ComplexBuilder,
+    Simplex,
+    from_vertex_tuples,
+    identity_map,
+    standard_simplex,
+    sub_complex,
+)
 from sskit.certify import (
     INNER_ANODYNE,
     NOT_INNER_ANODYNE,
     UNKNOWN,
     AnodyneCertificate,
+    _legal_step,
+    _unmatched_cell,
     check_two_out_of_three,
     classify_inclusion,
     search_certificate,
     verify_certificate,
 )
+from sskit.fileformat import name_table, serialize_complex, serialize_map
 from sskit.factorize import prefibrantize, saturate_prefibrant
 from sskit.lifting import (
     BUDGET,
     FOUND,
+    HORN_RANGES,
     NONE,
     boundary_inclusion,
     generator_inclusion,
@@ -167,3 +183,165 @@ def test_random_mono_pairs_never_alarm():
             if verdict.value == INNER_ANODYNE:
                 assert verify_certificate(verdict.certificate, inc)
         checked += 1
+
+
+# -- the matching check at the root, and the search behind it ---------------------
+
+
+def reference_search(i, family, budget):
+    """The certificate search before its step table and matching check:
+    every node runs `_legal_step` on every missing cell and horn index.
+    Returns (status, steps)."""
+    B = i.target
+    allc = frozenset(B.all_cells())
+    start = frozenset(i.images[a].base for a in i.source.all_cells())
+    if (len(allc) - len(start)) % 2:
+        return NONE, None
+    dead = set()
+
+    def moves(present):
+        for top in sorted(allc - present):
+            if top.dim < 1:
+                continue
+            for hi in HORN_RANGES[family](top.dim):
+                r = _legal_step(B, set(present), family, (top.dim, hi, top))
+                if not isinstance(r, str):
+                    yield (top.dim, hi, top), r
+
+    def dfs(present, path):
+        budget.spend()
+        if present == allc:
+            return list(path)
+        if present in dead:
+            return None
+        for step, created in moves(present):
+            r = dfs(present | frozenset(created), path + [step])
+            if r is not None:
+                return r
+        dead.add(present)
+        return None
+
+    try:
+        found = dfs(start, [])
+    except BudgetExceeded:
+        return BUDGET, None
+    return (NONE, None) if found is None else (FOUND, found)
+
+
+def spine_into_simplex(n, rng, blocked):
+    """The spine of Delta^n included into Delta^n; for n = 3 some cells
+    above the spine may be missing, and a blocked target has one more
+    edge, from vertex 0 to a new vertex n + 1."""
+    keep = [t for t in standard_simplex(n).lookup if len(t) == 1 or n > 3 or rng.random() < 0.85]
+    extra = [(v, v + 1) for v in range(n)] + ([(0, n + 1)] if blocked else [])
+    G = from_vertex_tuples(keep + extra)
+    return generator_inclusion(spine_complex(n), G), G
+
+
+def loops_and_two_triangles():
+    """One vertex v, three loops a, b, c and the triangles U = (a, b, c)
+    and L = (c, b, a), with faces listed d0, d1, d2; included from {v, a}.
+    Returns the inclusion and the two triangles."""
+    b = ComplexBuilder()
+    v = b.add_cell(0, label="v")
+    a, bb, c = (b.add_cell(1, (Simplex(v), Simplex(v)), lab) for lab in "abc")
+    U = b.add_cell(2, (Simplex(a), Simplex(bb), Simplex(c)), "U")
+    L = b.add_cell(2, (Simplex(c), Simplex(bb), Simplex(a)), "L")
+    return sub_complex(b.build(), [v, a])[1], U, L
+
+
+def freed_pairs(cert, B):
+    return [(top, B.face(Simplex(top), hi).base) for _, hi, top in cert.steps]
+
+
+def test_a_matching_without_an_order_is_left_to_the_search():
+    # Kan: b-U and c-L match, but U frees b only once c is present and
+    # L frees c only once b is, so no order starts
+    i, U, L = loops_and_two_triangles()
+    budget = Budget(100)
+    r = search_certificate(i, "kan", budget)
+    assert r.status == NONE and r.unmatched is None
+    assert budget.used > 0
+    assert reference_search(i, "kan", Budget(100)) == (NONE, None)
+
+
+def test_two_fillers_of_one_face_leave_a_cell_unmatched():
+    # inner: both triangles can only free b, so c has no partner
+    i, U, L = loops_and_two_triangles()
+    budget = Budget(100)
+    r = search_certificate(i, "inner", budget)
+    assert r.status == NONE
+    assert r.unmatched == L
+    assert budget.used == 0
+    v = classify_inclusion(i)
+    assert v.diagnostics[0] == "no horn matching: L"
+
+
+def test_a_face_the_filler_also_needs_is_never_freed():
+    # T = (a, e, e): freeing d1 = e would leave the horn without d2 = e
+    b = ComplexBuilder()
+    x, y = b.add_cell(0), b.add_cell(0)
+    a = b.add_cell(1, (Simplex(y), Simplex(y)))
+    e = b.add_cell(1, (Simplex(y), Simplex(x)))
+    T = b.add_cell(2, (Simplex(a), Simplex(e), Simplex(e)), "T")
+    _, i = sub_complex(b.build(), [x, y, a])
+    r = search_certificate(i, "inner")
+    assert r.status == NONE and r.unmatched == T
+
+
+def test_the_blocked_spine_of_delta5_names_the_new_vertex(tmp_path, capsys):
+    i, G = spine_into_simplex(5, random.Random(0), blocked=True)
+    budget = Budget(3000)
+    r = search_certificate(i, "inner", budget)
+    assert r.status == NONE
+    assert r.unmatched == G.lookup[(6,)]
+    assert budget.used <= 1
+    sp, amb = tmp_path / "spine.txt", tmp_path / "amb.txt"
+    sp.write_text(serialize_complex(i.source))
+    amb.write_text(serialize_complex(i.target))
+    m = tmp_path / "inc.map"
+    m.write_text(serialize_map(i, "spine.txt", "amb.txt"))
+    argv = ["--format", "structured", "--node-budget", "3000", "certify", str(m), "--class", "inner"]
+    assert cli.main(argv) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "none"
+    assert report["unmatched"] == name_table(i.target)[G.lookup[(6,)]]
+
+
+def _pinned_inclusions():
+    rng = random.Random(10)
+    for _ in range(3):
+        for n in (3, 4):
+            for family in ("inner", "left", "kan"):
+                for blocked in (False, True):
+                    yield spine_into_simplex(n, rng, blocked)[0], family
+    seen = 0
+    while seen < 30:
+        pair = random_mono_pair(rng)
+        if pair is None:
+            continue
+        for inc in pair:
+            yield inc, ("inner", "left", "kan")[seen % 3]
+            seen += 1
+
+
+def test_search_agrees_with_the_reference_search():
+    budget = 400
+    outcomes = set()
+    for i, family in _pinned_inclusions():
+        r = search_certificate(i, family, budget)
+        want, steps = reference_search(i, family, Budget(budget))
+        outcomes.add((r.status, r.unmatched is not None, want))
+        if r.unmatched is None:
+            assert r.status == want
+        else:
+            assert r.status == NONE and want in (NONE, BUDGET)
+        if r.status == FOUND:
+            assert r.certificate.steps == steps
+            new = frozenset(i.target.all_cells()) - {i.images[a].base for a in i.source.all_cells()}
+            pairs = freed_pairs(r.certificate, i.target)
+            assert {c for p in pairs for c in p} == new
+            assert _unmatched_cell(new, pairs) is None
+    # the sample reaches a certificate, a matching refutation, and a
+    # reference search that runs out where the matching refutes
+    assert {(FOUND, False, FOUND), (NONE, True, BUDGET)} <= outcomes

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from sskit.core import (
     CellId,
+    ComplexBuilder,
     Simplex,
     SimplicialMap,
     cosk0_complex,
@@ -322,3 +323,50 @@ def test_dwyer_kan_check_flags_a_missing_object():
     inc = SimplicialMap(pt, d1, {CellId(0, 0): Simplex(CellId(0, 0))})
     rep = dwyer_kan_check(inc)
     assert rep.essentially_surjective == "no"
+
+
+def parallel_edges_with_homotopies(k):
+    """The inclusion of an edge e: x -> y into a complex with a second
+    edge e': x -> y and k triangles (s0 y, e', e), faces listed d0, d1, d2.
+    Each triangle is an edge from e to e' in the hom-space from x to y:
+    one makes it an interval, two make it a circle."""
+    b = ComplexBuilder()
+    x, y = b.add_cell(0, label="x"), b.add_cell(0, label="y")
+    e = b.add_cell(1, (Simplex(y), Simplex(x)), "e")
+    e2 = b.add_cell(1, (Simplex(y), Simplex(x)), "e'")
+    for _ in range(k):
+        b.add_cell(2, (Simplex(y, (0,)), Simplex(e2), Simplex(e)))
+    D = b.build()
+    return SimplicialMap(standard_simplex(1).complex, D, {
+        CellId(0, 0): Simplex(x), CellId(0, 1): Simplex(y), CellId(1, 0): Simplex(e)})
+
+
+def _spy_on_collapse(monkeypatch):
+    calls = []
+
+    def spy(X):
+        calls.append((X.cell_counts(), collapses_to_point(X)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(homotopy, "collapses_to_point", spy)
+    return calls
+
+
+def test_dwyer_kan_check_accepts_hom_spaces_that_collapse(monkeypatch):
+    calls = _spy_on_collapse(monkeypatch)
+    rep = dwyer_kan_check(parallel_edges_with_homotopies(1))
+    # a point, and an interval from e to e'
+    assert calls == [((1,), True), ((2, 1), True)]
+    assert rep.essentially_surjective == "yes"
+    assert rep.fully_faithful == "yes"
+    assert rep.failing_pair is None
+
+
+def test_dwyer_kan_check_is_unknown_on_a_hom_space_circle(monkeypatch):
+    calls = _spy_on_collapse(monkeypatch)
+    rep = dwyer_kan_check(parallel_edges_with_homotopies(2))
+    # a point, and two edges from e to e'
+    assert calls == [((1,), True), ((2, 2), False)]
+    assert rep.essentially_surjective == "yes"
+    assert rep.fully_faithful == "unknown"
+    assert rep.failing_pair == (CellId(0, 0), CellId(0, 1))
