@@ -157,11 +157,11 @@ def search_certificate(
     freed face.  So before searching, the new cells must admit a perfect
     matching along the steps' (filler, freed face) pairs.  When none
     exists the answer is NONE, with `unmatched` naming the cell that
-    augmenting paths could not match, and no node is spent.  A matching is necessary, not
-    sufficient (the certificates are its acyclic cases), so the search
-    still decides.  NONE is order-complete: failed present-sets are
-    memoized, so it is returned only once no order of horn fillings can
-    reach the target.
+    augmenting paths could not match, and no node is spent.  A matching
+    is necessary, not sufficient (the certificates are its acyclic
+    cases), so the search still decides.  NONE is order-complete: failed
+    present-sets are memoized, so it is returned only once no order of
+    horn fillings can reach the target.
     """
     if family not in HORN_RANGES:
         raise ValueError(f"unknown anodyne class {family!r}")

@@ -242,16 +242,12 @@ def loops_and_two_triangles():
     """One vertex v, three loops a, b, c and the triangles U = (a, b, c)
     and L = (c, b, a), with faces listed d0, d1, d2; included from {v, a}.
     Returns the inclusion and the two triangles."""
-    b = ComplexBuilder()
-    v = b.add_cell(0, label="v")
-    a, bb, c = (b.add_cell(1, (Simplex(v), Simplex(v)), lab) for lab in "abc")
-    U = b.add_cell(2, (Simplex(a), Simplex(bb), Simplex(c)), "U")
-    L = b.add_cell(2, (Simplex(c), Simplex(bb), Simplex(a)), "L")
-    return sub_complex(b.build(), [v, a])[1], U, L
-
-
-def freed_pairs(cert, B):
-    return [(top, B.face(Simplex(top), hi).base) for _, hi, top in cert.steps]
+    cx = ComplexBuilder()
+    v = cx.add_cell(0, label="v")
+    a, b, c = (cx.add_cell(1, (Simplex(v), Simplex(v)), lab) for lab in "abc")
+    U = cx.add_cell(2, (Simplex(a), Simplex(b), Simplex(c)), "U")
+    L = cx.add_cell(2, (Simplex(c), Simplex(b), Simplex(a)), "L")
+    return sub_complex(cx.build(), [v, a])[1], U, L
 
 
 def test_a_matching_without_an_order_is_left_to_the_search():
@@ -339,7 +335,8 @@ def test_search_agrees_with_the_reference_search():
         if r.status == FOUND:
             assert r.certificate.steps == steps
             new = frozenset(i.target.all_cells()) - {i.images[a].base for a in i.source.all_cells()}
-            pairs = freed_pairs(r.certificate, i.target)
+            B = i.target
+            pairs = [(top, B.face(Simplex(top), hi).base) for _, hi, top in r.certificate.steps]
             assert {c for p in pairs for c in p} == new
             assert _unmatched_cell(new, pairs) is None
     # the sample reaches a certificate, a matching refutation, and a
