@@ -9,6 +9,7 @@ Structured output (`--format structured`) is a single JSON object with a
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import os
@@ -398,7 +399,10 @@ def _cmd_pathspace(args):
 # -- argument parsing ---------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every `main`
+    call in the process (parsing leaves it unchanged)."""
     top = argparse.ArgumentParser(prog="sskit")
     top.add_argument("--format", choices=("human", "structured"), default="human")
     top.add_argument("--max-dim", type=int, default=None)

@@ -152,7 +152,7 @@ class SimplicialSet:
         cur = s
         for j in range(s.dim, -1, -1):
             if j not in keep:
-                cur = self.face(cur, sum(1 for k in keep if k < j))
+                cur = self.face(cur, j)
         return cur
 
     # -- simplex enumeration ----------------------------------------------

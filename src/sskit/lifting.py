@@ -132,17 +132,25 @@ def spine_inclusion(n: int) -> SimplicialMap:
     return generator_inclusion(spine_complex(n), standard_simplex(n))
 
 
-def generating_family(name: str, max_dim: int) -> list[SimplicialMap]:
-    """Horn/boundary inclusions of the named class, up to the bound."""
+def family_keys(name: str, max_dim: int) -> list[tuple[int, int | None]]:
+    """Keys of the named class's generators up to the bound, in search
+    order: (n, i) for the horn inclusion of index i into Delta^n, and
+    (n, None) for the boundary inclusion into Delta^n."""
     if name == "trivial_kan":
-        return [boundary_inclusion(n) for n in range(max_dim + 1)]
+        return [(n, None) for n in range(max_dim + 1)]
     if name not in HORN_RANGES:
         raise ValueError(f"unknown fibration class {name!r}")
-    return [
-        horn_inclusion(n, i)
-        for n in range(1, max_dim + 1)
-        for i in HORN_RANGES[name](n)
-    ]
+    return [(n, i) for n in range(1, max_dim + 1) for i in HORN_RANGES[name](n)]
+
+
+def key_inclusion(key: tuple[int, int | None]) -> SimplicialMap:
+    n, i = key
+    return boundary_inclusion(n) if i is None else horn_inclusion(n, i)
+
+
+def generating_family(name: str, max_dim: int) -> list[SimplicialMap]:
+    """Horn/boundary inclusions of the named class, up to the bound."""
+    return [key_inclusion(k) for k in family_keys(name, max_dim)]
 
 
 # -- right-lifting-property checks --------------------------------------------
@@ -205,7 +213,14 @@ def classify_map(
     node_budget: int | Budget = DEFAULT_NODE_BUDGET,
     classes: tuple[str, ...] = FIBRATION_CLASSES,
 ) -> FibrationReport:
-    """Run has_rlp against each generating family up to the bound, on one budget."""
+    """Run has_rlp against each generating family up to the bound, on one budget.
+
+    The families overlap (an inner horn is also a left and a right horn,
+    and the Kan horns are the left and right ones), so each generator is
+    built and checked at most once per call, the first time a class
+    reaches it, and its verdict is shared by every class that contains
+    it.  A class takes the first verdict of its family that is not YES.
+    """
     bound = default_max_dim(p) if max_dim is None else max_dim
     budget = Budget.of(node_budget)
     report = FibrationReport(
@@ -213,8 +228,13 @@ def classify_map(
         vertex_bijective=p.is_vertex_bijective(),
         checked_dim=bound,
     )
+    verdicts: dict[tuple[int, int | None], RlpVerdict] = {}
     for name in classes:
-        report.classes[name] = has_rlp(
-            p, generating_family(name, bound), bound, budget
-        )
+        report.classes[name] = RlpVerdict(YES, bound)
+        for key in family_keys(name, bound):
+            if key not in verdicts:
+                verdicts[key] = has_rlp(p, [key_inclusion(key)], bound, budget)
+            if verdicts[key].status != YES:
+                report.classes[name] = verdicts[key]
+                break
     return report

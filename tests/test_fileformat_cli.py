@@ -344,3 +344,44 @@ def test_cli_two_of_three_exit_codes(tmp_path, capsys):
     vf = _write(tmp_path, "v.map", v)
     assert cli.main(["two-of-three", uf, vf]) == 0
     capsys.readouterr()
+
+
+# -- the shared parser ----------------------------------------------------------------
+
+
+def _identity_map_file(tmp_path):
+    _gen_files(tmp_path)
+    return _write(
+        tmp_path,
+        "idfull.map",
+        serialize_map(identity_map(standard_simplex(2).complex), "full.txt", "full.txt"),
+    )
+
+
+def test_cli_parser_is_built_once_per_process():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_cli_call_after_a_bad_option_matches_a_first_call(tmp_path, capsys):
+    ident = _identity_map_file(tmp_path)
+    argv = ["classify", ident, "--classes", "inner,kan"]
+    cli._build_parser.cache_clear()
+    assert cli.main(argv) == 2
+    first = capsys.readouterr()
+    assert cli.main(["--no-such-option", "classify", ident]) == 3
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == first
+
+
+def test_cli_options_of_one_call_do_not_reach_the_next(tmp_path, capsys):
+    ident = _identity_map_file(tmp_path)
+    argv = ["--format", "structured", "--node-budget", "5", "classify", ident, "--classes", "inner"]
+    assert cli.main(argv) == 2
+    assert json.loads(capsys.readouterr().out)["inner"] == "Budget"
+    # human format, the default budget and every class again
+    assert cli.main(["classify", ident]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("command: classify\n")
+    for name in ("inner", "left", "right", "kan", "trivial_kan"):
+        assert f"{name}: YesUpTo(3)\n" in out

@@ -6,17 +6,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sskit.core import (
+    DEFAULT_NODE_BUDGET,
     Budget,
     CellId,
     Simplex,
     compose,
     identity_map,
+    map_by_vertices,
     product,
     standard_simplex,
     terminal_map,
 )
 from sskit.lifting import (
     BUDGET,
+    FIBRATION_CLASSES,
     FOUND,
     NO,
     NONE,
@@ -25,6 +28,7 @@ from sskit.lifting import (
     boundary_inclusion,
     classify_map,
     extend_along,
+    family_keys,
     generating_family,
     generator_inclusion,
     has_rlp,
@@ -96,12 +100,82 @@ def test_identity_has_every_lifting_property():
     assert rep.mono and rep.vertex_bijective
 
 
-@pytest.mark.parametrize("limit", [2500, Budget(2500)], ids=["int", "Budget"])
+@pytest.mark.parametrize("limit", [1500, Budget(1500)], ids=["int", "Budget"])
 def test_classify_map_spends_one_budget_across_its_classes(limit):
-    # the five classes take 941, 1,499, 1,499, 2,057 and 533 nodes: each
-    # fits in 2,500, and the third one runs the shared budget out
+    # the five classes take 941, 558, 558, 0 and 533 nodes (each horn is
+    # checked once per call): the first two fit in 1,500, and the third
+    # one runs the shared budget out
     rep = classify_map(identity_map(standard_simplex(2).complex), 3, limit)
     assert [v.status for v in rep.classes.values()] == [YES, YES, BUDGET, BUDGET, BUDGET]
+
+
+def _classify_per_class(p, bound):
+    """The classification with nothing shared: each class runs has_rlp over
+    its whole generating family on a fresh budget.  Returns the verdicts
+    and the nodes spent in total."""
+    verdicts, used = {}, 0
+    for name in FIBRATION_CLASSES:
+        budget = Budget(DEFAULT_NODE_BUDGET)
+        verdicts[name] = has_rlp(p, generating_family(name, bound), bound, budget)
+        used += budget.used
+    return verdicts, used
+
+
+def _monotone_map(seed):
+    """A random generator complex mapped to Delta^1 or Delta^2 by a
+    monotone vertex assignment."""
+    rng = random.Random(seed)
+    G = random_generator_complex(rng)
+    top = rng.choice([1, 2])
+    cuts = sorted(rng.sample(range(1, 4), top))
+    vmap = {c: sum(x <= t[0] for x in cuts) for t, c in G.lookup.items() if len(t) == 1}
+    return map_by_vertices(G.complex, standard_simplex(top), vmap)
+
+
+def _projection(seed):
+    rng = random.Random(seed)
+    P = product(random_generator_complex(rng).complex, standard_simplex(rng.choice([0, 1])).complex)
+    return P.proj1 if rng.random() < 0.5 else P.proj2
+
+
+@pytest.mark.parametrize(
+    "make, seeds, max_dim",
+    [(_monotone_map, range(30), None), (_projection, range(12), 2)],
+    ids=["monotone", "projection"],
+)
+def test_shared_verdicts_match_the_per_class_checks(make, seeds, max_dim):
+    for seed in seeds:
+        p = make(seed)
+        budget = Budget(DEFAULT_NODE_BUDGET)
+        rep = classify_map(p, max_dim, budget)
+        want, used = _classify_per_class(p, rep.checked_dim)
+        assert budget.used <= used
+        for name in FIBRATION_CLASSES:
+            got, ref = rep.classes[name], want[name]
+            assert got.status == ref.status, (seed, name)
+            if ref.status == NO:
+                w, r = got.witness, ref.witness
+                assert (w.i, w.u.images, w.v.images) == (r.i, r.u.images, r.v.images)
+
+
+def test_each_generator_is_checked_once_per_call():
+    p = identity_map(standard_simplex(2).complex)
+
+    def used(classes):
+        budget = Budget(DEFAULT_NODE_BUDGET)
+        classify_map(p, 3, budget, classes)
+        return budget.used
+
+    assert used(FIBRATION_CLASSES) == 2590  # 6,529 with a check per class
+    assert used(("left", "right", "kan")) == used(("left", "right"))
+    assert _classify_per_class(p, 3)[1] == 6529
+
+
+def test_family_keys_name_the_generating_family():
+    assert family_keys("inner", 3) == [(2, 1), (3, 1), (3, 2)]
+    assert family_keys("trivial_kan", 1) == [(0, None), (1, None)]
+    assert generating_family("right", 2) == [horn_inclusion(*k) for k in family_keys("right", 2)]
+    assert generating_family("trivial_kan", 2) == [boundary_inclusion(n) for n in range(3)]
 
 
 def test_interval_over_point_is_inner_but_not_kan():

@@ -141,11 +141,25 @@ def test_mapping_path_space_of_an_identity_factors_it():
     assert cases == 15
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="SimplicialSet.restrict takes the wrong face index, so "
-    "simplex_as_map is not simplicial from dimension 2 up",
-)
+@pytest.mark.parametrize("n, cells", [(1, [2, 1]), (2, [3, 3, 1]), (3, [4, 6, 4, 1])])
+def test_mapping_path_space_of_a_simplex_reaches_its_top_dimension(n, cells):
+    f = identity_map(standard_simplex(n).complex)
+    res = mapping_path_space(f, n)
+    assert [res.space.n_cells(d) for d in range(res.space.dim + 1)] == cells
+    assert compose(res.section, res.projection) == f
+
+
+def test_mapping_path_space_of_an_identity_answers_up_to_the_source_dimension():
+    for seed in range(40):
+        C = random_generator_complex(random.Random(seed)).complex
+        f = identity_map(C)
+        res = mapping_path_space(f, C.dim)
+        assert validate(res.space) == []
+        for m in (res.section, res.projection, res.to_source):
+            assert m.check() == []
+        assert compose(res.section, res.projection) == f
+
+
 def test_simplex_as_map_is_simplicial():
     bad = []
     for seed in range(40):
