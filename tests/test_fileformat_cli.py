@@ -376,8 +376,8 @@ def test_cli_call_after_a_bad_option_matches_a_first_call(tmp_path, capsys):
 
 def test_cli_options_of_one_call_do_not_reach_the_next(tmp_path, capsys):
     ident = _identity_map_file(tmp_path)
-    argv = ["--format", "structured", "--node-budget", "5", "classify", ident, "--classes", "inner"]
-    assert cli.main(argv) == 2
+    argv = ["--format", "structured", "--node-budget", "5", "classify", ident]
+    assert cli.main([*argv, "--classes", "inner"]) == 2
     assert json.loads(capsys.readouterr().out)["inner"] == "Budget"
     # human format, the default budget and every class again
     assert cli.main(["classify", ident]) == 2

@@ -134,7 +134,8 @@ def _monotone_map(seed):
 
 def _projection(seed):
     rng = random.Random(seed)
-    P = product(random_generator_complex(rng).complex, standard_simplex(rng.choice([0, 1])).complex)
+    X = random_generator_complex(rng).complex
+    P = product(X, standard_simplex(rng.choice([0, 1])).complex)
     return P.proj1 if rng.random() < 0.5 else P.proj2
 
 
@@ -174,7 +175,8 @@ def test_each_generator_is_checked_once_per_call():
 def test_family_keys_name_the_generating_family():
     assert family_keys("inner", 3) == [(2, 1), (3, 1), (3, 2)]
     assert family_keys("trivial_kan", 1) == [(0, None), (1, None)]
-    assert generating_family("right", 2) == [horn_inclusion(*k) for k in family_keys("right", 2)]
+    right = [horn_inclusion(n, i) for n, i in family_keys("right", 2)]
+    assert generating_family("right", 2) == right
     assert generating_family("trivial_kan", 2) == [boundary_inclusion(n) for n in range(3)]
 
 
