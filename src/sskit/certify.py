@@ -123,7 +123,8 @@ def _unmatched_cell(new: frozenset[CellId], pairs) -> CellId | None:
     matching of the new cells.
 
     Every pair joins an even- and an odd-dimensional cell; paths start
-    from the even-dimensional cells in order.
+    from the even-dimensional cells in order.  A path is a stack of frames
+    (even cell, its untried partners, the odd cell taken to reach it).
     """
     partners: dict[CellId, list[CellId]] = {c: [] for c in new if c.dim % 2 == 0}
     for top, free in pairs:
@@ -131,18 +132,25 @@ def _unmatched_cell(new: frozenset[CellId], pairs) -> CellId | None:
         partners[even].append(odd)
     mate: dict[CellId, CellId] = {}  # odd cell -> its even partner
 
-    def augment(c: CellId, seen: set[CellId]) -> bool:
-        for d in partners[c]:
-            if d not in seen:
+    for root in sorted(partners):
+        seen: set[CellId] = set()
+        frames = [(root, iter(partners[root]), None)]
+        while frames:
+            c, untried, _ = frames[-1]
+            d = next((d for d in untried if d not in seen), None)
+            if d is None:
+                frames.pop()
+            elif d in mate:
                 seen.add(d)
-                if d not in mate or augment(mate[d], seen):
-                    mate[d] = c
-                    return True
-        return False
-
-    for c in sorted(partners):
-        if not augment(c, set()):
-            return c
+                frames.append((mate[d], iter(partners[mate[d]]), d))
+            else:
+                # a free odd cell: flip the matching back along the path
+                mate[d] = c
+                for (prev, _, _), (_, _, via) in zip(frames, frames[1:]):
+                    mate[via] = prev
+                break
+        else:
+            return root  # no augmenting path from root
     return next((c for c in sorted(new) if c.dim % 2 and c not in mate), None)
 
 
@@ -185,26 +193,28 @@ def search_certificate(
             if top not in present and free not in present and required <= present:
                 yield step, (top, free)
 
-    def dfs(present: frozenset[CellId], path: list[Step]):
-        budget.spend()
-        if present == allc:
-            return list(path)
-        if present in dead:
-            return None
-        for step, created in moves(present):
-            r = dfs(present | frozenset(created), path + [step])
-            if r is not None:
-                return r
-        dead.add(present)
-        return None
-
+    # the path: each present-set with its untried moves, and the steps between
+    path, steps = [(start, moves(start))], []
     try:
-        found = dfs(start, [])
+        budget.spend()
+        while path and path[-1][0] != allc:
+            present, untried = path[-1]
+            move = next(untried, None)
+            if move is None:
+                dead.add(present)
+                path.pop()
+                del steps[-1:]
+                continue
+            budget.spend()
+            child = present | frozenset(move[1])
+            if child not in dead:
+                path.append((child, moves(child)))
+                steps.append(move[0])
     except BudgetExceeded:
         return CertificateSearchResult(BUDGET)
-    if found is None:
+    if not path:
         return CertificateSearchResult(NONE)
-    cert = AnodyneCertificate(family, found)
+    cert = AnodyneCertificate(family, steps)
     if not verify_certificate(cert, i):
         raise AssertionError("search produced a non-verifying certificate")
     return CertificateSearchResult(FOUND, cert)

@@ -522,6 +522,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if min(args.node_budget, args.word_budget, args.stages) <= 0:
             raise ValueError("budgets must be positive")
+        bounds = (args.max_dim, getattr(args, "up_to", None), getattr(args, "dims", None))
+        if any(b is not None and b < 0 for b in bounds):
+            raise ValueError("bounds must not be negative")
         return args.fn(args)
     except (ParseError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

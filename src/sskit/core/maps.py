@@ -450,32 +450,41 @@ def enumerate_maps(
     cell of dim >= 1 must have exactly the face tuple forced by the images
     already chosen, so consistency never needs re-checking afterwards.
     """
-    cells = sorted(X.all_cells())
     images: dict[CellId, Simplex] = dict(fixed or {})
-    todo = [c for c in cells if c not in images]
+    todo = [c for c in sorted(X.all_cells()) if c not in images]
 
-    def rec(k: int) -> Iterator[SimplicialMap]:
-        if k == len(todo):
-            yield SimplicialMap(X, Y, images)
-            return
-        c = todo[k]
+    def candidates(c: CellId) -> Iterator[Simplex]:
         if c.dim == 0:
             cands: Sequence[Simplex] = [Simplex(v) for v in Y.cells(0)]
         else:
-            want = tuple(
-                apply_images(images, s) for s in X.cell_faces(c)
-            )
+            want = tuple(apply_images(images, s) for s in X.cell_faces(c))
             cands = Y.simplices_with_boundary(c.dim, want)
-        for cand in cands:
-            if constraint is not None and not constraint(c, cand):
-                continue
+        if constraint is None:
+            return iter(cands)
+        return filter(lambda s: constraint(c, s), cands)
+
+    if not todo:
+        yield SimplicialMap(X, Y, images)
+        return
+    # untried[k] holds the candidates of todo[k] not tried yet, for k up to
+    # the current cell; images of later cells are stale and never read
+    untried: list[Iterator[Simplex]] = [iter(())] * len(todo)
+    untried[0] = candidates(todo[0])
+    last, k = len(todo) - 1, 0
+    while k >= 0:
+        c = todo[k]
+        for cand in untried[k]:
             if budget is not None:
                 budget.spend()
             images[c] = cand
-            yield from rec(k + 1)
-            del images[c]
-
-    yield from rec(0)
+            if k == last:
+                yield SimplicialMap(X, Y, images)
+            else:
+                k += 1
+                untried[k] = candidates(todo[k])
+                break
+        else:
+            k -= 1
 
 
 def all_extensions(

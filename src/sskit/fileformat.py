@@ -8,7 +8,7 @@ complex files and give one `image <cell> <token>` line per cell of the
 source.  Certificate files give a `class <family>` header and one
 `step <n> <horn index> <filler cell>` record per horn filling, naming
 cells of the target complex.  All parse failures carry the offending
-line number.
+line number, 0 for a defect of the file as a whole.
 """
 
 from __future__ import annotations
@@ -245,11 +245,17 @@ def parse_certificate(text: str, B: SimplicialSet) -> AnodyneCertificate:
             continue
         toks = line.split()
         if toks[0] == "class" and len(toks) == 2:
+            if family is not None:
+                raise ParseError(lineno, "repeated class header")
             family = toks[1]
         elif toks[0] == "step" and len(toks) == 4:
             if toks[3] not in byname:
                 raise ParseError(lineno, f"unknown cell {toks[3]!r}")
-            steps.append((int(toks[1]), int(toks[2]), byname[toks[3]]))
+            try:
+                n, hi = int(toks[1]), int(toks[2])
+            except ValueError:
+                raise ParseError(lineno, f"bad step numbers {toks[1]!r} {toks[2]!r}") from None
+            steps.append((n, hi, byname[toks[3]]))
         else:
             raise ParseError(lineno, f"bad certificate record {line!r}")
     if family is None:

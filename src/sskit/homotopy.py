@@ -31,8 +31,9 @@ from .core import (
     Simplex,
     SliceSpace,
     hom_left,
+    sub_complex,
 )
-from .lifting import NO, RlpVerdict, YES, classify_map
+from .lifting import FOUND, NO, RlpVerdict, YES, classify_map
 
 Word = tuple[CellId, ...]
 
@@ -361,33 +362,16 @@ class DwyerKanReport:
 
 
 def collapses_to_point(X: SimplicialSet) -> bool:
-    """Greedy elementary collapse; True certifies contractibility.
-
-    A False return is inconclusive (heuristic only).
-    """
+    """Whether Kan horn fillings, elementary collapses read backwards,
+    rebuild X from vertex 0; True certifies contractibility.  The search
+    gets one node per step, so it gives up soon after its first descent
+    gets stuck: a False return is inconclusive."""
+    from .certify import search_certificate  # deferred: avoids module cycle
     if X.n_cells(0) == 0:
         return False
-    present: set[CellId] = set(X.all_cells())
-    while True:
-        occurrences: dict[CellId, list[CellId]] = {}
-        for c in present:
-            if c.dim == 0:
-                continue
-            for f in X.cell_faces(c):
-                occurrences.setdefault(f.base, []).append(c)
-        pair = None
-        for tau, cos in sorted(occurrences.items()):
-            if tau not in present or len(cos) != 1:
-                continue
-            sigma = cos[0]
-            if Simplex(tau) in X.cell_faces(sigma):
-                pair = (tau, sigma)
-                break
-        if pair is None:
-            break
-        present.discard(pair[0])
-        present.discard(pair[1])
-    return len(present) == 1 and next(iter(present)).dim == 0
+    _, v = sub_complex(X, [CellId(0, 0)])
+    steps = (X.total_cells() - 1) // 2
+    return search_certificate(v, "kan", steps + 1).status == FOUND
 
 
 def dwyer_kan_check(

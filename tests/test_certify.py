@@ -24,6 +24,7 @@ from sskit.certify import (
     UNKNOWN,
     AnodyneCertificate,
     _legal_step,
+    _step_table,
     _unmatched_cell,
     check_two_out_of_three,
     classify_inclusion,
@@ -342,3 +343,120 @@ def test_search_agrees_with_the_reference_search():
     # the sample reaches a certificate, a matching refutation, and a
     # reference search that runs out where the matching refutes
     assert {(FOUND, False, FOUND), (NONE, True, BUDGET)} <= outcomes
+
+
+# -- the search on explicit stacks --------------------------------------------------
+
+
+def recursive_unmatched_cell(new, pairs):
+    """`_unmatched_cell` as it was with recursive augmenting paths."""
+    partners = {c: [] for c in new if c.dim % 2 == 0}
+    for top, free in pairs:
+        even, odd = (top, free) if top.dim % 2 == 0 else (free, top)
+        partners[even].append(odd)
+    mate = {}
+
+    def augment(c, seen):
+        for d in partners[c]:
+            if d not in seen:
+                seen.add(d)
+                if d not in mate or augment(mate[d], seen):
+                    mate[d] = c
+                    return True
+        return False
+
+    for c in sorted(partners):
+        if not augment(c, set()):
+            return c
+    return next((c for c in sorted(new) if c.dim % 2 and c not in mate), None)
+
+
+def recursive_search(i, family, budget):
+    """`search_certificate` as it was with a recursive DFS that copied the
+    path at every node.  Returns (status, unmatched, steps)."""
+    B = i.target
+    allc = frozenset(B.all_cells())
+    start = frozenset(i.images[a].base for a in i.source.all_cells())
+    if (len(allc) - len(start)) % 2:
+        return NONE, None, None
+    new = allc - start
+    table = _step_table(B, new, family)
+    unmatched = recursive_unmatched_cell(new, (created for _, created, _ in table))
+    if unmatched is not None:
+        return NONE, unmatched, None
+    dead = set()
+
+    def moves(present):
+        for step, (top, free), required in table:
+            if top not in present and free not in present and required <= present:
+                yield step, (top, free)
+
+    def dfs(present, path):
+        budget.spend()
+        if present == allc:
+            return list(path)
+        if present in dead:
+            return None
+        for step, created in moves(present):
+            r = dfs(present | frozenset(created), path + [step])
+            if r is not None:
+                return r
+        dead.add(present)
+        return None
+
+    try:
+        found = dfs(start, [])
+    except BudgetExceeded:
+        return BUDGET, None, None
+    return (NONE, None, None) if found is None else (FOUND, None, found)
+
+
+def _seeded_inclusions(seed, count):
+    rng = random.Random(seed)
+    incs = []
+    while len(incs) < count:
+        pair = random_mono_pair(rng)
+        if pair is not None:
+            incs.extend(pair)
+    for _ in range(count // 4):
+        incs.append(spine_into_simplex(rng.choice([3, 4]), rng, rng.random() < 0.3)[0])
+    return incs
+
+
+@pytest.mark.parametrize("family", sorted(HORN_RANGES))
+def test_search_agrees_with_the_recursive_search(family):
+    outcomes = set()
+    for i in _seeded_inclusions(12, 80):
+        for limit in (3, 20000):
+            budget, ref_budget = Budget(limit), Budget(limit)
+            r = search_certificate(i, family, budget)
+            steps = r.certificate.steps if r.certificate else None
+            assert (r.status, r.unmatched, steps) == recursive_search(i, family, ref_budget)
+            assert budget.used == ref_budget.used
+            outcomes.add((r.status, r.unmatched is not None))
+    assert {(FOUND, False), (NONE, True), (BUDGET, False)} <= outcomes
+
+
+def test_spine_inclusions_past_a_thousand_steps_are_found():
+    i = spine_inclusion(10)
+    budget = Budget(10**6)
+    r = search_certificate(i, "inner", budget)
+    assert r.status == FOUND
+    assert len(r.certificate.steps) == 1013
+    assert budget.used == 1014  # one descent, no backtracking
+    assert verify_certificate(r.certificate, i)
+
+
+def test_a_long_augmenting_path_gets_an_answer():
+    # edge k of the spine is numbered n - k, so every vertex first takes
+    # the edge away from vertex 0, and the last vertex's augmenting path
+    # runs back through all n of them
+    n = 1500
+    cx = ComplexBuilder()
+    V = [cx.add_cell(0) for _ in range(n + 1)]
+    for k in range(n, 0, -1):
+        cx.add_cell(1, (Simplex(V[k]), Simplex(V[k - 1])))
+    _, i = sub_complex(cx.build(), [V[0]])
+    r = search_certificate(i, "kan")
+    assert r.status == FOUND
+    assert len(r.certificate.steps) == n

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sskit.core import (
+    Budget,
     CellId,
     ComplexBuilder,
     Simplex,
     SimplicialMap,
     SimplicialSet,
     apply_degeneracy,
+    apply_images,
     boundary_complex,
     constant_simplex,
     cosk0_complex,
@@ -259,6 +261,58 @@ def test_enumerate_maps_counts_simplices_of_the_target():
     # maps Delta^1 -> Delta^1 are exactly the 1-simplices of Delta^1
     assert sum(1 for _ in enumerate_maps(d1, d1)) == 3
     assert sum(1 for _ in enumerate_maps(d2, d1)) == 4
+
+
+def test_enumerate_maps_has_no_depth_limit():
+    # Delta^9 has 1,023 cells, one level each: past the recursion limit
+    maps = list(enumerate_maps(standard_simplex(9).complex, standard_simplex(0).complex))
+    assert len(maps) == 1
+
+
+def recursive_enumerate_maps(X, Y, fixed, constraint, budget):
+    """`enumerate_maps` as it was, with one generator frame per cell."""
+    images = dict(fixed)
+    todo = [c for c in sorted(X.all_cells()) if c not in images]
+
+    def rec(k):
+        if k == len(todo):
+            yield SimplicialMap(X, Y, images)
+            return
+        c = todo[k]
+        if c.dim == 0:
+            cands = [Simplex(v) for v in Y.cells(0)]
+        else:
+            want = tuple(apply_images(images, s) for s in X.cell_faces(c))
+            cands = Y.simplices_with_boundary(c.dim, want)
+        for cand in cands:
+            if not constraint(c, cand):
+                continue
+            budget.spend()
+            images[c] = cand
+            yield from rec(k + 1)
+            del images[c]
+
+    yield from rec(0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_enumerate_maps_agrees_with_the_recursive_enumeration(seed):
+    rng = random.Random(seed)
+    found = 0
+    for _ in range(30):
+        X, Y = random_generator_complex(rng).complex, random_generator_complex(rng).complex
+        fixed = {X.cells(0)[0]: Simplex(rng.choice(Y.cells(0)))}
+        banned = rng.choice(Y.cells(0))
+
+        def constraint(c, s):
+            return c.dim > 0 or s.base != banned
+
+        budget, ref_budget = Budget(10**6), Budget(10**6)
+        maps = list(enumerate_maps(X, Y, fixed, constraint, budget))
+        assert maps == list(recursive_enumerate_maps(X, Y, fixed, constraint, ref_budget))
+        assert budget.used == ref_budget.used
+        found += len(maps)
+    assert found > 0
 
 
 def test_product_of_two_intervals():

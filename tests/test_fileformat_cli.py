@@ -6,8 +6,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sskit import cli
-from sskit.certify import search_certificate, verify_certificate
+from sskit import certify, cli, factorize
+from sskit.certify import (
+    INNER_ANODYNE,
+    NOT_INNER_ANODYNE,
+    ClassifierVerdict,
+    TwoOutOfThreeReport,
+    search_certificate,
+    verify_certificate,
+)
 from sskit.core import (
     GENERATORS,
     CellId,
@@ -30,7 +37,8 @@ from sskit.fileformat import (
     serialize_complex,
     serialize_map,
 )
-from sskit.homotopy import check_categorical_fibration, dwyer_kan_check
+from sskit.factorize import mapping_path_space, prefibrantize, saturate_prefibrant
+from sskit.homotopy import check_categorical_fibration, check_isofibration, dwyer_kan_check
 from sskit.lifting import generator_inclusion, horn_inclusion, spine_inclusion
 
 from conftest import build_walking_iso, parallel_edges_map, random_generator_complex
@@ -134,6 +142,59 @@ def test_map_with_missing_images_is_rejected():
 def test_comments_and_blank_lines_are_ignored():
     text = "# a complex\n\ndim 0\ncell v 0  # the only cell\n"
     assert parse_complex(text).total_cells() == 1
+
+
+# line 0 stands for the file as a whole: a defect no single line shows
+@pytest.mark.parametrize("text, lineno", [
+    ("dim 1\ndim 1\n", 2),
+    ("dim x\n", 1),
+    ("dim 0\ncell v\n", 2),
+    ("dim 0\ncell v x\n", 2),
+    ("dim 0\ncell v 1\n", 2),
+    ("dim 0\ncell v 0 faces:\n", 2),
+    ("dim 1\ncell a 0\ncell e 1 a a\n", 3),
+    ("dim 1\ncell a 0\ncell e 1 faces: s0@a a\n", 3),
+    ("dim 0\nvertex v\n", 2),
+    ("", 1),
+    ("dim 2\ncell a 0\n", 1),
+    ("dim 2\ncell a 0\ncell e 1 faces: a a\ncell t 2 faces: s5@a e e\n", 0),
+    ("dim 2\ncell a 0\ncell b 0\ncell e 1 faces: b a\ncell t 2 faces: e e e\n", 0),
+])
+def test_every_complex_parse_error_carries_its_line_number(text, lineno):
+    with pytest.raises(ParseError) as e:
+        parse_complex(text)
+    assert e.value.lineno == lineno
+
+
+@pytest.mark.parametrize("text, lineno", [
+    ("map X X\nmap X X\n", 2),
+    ("image 0 0\n", 1),
+    ("map X X\nimage 0\n", 2),
+    ("map X X\nimage q 0\n", 2),
+    ("map X X\nimage 0 0\nimage 0 1\n", 3),
+    ("map X X\nimage 0 01\n", 2),
+    ("map X X\nstray record\n", 2),
+    ("", 1),
+    ("map X X\nimage 0 0\nimage 1 1\nimage 01 s0@0\n", 0),
+])
+def test_every_map_parse_error_carries_its_line_number(text, lineno):
+    d1 = standard_simplex(1).complex
+    with pytest.raises(ParseError) as e:
+        parse_map(text, lambda ref: d1)
+    assert e.value.lineno == lineno
+
+
+@pytest.mark.parametrize("text, lineno", [
+    ("class inner\nstep x 1 012\n", 2),
+    ("class inner\nstep 2 1 012\nclass kan\n", 3),
+    ("class inner\nstep 2 1 nope\n", 2),
+    ("class inner\nfill 2 1 012\n", 2),
+    ("step 2 1 012\n", 1),
+])
+def test_every_certificate_parse_error_carries_its_line_number(text, lineno):
+    with pytest.raises(ParseError) as e:
+        parse_certificate(text, standard_simplex(2).complex)
+    assert e.value.lineno == lineno
 
 
 # -- CLI -------------------------------------------------------------------------
@@ -344,6 +405,170 @@ def test_cli_two_of_three_exit_codes(tmp_path, capsys):
     vf = _write(tmp_path, "v.map", v)
     assert cli.main(["two-of-three", uf, vf]) == 0
     capsys.readouterr()
+    # a starved search leaves the verdicts unknown: the invariants agree
+    assert cli.main(["--format", "structured", "--node-budget", "1", "two-of-three", uf, vf]) == 2
+    assert json.loads(capsys.readouterr().out)["u"] == "unknown"
+
+
+def test_cli_two_of_three_alarm_exits_refuted(tmp_path, capsys, monkeypatch):
+    # no pair of inclusions raises the alarm, so the report is stubbed
+    _, _, inc = _gen_files(tmp_path)
+    yes = ClassifierVerdict(INNER_ANODYNE)
+    alarm = TwoOutOfThreeReport(yes, yes, ClassifierVerdict(NOT_INNER_ANODYNE), True)
+    monkeypatch.setattr(certify, "check_two_out_of_three", lambda *args: alarm)
+    assert cli.main(["--format", "structured", "two-of-three", inc, inc]) == 1
+    assert json.loads(capsys.readouterr().out)["alarm"] is True
+
+
+# -- the commands and options reached by no other test ---------------------------------
+
+
+def _complex_file(tmp_path, name, X):
+    return _write(tmp_path, name, serialize_complex(X))
+
+
+def test_cli_op_writes_products_and_joins(tmp_path, capsys):
+    d1 = _complex_file(tmp_path, "d1.txt", standard_simplex(1).complex)
+    out = str(tmp_path / "p.txt")
+    assert cli.main(["op", "product", d1, d1, "-o", out]) == 0
+    X = standard_simplex(1).complex
+    with open(out, encoding="utf-8") as fh:
+        assert parse_complex(fh.read()) == product(X, X).complex
+    assert cli.main(["op", "join", d1, d1]) == 0
+    assert parse_complex(capsys.readouterr().out) == join(X, X).complex
+
+
+@pytest.mark.parametrize("name, code", [("identity", 2), ("vertex", 1)])
+def test_cli_isofib_reports_the_library_verdict(name, code, tmp_path, capsys):
+    f, path = _fibration_maps(tmp_path, name)
+    rep = check_isofibration(f)
+    assert cli.main(["--format", "structured", "isofib", path]) == code
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == rep.verdict
+    if rep.witness:
+        assert set(report["witness"]) == {"base_edge", "stranded_vertex"}
+
+
+def test_cli_prefibrantize_writes_each_stage(tmp_path, capsys):
+    X = spine_complex(2).complex
+    path = _complex_file(tmp_path, "sp.txt", X)
+    prefix = str(tmp_path / "pre")
+    trace = prefibrantize(X, 2)
+    assert cli.main(["--format", "structured", "prefibrantize", path, "-o", prefix]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["stages"] == [s.total_cells() for s in trace.stages]
+    assert report["attachments"] == [len(a) for a in trace.attachments]
+    for k, stage in enumerate(trace.stages):
+        with open(f"{prefix}.stage{k}.txt", encoding="utf-8") as fh:
+            assert parse_complex(fh.read()) == stage
+    # without -o the last stage follows the report
+    assert cli.main(["prefibrantize", path]) == 0
+    assert capsys.readouterr().out.endswith(serialize_complex(trace.result))
+
+
+def test_cli_complete_and_saturate_write_their_complexes(tmp_path, capsys):
+    path = _complex_file(tmp_path, "d1.txt", standard_simplex(1).complex)
+    out = str(tmp_path / "c.txt")
+    assert cli.main(["--format", "structured", "--stages", "1", "complete", path, "-o", out]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["bound"] == 2
+    with open(out, encoding="utf-8") as fh:
+        assert parse_complex(fh.read()).total_cells() == report["stages"][-1]
+    d2 = _complex_file(tmp_path, "d2.txt", standard_simplex(2).complex)
+    assert cli.main(["saturate", d2, "--up-to", "3", "-o", out]) == 0
+    capsys.readouterr()
+    with open(out, encoding="utf-8") as fh:
+        assert parse_complex(fh.read()) == saturate_prefibrant(standard_simplex(2).complex, 3).truncation
+
+
+def test_cli_pathspace_reports_and_writes_the_space(tmp_path, capsys):
+    ident = _identity_map_file(tmp_path)
+    res = mapping_path_space(identity_map(standard_simplex(2).complex), 2)
+    out = str(tmp_path / "q.txt")
+    assert cli.main(["--format", "structured", "pathspace", ident, "--up-to", "2", "-o", out]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report == {"format_version": 1, "command": "pathspace", "bound": 2, "cells": [3, 3, 1]}
+    with open(out, encoding="utf-8") as fh:
+        assert parse_complex(fh.read()) == res.space
+
+
+def test_cli_lift_against_a_given_right_leg(tmp_path, capsys):
+    horn, full, inc = _gen_files(tmp_path)
+    ident = _write(
+        tmp_path,
+        "id.map",
+        serialize_map(identity_map(standard_simplex(2).complex), "full.txt", "full.txt"),
+    )
+    argv = ["--format", "structured", "lift", "--along", inc, inc, "--p", ident]
+    assert cli.main(argv) == 3
+    assert "--p requires --v" in capsys.readouterr().err
+    assert cli.main([*argv, "--v", ident]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "found"
+    assert parse_map(report["lift"], lambda ref: standard_simplex(2).complex) == identity_map(
+        standard_simplex(2).complex
+    )
+
+
+def test_cli_lift_along_a_vertex_of_a_large_simplex(tmp_path, capsys):
+    # the lift assigns 1,022 cells of Delta^9, past the recursion limit
+    _complex_file(tmp_path, "pt.txt", standard_simplex(0).complex)
+    _complex_file(tmp_path, "d9.txt", standard_simplex(9).complex)
+    vertex = generator_inclusion(standard_simplex(0), standard_simplex(9))
+    along = _write(tmp_path, "v.map", serialize_map(vertex, "pt.txt", "d9.txt"))
+    u = _write(tmp_path, "u.map", serialize_map(identity_map(standard_simplex(0).complex), "pt.txt", "pt.txt"))
+    assert cli.main(["--format", "structured", "lift", "--along", along, u]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "found"
+
+
+def test_cli_descend_triangle_reports_a_failed_stage(tmp_path, capsys, monkeypatch):
+    # every stage of a valid input passes both checks, so the library call
+    # is stubbed to fail the way a broken stage would
+    _gen_files(tmp_path)
+    ident = _write(
+        tmp_path,
+        "id.map",
+        serialize_map(identity_map(horn_complex(2, 1).complex), "horn.txt", "horn.txt"),
+    )
+
+    def broken(*args):
+        raise RuntimeError("descent pullback check failed")
+
+    monkeypatch.setattr(factorize, "descend_over_triangle", broken)
+    assert cli.main(["--format", "structured", "descend-triangle", ident]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "format_version": 1,
+        "command": "descend-triangle",
+        "verdict": "failed",
+        "reason": "descent pullback check failed",
+    }
+
+
+@pytest.mark.parametrize("argv", [
+    ["--max-dim", "-1", "classify", "{map}"],
+    ["mapspace", "{d2}", "0", "2", "--up-to", "-1"],
+    ["saturate", "{d2}", "--up-to", "-3"],
+    ["--max-dim", "-1", "complete", "{d2}"],
+    ["--max-dim", "-2", "prefibrantize", "{d2}"],
+    ["pathspace", "{map}", "--up-to", "-1"],
+    ["dk-check", "{map}", "--dims", "-1"],
+    ["--max-dim", "-1", "descend-triangle", "{map}"],
+], ids=lambda argv: " ".join(a for a in argv if not a.startswith("{")))
+def test_cli_rejects_a_negative_bound(argv, tmp_path, capsys):
+    files = {"map": _identity_map_file(tmp_path), "d2": str(tmp_path / "full.txt")}
+    assert cli.main([a.format(**files) for a in argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bounds must not be negative" in captured.err
+
+
+def test_cli_accepts_a_zero_bound(tmp_path, capsys):
+    ident = _identity_map_file(tmp_path)
+    full = str(tmp_path / "full.txt")
+    assert cli.main(["--format", "structured", "--max-dim", "0", "classify", ident]) == 2
+    assert json.loads(capsys.readouterr().out)["checked_dim"] == 0
+    assert cli.main(["--format", "structured", "mapspace", full, "0", "2", "--up-to", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["levels"] == [1]
 
 
 # -- the shared parser ----------------------------------------------------------------

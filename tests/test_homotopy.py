@@ -15,6 +15,7 @@ from sskit.core import (
     cosk0_complex,
     identity_map,
     product,
+    spine_complex,
     standard_simplex,
     sub_complex,
 )
@@ -271,6 +272,53 @@ def test_collapse_heuristic_on_a_simplex_and_a_circle():
     from sskit.core import boundary_complex
 
     assert not collapses_to_point(boundary_complex(2).complex)
+
+
+def greedy_collapse(X):
+    """The elementary-collapse loop `collapses_to_point` ran before it was
+    a certificate search: remove the least free face with its coface
+    until none is left."""
+    if X.n_cells(0) == 0:
+        return False
+    present = set(X.all_cells())
+    while True:
+        occurrences = {}
+        for c in present:
+            if c.dim == 0:
+                continue
+            for f in X.cell_faces(c):
+                occurrences.setdefault(f.base, []).append(c)
+        pair = None
+        for tau, cos in sorted(occurrences.items()):
+            if tau not in present or len(cos) != 1:
+                continue
+            sigma = cos[0]
+            if Simplex(tau) in X.cell_faces(sigma):
+                pair = (tau, sigma)
+                break
+        if pair is None:
+            break
+        present.discard(pair[0])
+        present.discard(pair[1])
+    return len(present) == 1 and next(iter(present)).dim == 0
+
+
+def test_collapse_agrees_with_the_greedy_collapse():
+    rng = random.Random(5)
+    answers = []
+    for _ in range(300):
+        X = random_generator_complex(rng).complex
+        answers.append(collapses_to_point(X))
+        assert answers[-1] == greedy_collapse(X)
+    for n in range(3, 6):
+        assert collapses_to_point(standard_simplex(n).complex) == greedy_collapse(standard_simplex(n).complex)
+    assert 0 < sum(answers) < len(answers)
+
+
+def test_a_long_spine_collapses():
+    # 4,001 cells: the search descends 2,000 steps, past the recursion limit
+    assert collapses_to_point(spine_complex(2000).complex)
+    assert not collapses_to_point(ComplexBuilder().build())
 
 
 def test_identity_is_an_isofibration(walking_iso):
