@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 = positive and complete at the given bound, 1 = refuted
-with a witness, 2 = unknown / bounded / budget, 3 = input error.
+with a witness, 2 = unknown / bounded / budget, or an internal fault
+reported with verdict "error", 3 = input error.
 Structured output (`--format structured`) is a single JSON object with a
 `format_version` field.
 """
@@ -29,7 +30,6 @@ from .core import (
     hom_left,
 )
 from .fileformat import (
-    ParseError,
     name_table,
     parse_certificate,
     parse_complex,
@@ -114,10 +114,8 @@ def _cmd_op(args):
     Y = _load_complex(args.b)
     if args.name == "product":
         Z = product(X, Y).complex
-    elif args.name == "join":
-        Z = join(X, Y).complex
     else:
-        raise ValueError(f"unknown operation {args.name!r}")
+        Z = join(X, Y).complex
     _write_or_print(serialize_complex(Z), args.output)
     return OK
 
@@ -307,20 +305,17 @@ def _cmd_two_of_three(args):
 def _cmd_prefibrantize(args):
     X = _load_complex(args.file)
     trace = factorize.prefibrantize(X, args.stages, args.max_dim, args.node_budget)
-    for k, stage in enumerate(trace.stages):
-        text = serialize_complex(stage)
-        if args.output:
-            _write_or_print(text, f"{args.output}.stage{k}.txt")
-    _emit(
-        {
-            "command": "prefibrantize",
-            "stages": [s.total_cells() for s in trace.stages],
-            "attachments": [len(a) for a in trace.attachments],
-        },
-        args,
-    )
-    if not args.output:
-        sys.stdout.write(serialize_complex(trace.result))
+    report = {
+        "command": "prefibrantize",
+        "stages": [s.total_cells() for s in trace.stages],
+        "attachments": [len(a) for a in trace.attachments],
+    }
+    if args.output:
+        for k, stage in enumerate(trace.stages):
+            _write_or_print(serialize_complex(stage), f"{args.output}.stage{k}.txt")
+    else:
+        report["result"] = serialize_complex(trace.result)
+    _emit(report, args)
     return OK
 
 
@@ -362,13 +357,9 @@ def _cmd_complete(args):
 
 def _cmd_descend_triangle(args):
     p = _load_map(args.map)
-    try:
-        res = factorize.descend_over_triangle(
-            p, args.stages, 3 if args.max_dim is None else args.max_dim, args.node_budget
-        )
-    except RuntimeError as e:
-        _emit({"command": "descend-triangle", "verdict": "failed", "reason": str(e)}, args)
-        return REFUTED
+    res = factorize.descend_over_triangle(
+        p, args.stages, 3 if args.max_dim is None else args.max_dim, args.node_budget
+    )
     _emit(
         {
             "command": "descend-triangle",
@@ -526,9 +517,12 @@ def main(argv: list[str] | None = None) -> int:
         if any(b is not None and b < 0 for b in bounds):
             raise ValueError("bounds must not be negative")
         return args.fn(args)
-    except (ParseError, ValueError, OSError) as e:
+    except (ValueError, OSError) as e:  # ParseError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return INPUT_ERROR
+    except (AssertionError, RuntimeError) as e:  # an internal fault, never a verdict
+        _emit({"command": args.command, "verdict": "error", "reason": str(e)}, args)
+        return UNKNOWN
 
 
 if __name__ == "__main__":

@@ -1,5 +1,7 @@
 """Finite simplicial sets: cells, maps, and the standard constructions."""
 
+from types import ModuleType as _ModuleType
+
 from .budget import Budget, BudgetExceeded, DEFAULT_NODE_BUDGET, DEFAULT_WORD_BUDGET
 from .complex import ComplexBuilder, SimplicialSet, validate
 from .generators import (
@@ -57,4 +59,8 @@ from .spaces import (
     slice_under,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    name
+    for name in dir()
+    if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)
+]

@@ -197,7 +197,14 @@ class SimplicialSet:
 
 
 class ComplexBuilder:
-    """Incremental construction of a SimplicialSet."""
+    """Incremental construction of a SimplicialSet, one cell at a time.
+
+    The library's one cell allocator: every complex built cell by cell
+    goes through it.  A new d-cell takes the next free index in dimension
+    d, so each dimension is numbered in the order its cells are added.
+    Faces are read only for d >= 1 and must name cells added earlier;
+    labels are optional.
+    """
 
     def __init__(self) -> None:
         self._counts: list[int] = []

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Callable
 
-from .complex import SimplicialSet
+from .complex import ComplexBuilder, SimplicialSet
 from .simplex import CellId, Simplex, apply_degeneracy
 
 
@@ -60,26 +60,15 @@ def from_vertex_tuples(tuples) -> GeneratorComplex:
         if len(t) > 1:
             stack.extend(t[:i] + t[i + 1 :] for i in range(len(t)))
 
-    by_dim: dict[int, list[tuple[int, ...]]] = {}
-    for t in closed:
-        by_dim.setdefault(len(t) - 1, []).append(t)
+    builder = ComplexBuilder()
     lookup: dict[tuple[int, ...], CellId] = {}
-    counts = [0] * (max(by_dim, default=-1) + 1)
-    for d, ts in by_dim.items():
-        ts.sort()
-        counts[d] = len(ts)
-        for idx, t in enumerate(ts):
-            lookup[t] = CellId(d, idx)
-
-    faces = {
-        lookup[t]: tuple(
-            Simplex(lookup[t[:i] + t[i + 1 :]]) for i in range(len(t))
+    for t in sorted(closed, key=lambda t: (len(t), t)):
+        lookup[t] = builder.add_cell(
+            len(t) - 1,
+            (Simplex(lookup[t[:i] + t[i + 1 :]]) for i in range(len(t))),
+            tuple_label(t),
         )
-        for t in closed
-        if len(t) > 1
-    }
-    labels = {c: tuple_label(t) for t, c in lookup.items()}
-    return GeneratorComplex(SimplicialSet(counts, faces, labels), lookup)
+    return GeneratorComplex(builder.build(), lookup)
 
 
 def standard_simplex(n: int) -> GeneratorComplex:
@@ -120,27 +109,17 @@ def cosk0_complex(n_vertices: int, bound: int) -> GeneratorComplex:
     """
     if n_vertices < 1 or bound < 0:
         raise ValueError("need at least one vertex and bound >= 0")
+    builder = ComplexBuilder()
     lookup: dict[tuple[int, ...], CellId] = {}
-    counts: list[int] = []
     for k in range(bound + 1):
-        ts = [
-            t
-            for t in iproduct(range(n_vertices), repeat=k + 1)
-            if all(t[j] != t[j + 1] for j in range(k))
-        ]
-        counts.append(len(ts))
-        for idx, t in enumerate(ts):
-            lookup[t] = CellId(k, idx)
-
-    faces = {}
-    for t, c in lookup.items():
-        if c.dim == 0:
-            continue
-        faces[c] = tuple(
-            tuple_simplex(t[:i] + t[i + 1 :], lookup) for i in range(len(t))
-        )
-    labels = {c: tuple_label(t) for t, c in lookup.items()}
-    return GeneratorComplex(SimplicialSet(counts, faces, labels), lookup)
+        for t in iproduct(range(n_vertices), repeat=k + 1):
+            if all(t[j] != t[j + 1] for j in range(k)):
+                lookup[t] = builder.add_cell(
+                    k,
+                    (tuple_simplex(t[:i] + t[i + 1 :], lookup) for i in range(k + 1)),
+                    tuple_label(t),
+                )
+    return GeneratorComplex(builder.build(), lookup)
 
 
 def j_truncation(n: int) -> GeneratorComplex:

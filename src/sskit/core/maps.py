@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .budget import Budget
-from .complex import SimplicialSet
+from .complex import ComplexBuilder, SimplicialSet
 from .generators import GeneratorComplex, standard_simplex, tuple_simplex
 from .simplex import CellId, Simplex, apply_degeneracy, constant_simplex, degenerate
 
@@ -131,25 +131,20 @@ def sub_complex(
 ) -> tuple[SimplicialSet, SimplicialMap]:
     """Face-closed subcomplex on the given cells, with its inclusion."""
     kept = set(keep)
+    if not all(X.has_cell(c) for c in kept):
+        raise ValueError("cell set names a cell outside the complex")
     reindex: dict[CellId, CellId] = {}
-    counts: list[int] = []
-    for d in range(X.dim + 1):
-        cs = [c for c in X.cells(d) if c in kept]
-        counts.append(len(cs))
-        for idx, c in enumerate(cs):
-            reindex[c] = CellId(d, idx)
-    faces = {}
-    for c in kept:
-        if c.dim == 0:
+    builder = ComplexBuilder()
+    for c in X.all_cells():
+        if c not in kept:
             continue
-        fs = []
-        for f in X.cell_faces(c):
-            if f.base not in kept:
-                raise ValueError(f"cell set not face-closed at {X.label(c)}")
-            fs.append(Simplex(reindex[f.base], f.word))
-        faces[reindex[c]] = tuple(fs)
-    labels = {reindex[c]: X.label(c) for c in kept}
-    sub = SimplicialSet(counts, faces, labels)
+        fs = X.cell_faces(c) if c.dim > 0 else ()
+        if any(f.base not in kept for f in fs):
+            raise ValueError(f"cell set not face-closed at {X.label(c)}")
+        reindex[c] = builder.add_cell(
+            c.dim, (Simplex(reindex[f.base], f.word) for f in fs), X.label(c)
+        )
+    sub = builder.build()
     inc = SimplicialMap(sub, X, {new: Simplex(old) for old, new in reindex.items()})
     return sub, inc
 
@@ -174,10 +169,10 @@ def attach_all(
     new cells in (dim, index) order, labelled by the generator's label,
     primed until unique.
     """
-    counts = [S.n_cells(d) for d in range(S.dim + 1)]
-    faces = {c: S.cell_faces(c) for c in S.all_cells() if c.dim > 0}
-    labels = dict(S.labels)
-    used = set(labels.values())
+    builder = ComplexBuilder()
+    for c in S.all_cells():
+        builder.add_cell(c.dim, S.cell_faces(c) if c.dim > 0 else (), S.labels.get(c))
+    used = set(S.labels.values())
     totals: list[dict[CellId, Simplex]] = []
 
     for att in attachments:
@@ -189,22 +184,17 @@ def attach_all(
             if b in hit:
                 g[b] = alpha.images[hit[b]]
                 continue
-            while len(counts) <= b.dim:
-                counts.append(0)
-            nc = CellId(b.dim, counts[b.dim])
-            counts[b.dim] += 1
-            g[b] = Simplex(nc)
-            att.new_cells.append(nc)
-            if b.dim > 0:
-                faces[nc] = tuple(apply_images(g, s) for s in B.cell_faces(b))
             lab = B.label(b)
             while lab in used:
                 lab += "'"
             used.add(lab)
-            labels[nc] = lab
+            fs = B.cell_faces(b) if b.dim > 0 else ()
+            nc = builder.add_cell(b.dim, (apply_images(g, s) for s in fs), lab)
+            g[b] = Simplex(nc)
+            att.new_cells.append(nc)
         totals.append(g)
 
-    out = SimplicialSet(counts, faces, labels)
+    out = builder.build()
     inc = SimplicialMap(S, out, {c: Simplex(c) for c in S.all_cells()})
     for att, g in zip(attachments, totals):
         att.total_map = SimplicialMap(att.inclusion.target, out, g)
@@ -316,56 +306,56 @@ def simplex_label(X: SimplicialSet, s: Simplex) -> str:
 class Join:
     x: SimplicialSet
     y: SimplicialSet
-    x_cell: dict[CellId, CellId]  # cell of X -> its copy in the join
-    y_cell: dict[CellId, CellId]  # cell of Y -> its copy in the join
-    pair_cell: dict[tuple[CellId, CellId], CellId]
+    x_cell: dict[CellId, CellId] = field(init=False)  # cell of X -> its copy
+    y_cell: dict[CellId, CellId] = field(init=False)  # cell of Y -> its copy
+    pair_cell: dict[tuple[CellId, CellId], CellId] = field(init=False)
     complex: SimplicialSet = field(init=False)
     inc_x: SimplicialMap = field(init=False)
     inc_y: SimplicialMap = field(init=False)
 
     def __post_init__(self) -> None:
+        """Cells of X, then cells of Y, then one cell per pair (cx, cy);
+        every face of a cell names a cell allocated before it."""
         X, Y = self.x, self.y
-        labels = {jc: X.label(c) for c, jc in self.x_cell.items()}
-        labels.update((jc, Y.label(c) + "~") for c, jc in self.y_cell.items())
-        labels.update(
-            (jc, X.label(cx) + "*" + Y.label(cy))
-            for (cx, cy), jc in self.pair_cell.items()
-        )
-        counts = [0] * (max(X.dim, Y.dim, X.dim + Y.dim + 1) + 1)
-        for jc in labels:
-            counts[jc.dim] += 1
-
-        faces: dict[CellId, tuple[Simplex, ...]] = {}
-        for c, jc in self.x_cell.items():
-            if c.dim > 0:
-                faces[jc] = tuple(self.embed_x(s) for s in X.cell_faces(c))
-        for c, jc in self.y_cell.items():
-            if c.dim > 0:
-                faces[jc] = tuple(self.embed_y(s) for s in Y.cell_faces(c))
-        for (cx, cy), jc in self.pair_cell.items():
-            a, b = Simplex(cx), Simplex(cy)
-            p, q = cx.dim, cy.dim
-            fs = []
-            for i in range(p + q + 2):
-                if i <= p:
-                    if p == 0:
-                        fs.append(self.embed_y(b))
-                    else:
-                        fs.append(self.join_simplex(X.face(a, i), b))
-                else:
-                    if q == 0:
-                        fs.append(self.embed_x(a))
-                    else:
-                        fs.append(self.join_simplex(a, Y.face(b, i - p - 1)))
-            faces[jc] = tuple(fs)
-
-        self.complex = SimplicialSet(counts, faces, labels)
+        self.x_cell, self.y_cell, self.pair_cell = {}, {}, {}
+        builder = ComplexBuilder()
+        for c in X.all_cells():
+            fs = X.cell_faces(c) if c.dim > 0 else ()
+            self.x_cell[c] = builder.add_cell(c.dim, map(self.embed_x, fs), X.label(c))
+        for c in Y.all_cells():
+            fs = Y.cell_faces(c) if c.dim > 0 else ()
+            self.y_cell[c] = builder.add_cell(c.dim, map(self.embed_y, fs), Y.label(c) + "~")
+        for cx in X.all_cells():
+            for cy in Y.all_cells():
+                self.pair_cell[(cx, cy)] = builder.add_cell(
+                    cx.dim + cy.dim + 1,
+                    self._pair_faces(Simplex(cx), Simplex(cy)),
+                    X.label(cx) + "*" + Y.label(cy),
+                )
+        self.complex = builder.build()
         self.inc_x = SimplicialMap(
             X, self.complex, {c: Simplex(jc) for c, jc in self.x_cell.items()}
         )
         self.inc_y = SimplicialMap(
             Y, self.complex, {c: Simplex(jc) for c, jc in self.y_cell.items()}
         )
+
+    def _pair_faces(self, a: Simplex, b: Simplex) -> list[Simplex]:
+        """d_0 ... d_{p+q+1} of a * b for nondegenerate a, b."""
+        p, q = a.dim, b.dim
+        fs = []
+        for i in range(p + q + 2):
+            if i <= p:
+                if p == 0:
+                    fs.append(self.embed_y(b))
+                else:
+                    fs.append(self.join_simplex(self.x.face(a, i), b))
+            else:
+                if q == 0:
+                    fs.append(self.embed_x(a))
+                else:
+                    fs.append(self.join_simplex(a, self.y.face(b, i - p - 1)))
+        return fs
 
     def embed_x(self, s: Simplex) -> Simplex:
         return Simplex(self.x_cell[s.base], s.word)
@@ -381,20 +371,7 @@ class Join:
 
 def join(X: SimplicialSet, Y: SimplicialSet) -> Join:
     """Join: cells of X, cells of Y, and one (p+q+1)-cell per cell pair."""
-    allocated: dict[int, int] = {}
-
-    def alloc(d: int) -> CellId:
-        allocated[d] = allocated.get(d, 0) + 1
-        return CellId(d, allocated[d] - 1)
-
-    x_cell = {c: alloc(c.dim) for c in X.all_cells()}
-    y_cell = {c: alloc(c.dim) for c in Y.all_cells()}
-    pair_cell = {
-        (cx, cy): alloc(cx.dim + cy.dim + 1)
-        for cx in X.all_cells()
-        for cy in Y.all_cells()
-    }
-    return Join(X, Y, x_cell, y_cell, pair_cell)
+    return Join(X, Y)
 
 
 def join_functor(J: Join, K: Join, f: SimplicialMap, g: SimplicialMap) -> SimplicialMap:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from .budget import Budget, DEFAULT_WORD_BUDGET
-from .complex import SimplicialSet
+from .complex import ComplexBuilder, SimplicialSet
 from .generators import GeneratorComplex, standard_simplex
 from .maps import (
     Product,
@@ -39,21 +39,15 @@ class LevelwiseSpace:
         self._cell_of: dict[tuple[int, object], CellId] = {}
         self.elements: list[list] = []  # nondegenerate elements per dim
 
-        counts = []
+        builder = ComplexBuilder()
         for n, lev in enumerate(self.levels):
             nondeg = [e for e in lev if not self._is_degenerate(n, e)]
             self.elements.append(nondeg)
-            counts.append(len(nondeg))
-            for idx, e in enumerate(nondeg):
-                self._cell_of[(n, e)] = CellId(n, idx)
-
-        faces = {}
-        for n, nondeg in enumerate(self.elements[1:], start=1):
-            for idx, e in enumerate(nondeg):
-                faces[CellId(n, idx)] = tuple(
-                    self.normalize(n - 1, self.face_fn(n, e, i)) for i in range(n + 1)
+            for e in nondeg:
+                self._cell_of[(n, e)] = builder.add_cell(
+                    n, (self.normalize(n - 1, self.face_fn(n, e, i)) for i in range(n + 1))
                 )
-        self.space = SimplicialSet(counts, faces)
+        self.space = builder.build()
 
     def _is_degenerate(self, n: int, e) -> bool:
         return n > 0 and any(

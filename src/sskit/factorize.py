@@ -308,7 +308,6 @@ class TriangleDescentResult:
     stages: list[SimplicialSet]
     inclusions: list[SimplicialMap]
     base_maps: list[SimplicialMap]  # q_m : C(m) -> Delta^2
-    pullback_ok: bool
 
 
 def descend_over_triangle(
@@ -331,7 +330,7 @@ def descend_over_triangle(
     X = p.source
     q = compose(p, lam_in_d2)
     cur = X
-    res = TriangleDescentResult([X], [], [q], True)
+    res = TriangleDescentResult([X], [], [q])
     budget = Budget.of(node_budget)
     horns = generating_family("inner", max_dim)
 
@@ -348,7 +347,7 @@ def descend_over_triangle(
         # vertex, and a map into Delta^2 is fixed by its vertex images
         q = map_by_vertices(nxt, d2, {v: q.images[v].base.index for v in nxt.cells(0)})
         if q.check():
-            raise RuntimeError("descent stage produced a non-simplicial base map")
+            raise AssertionError("descent stage produced a non-simplicial base map")
         cur = nxt
         res.stages.append(cur)
         res.inclusions.append(inc_step)
@@ -356,7 +355,7 @@ def descend_over_triangle(
 
         over_horn = {c for c in cur.all_cells() if q.images[c].base in lam_cells}
         if over_horn != set(X.all_cells()):
-            raise RuntimeError(
+            raise AssertionError(
                 "descent pullback check failed: the part over the horn "
                 "is not the original complex"
             )

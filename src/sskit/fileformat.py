@@ -17,7 +17,7 @@ import re
 from typing import Callable
 
 from .certify import AnodyneCertificate
-from .core import CellId, Simplex, SimplicialMap, SimplicialSet, validate
+from .core import CellId, ComplexBuilder, Simplex, SimplicialMap, SimplicialSet, validate
 
 _DEGENERATE = re.compile(r"s(\d+(?:,\d+)*)@(.+)")
 
@@ -105,9 +105,7 @@ def _parse_token(tok: str, byname: dict[str, CellId], lineno: int) -> Simplex:
 
 def parse_complex(text: str) -> SimplicialSet:
     declared: int | None = None
-    counts: list[int] = []
-    faces: dict[CellId, tuple[Simplex, ...]] = {}
-    labels: dict[CellId, str] = {}
+    builder = ComplexBuilder()
     byname: dict[str, CellId] = {}
 
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -136,20 +134,13 @@ def parse_complex(text: str) -> SimplicialSet:
                 raise ParseError(lineno, f"cell dimension {d} outside 0..{declared}")
             if name in byname:
                 raise ParseError(lineno, f"duplicate cell name {name!r}")
-            while len(counts) <= d:
-                counts.append(0)
-            c = CellId(d, counts[d])
-            counts[d] += 1
-            byname[name] = c
-            labels[c] = name
+            ftoks = toks[4:]
             if d == 0:
                 if len(toks) != 3:
                     raise ParseError(lineno, "a vertex record takes no faces")
-                continue
-            if len(toks) < 4 or toks[3] != "faces:":
+            elif len(toks) < 4 or toks[3] != "faces:":
                 raise ParseError(lineno, "expected 'faces:' after the dimension")
-            ftoks = toks[4:]
-            if len(ftoks) != d + 1:
+            elif len(ftoks) != d + 1:
                 raise ParseError(
                     lineno, f"cell of dimension {d} needs {d + 1} faces, got {len(ftoks)}"
                 )
@@ -161,14 +152,14 @@ def parse_complex(text: str) -> SimplicialSet:
                         lineno, f"face {tok!r} has dimension {f.dim}, expected {d - 1}"
                     )
                 fs.append(f)
-            faces[c] = tuple(fs)
+            byname[name] = builder.add_cell(d, fs, name)
         else:
             raise ParseError(lineno, f"unknown record {toks[0]!r}")
 
     if declared is None:
         raise ParseError(1, "missing dim header")
     try:
-        X = SimplicialSet(counts, faces, labels)
+        X = builder.build()
     except ValueError as e:
         raise ParseError(0, str(e)) from None
     if X.dim != declared:

@@ -151,6 +151,19 @@ def build_horn_plus_vertex():
     return p
 
 
+def over_horn_is_source(p, res) -> bool:
+    """Whether, at every stage of a descent over the 2-horn, the cells whose
+    base simplex lies in the horn (misses vertex 0 or vertex 2) are exactly
+    the cells of the input complex."""
+    d2 = standard_simplex(2)
+    horn = {c for t, c in d2.lookup.items() if not {0, 2} <= set(t)}
+    return all(
+        {c for c in stage.all_cells() if q.images[c].base in horn}
+        == set(p.source.all_cells())
+        for stage, q in zip(res.stages, res.base_maps)
+    )
+
+
 def random_tuple_family(rng: random.Random, n_vertices: int, extra: int):
     """Vertex-tuple family: all vertices plus a few random simplices."""
     ts = {(v,) for v in range(n_vertices)}

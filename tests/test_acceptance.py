@@ -60,6 +60,7 @@ from sskit.lifting import (
 from conftest import (
     build_edges_over_horn,
     build_horn_plus_vertex,
+    over_horn_is_source,
     random_generator_complex,
     random_mono_pair,
 )
@@ -225,7 +226,7 @@ def test_criterion_07_descent_over_the_open_triangle():
     for p in fibrations:
         assert classify_map(p, classes=("inner",)).classes["inner"].status == YES
         res = descend_over_triangle(p, stages=2)
-        assert res.pullback_ok
+        assert over_horn_is_source(p, res)
         assert len(res.stages) == 3
     assert time.monotonic() - t0 < 60.0
 

@@ -167,6 +167,18 @@ def test_cell_lists_are_in_dim_index_order_and_copies():
     assert list(X.all_cells()) == expected
 
 
+def test_star_import_of_core_exports_no_submodule():
+    import inspect
+
+    import sskit.core
+
+    assert not [n for n in sskit.core.__all__ if inspect.ismodule(getattr(sskit.core, n))]
+    namespace = {}
+    exec("from sskit.core import *", namespace)
+    assert "complex" not in namespace  # the builtin stays unshadowed
+    assert {"ComplexBuilder", "SimplicialSet", "join"} <= set(namespace)
+
+
 # -- complexes and validation ---------------------------------------------------
 
 
@@ -180,6 +192,19 @@ def test_builder_rejects_inconsistent_faces():
     g = b.add_cell(1, (Simplex(z), Simplex(y)))  # wrong source for a triangle
     b.add_cell(2, (Simplex(f), Simplex(g), Simplex(e)))
     assert validate(b.build())
+
+
+def test_builder_numbers_each_dimension_in_the_order_cells_are_added():
+    b = ComplexBuilder()
+    x = b.add_cell(0, label="x")
+    e = b.add_cell(1, (Simplex(x), Simplex(x)), "e")
+    y = b.add_cell(0)
+    f = b.add_cell(1, (Simplex(y), Simplex(x)))
+    assert (x, e, y, f) == (CellId(0, 0), CellId(1, 0), CellId(0, 1), CellId(1, 1))
+    X = b.build()
+    assert X.cell_counts() == (2, 2)
+    assert X.labels == {x: "x", e: "e"}
+    assert X.cell_faces(f) == (Simplex(y), Simplex(x))
 
 
 def test_equality_ignores_labels():

@@ -35,6 +35,7 @@ from sskit.lifting import BUDGET, FOUND, generator_inclusion, horn_inclusion
 from conftest import (
     build_edges_over_horn,
     build_horn_plus_vertex,
+    over_horn_is_source,
     random_generator_complex,
 )
 
@@ -125,9 +126,9 @@ def test_saturation_on_random_prefibrant_truncations():
 
 
 def test_descent_of_the_identity_over_the_open_triangle():
-    lam = horn_complex(2, 1).complex
-    res = descend_over_triangle(identity_map(lam), stages=2)
-    assert res.pullback_ok
+    p = identity_map(horn_complex(2, 1).complex)
+    res = descend_over_triangle(p, stages=2)
+    assert over_horn_is_source(p, res)
     assert [s.total_cells() for s in res.stages] == [5, 7, 37]
     for q in res.base_maps:
         assert q.check() == []
@@ -144,7 +145,7 @@ def test_descent_of_disjoint_edges_is_a_fixed_point():
 def test_descent_with_an_extra_fiber_vertex():
     p = build_horn_plus_vertex()
     res = descend_over_triangle(p, stages=2)
-    assert res.pullback_ok
+    assert over_horn_is_source(p, res)
     assert res.stages[1].cell_counts() == (4, 3, 1)
 
 

@@ -466,6 +466,25 @@ def test_cli_prefibrantize_writes_each_stage(tmp_path, capsys):
     assert capsys.readouterr().out.endswith(serialize_complex(trace.result))
 
 
+def test_cli_prefibrantize_structured_output_is_one_object(tmp_path, capsys):
+    # without -o the last stage is the report's result, and no stage
+    # file is written
+    X = spine_complex(2).complex
+    path = _complex_file(tmp_path, "sp.txt", X)
+    trace = prefibrantize(X, 2)
+    assert cli.main(["--format", "structured", "prefibrantize", path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report == {
+        "format_version": 1,
+        "command": "prefibrantize",
+        "stages": [s.total_cells() for s in trace.stages],
+        "attachments": [len(a) for a in trace.attachments],
+        "result": serialize_complex(trace.result),
+    }
+    assert parse_complex(report["result"]) == trace.result
+    assert [f.name for f in tmp_path.iterdir()] == ["sp.txt"]
+
+
 def test_cli_complete_and_saturate_write_their_complexes(tmp_path, capsys):
     path = _complex_file(tmp_path, "d1.txt", standard_simplex(1).complex)
     out = str(tmp_path / "c.txt")
@@ -523,7 +542,8 @@ def test_cli_lift_along_a_vertex_of_a_large_simplex(tmp_path, capsys):
 
 def test_cli_descend_triangle_reports_a_failed_stage(tmp_path, capsys, monkeypatch):
     # every stage of a valid input passes both checks, so the library call
-    # is stubbed to fail the way a broken stage would
+    # is stubbed to fail the way a broken stage would: an internal fault,
+    # reported at exit 2 with verdict "error", never as a refutation
     _gen_files(tmp_path)
     ident = _write(
         tmp_path,
@@ -532,16 +552,30 @@ def test_cli_descend_triangle_reports_a_failed_stage(tmp_path, capsys, monkeypat
     )
 
     def broken(*args):
-        raise RuntimeError("descent pullback check failed")
+        raise AssertionError("descent pullback check failed")
 
     monkeypatch.setattr(factorize, "descend_over_triangle", broken)
-    assert cli.main(["--format", "structured", "descend-triangle", ident]) == 1
+    assert cli.main(["--format", "structured", "descend-triangle", ident]) == 2
     assert json.loads(capsys.readouterr().out) == {
         "format_version": 1,
         "command": "descend-triangle",
-        "verdict": "failed",
+        "verdict": "error",
         "reason": "descent pullback check failed",
     }
+
+
+@pytest.mark.parametrize("error", [RuntimeError, RecursionError])
+def test_cli_reports_a_runtime_error_as_an_internal_fault(error, tmp_path, capsys, monkeypatch):
+    path = _complex_file(tmp_path, "d1.txt", standard_simplex(1).complex)
+
+    def broken(*args):
+        raise error("internal fault")
+
+    monkeypatch.setattr(factorize, "prefibrantize", broken)
+    assert cli.main(["prefibrantize", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "command: prefibrantize\nverdict: error\nreason: internal fault\n"
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize("argv", [
