@@ -307,6 +307,7 @@ def _cmd_prefibrantize(args):
     trace = factorize.prefibrantize(X, args.stages, args.max_dim, args.node_budget)
     report = {
         "command": "prefibrantize",
+        "bound": trace.bound,
         "stages": [s.total_cells() for s in trace.stages],
         "attachments": [len(a) for a in trace.attachments],
     }
@@ -363,6 +364,7 @@ def _cmd_descend_triangle(args):
     _emit(
         {
             "command": "descend-triangle",
+            "bound": res.bound,
             "verdict": "ok",
             "stages": [s.total_cells() for s in res.stages],
         },

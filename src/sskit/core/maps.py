@@ -227,27 +227,31 @@ def pushout(i: SimplicialMap, f: SimplicialMap) -> Pushout:
 class Product:
     x: SimplicialSet
     y: SimplicialSet
-    cell_pair: dict[CellId, tuple[Simplex, Simplex]]
+    cell_pair: dict[CellId, tuple[Simplex, Simplex]] = field(init=False)
     pair_cell: dict[tuple[Simplex, Simplex], CellId] = field(init=False)
     complex: SimplicialSet = field(init=False)
     proj1: SimplicialMap = field(init=False)
     proj2: SimplicialMap = field(init=False)
 
     def __post_init__(self) -> None:
+        """Each dimension's word-disjoint pairs in sorted order; the faces
+        of a cell name cells of the dimension below."""
         X, Y = self.x, self.y
-        self.pair_cell = {p: c for c, p in self.cell_pair.items()}
-        counts = [0] * (X.dim + Y.dim + 1)
-        faces = {}
-        labels = {}
-        for c, (u, v) in self.cell_pair.items():
-            counts[c.dim] += 1
-            labels[c] = f"{simplex_label(X, u)}|{simplex_label(Y, v)}"
-            if c.dim > 0:
-                faces[c] = tuple(
-                    self.simplex_of_pair(X.face(u, i), Y.face(v, i))
-                    for i in range(c.dim + 1)
+        self.cell_pair, self.pair_cell = {}, {}
+        builder = ComplexBuilder()
+        for n in range(X.dim + Y.dim + 1):
+            pairs = (
+                (u, v) for u in X.simplices(n) for v in Y.simplices(n)
+                if not set(u.word) & set(v.word)
+            )
+            for u, v in sorted(pairs):
+                c = builder.add_cell(
+                    n,
+                    (self.simplex_of_pair(X.face(u, i), Y.face(v, i)) for i in range(n + 1)),
+                    f"{simplex_label(X, u)}|{simplex_label(Y, v)}",
                 )
-        self.complex = SimplicialSet(counts, faces, labels)
+                self.cell_pair[c], self.pair_cell[(u, v)] = (u, v), c
+        self.complex = builder.build()
         self.proj1 = SimplicialMap(
             self.complex, X, {c: p[0] for c, p in self.cell_pair.items()}
         )
@@ -267,17 +271,7 @@ class Product:
 
 def product(X: SimplicialSet, Y: SimplicialSet) -> Product:
     """Binary product; nondegenerate cells are word-disjoint simplex pairs."""
-    cell_pair: dict[CellId, tuple[Simplex, Simplex]] = {}
-    for n in range(X.dim + Y.dim + 1):
-        pairs = sorted(
-            (u, v)
-            for u in X.simplices(n)
-            for v in Y.simplices(n)
-            if not set(u.word) & set(v.word)
-        )
-        for idx, p in enumerate(pairs):
-            cell_pair[CellId(n, idx)] = p
-    return Product(X, Y, cell_pair)
+    return Product(X, Y)
 
 
 def product_functor(P: Product, Q: Product, f: SimplicialMap, g: SimplicialMap) -> SimplicialMap:

@@ -3,8 +3,8 @@
 Each of them is a LevelwiseSpace: a space given by finite level sets
 with face/degeneracy actions, turned into a SimplicialSet by detecting
 degenerate elements (e is degenerate iff s_j(d_j e) = e for some j) and
-normalizing recursively.  Slices and left hom-spaces are SliceSpaces;
-function complexes are FunctionComplexTruncations.
+recording each element's normal form once.  Slices and left hom-spaces
+are SliceSpaces; function complexes are FunctionComplexTruncations.
 """
 
 from __future__ import annotations
@@ -36,34 +36,30 @@ class LevelwiseSpace:
         self.levels = [list(lev) for lev in levels]
         self.face_fn = face_fn
         self.deg_fn = deg_fn
-        self._cell_of: dict[tuple[int, object], CellId] = {}
         self.elements: list[list] = []  # nondegenerate elements per dim
+        self._normal: dict[tuple[int, object], Simplex] = {}  # of every element
 
         builder = ComplexBuilder()
         for n, lev in enumerate(self.levels):
-            nondeg = [e for e in lev if not self._is_degenerate(n, e)]
-            self.elements.append(nondeg)
-            for e in nondeg:
-                self._cell_of[(n, e)] = builder.add_cell(
-                    n, (self.normalize(n - 1, self.face_fn(n, e, i)) for i in range(n + 1))
-                )
+            self.elements.append([])
+            for e in lev:
+                for j in range(n):  # degenerate: e = s_j(d_j e), the first such j wins
+                    down = face_fn(n, e, j)
+                    if deg_fn(n - 1, down, j) == e:
+                        s = self.normalize(n - 1, down)
+                        self._normal[(n, e)] = Simplex(s.base, apply_degeneracy(s.word, j))
+                        break
+                else:
+                    self.elements[n].append(e)
+                    fs = (self.normalize(n - 1, face_fn(n, e, i)) for i in range(n + 1))
+                    self._normal[(n, e)] = Simplex(builder.add_cell(n, fs))
         self.space = builder.build()
 
-    def _is_degenerate(self, n: int, e) -> bool:
-        return n > 0 and any(
-            self.deg_fn(n - 1, self.face_fn(n, e, j), j) == e for j in range(n)
-        )
-
     def normalize(self, n: int, e) -> Simplex:
-        c = self._cell_of.get((n, e))
-        if c is not None:
-            return Simplex(c)
-        for j in range(n):
-            down = self.face_fn(n, e, j)
-            if self.deg_fn(n - 1, down, j) == e:
-                inner = self.normalize(n - 1, down)
-                return Simplex(inner.base, apply_degeneracy(inner.word, j))
-        raise ValueError(f"element not found at level {n}: {e!r}")
+        s = self._normal.get((n, e))
+        if s is None:
+            raise ValueError(f"element not found at level {n}: {e!r}")
+        return s
 
     def element_of(self, c: CellId):
         return self.elements[c.dim][c.index]

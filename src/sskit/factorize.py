@@ -21,6 +21,7 @@ from .core import (
     DEFAULT_NODE_BUDGET,
     DEFAULT_WORD_BUDGET,
     CellId,
+    ComplexBuilder,
     LevelwiseSpace,
     SimplicialMap,
     SimplicialSet,
@@ -62,6 +63,7 @@ class SoaTrace:
     stages: list[SimplicialSet]
     inclusions: list[SimplicialMap]  # S(m) -> S(m+1)
     attachments: list[list[Attachment]]  # per stage
+    bound: int  # top dimension of the horns filled
 
     @property
     def result(self) -> SimplicialSet:
@@ -201,7 +203,7 @@ def prefibrantize(
         n, d0 = n_d0[id(inc)]
         return _needs_filler(n, inc, d0, alpha, budget)
 
-    trace = SoaTrace([S], [], [])
+    trace = SoaTrace([S], [], [], bound)
     cur = S
     for _ in range(stages):
         nxt, step_inc, atts = soa_stage(cur, generators, selector, budget)
@@ -308,6 +310,7 @@ class TriangleDescentResult:
     stages: list[SimplicialSet]
     inclusions: list[SimplicialMap]
     base_maps: list[SimplicialMap]  # q_m : C(m) -> Delta^2
+    bound: int  # top dimension of the horns filled
 
 
 def descend_over_triangle(
@@ -330,7 +333,7 @@ def descend_over_triangle(
     X = p.source
     q = compose(p, lam_in_d2)
     cur = X
-    res = TriangleDescentResult([X], [], [q])
+    res = TriangleDescentResult([X], [], [q], max_dim)
     budget = Budget.of(node_budget)
     horns = generating_family("inner", max_dim)
 
@@ -434,6 +437,7 @@ def mapping_path_space(
 @dataclass
 class DescentSearchResult:
     status: str  # FOUND | NONE | BUDGET
+    bound: int  # top dimension of the new cells
     extension: SimplicialSet | None = None
     inclusion: SimplicialMap | None = None
     base_map: SimplicialMap | None = None
@@ -448,8 +452,8 @@ def search_descent_extension(
     max_dim: int | None = None,
     node_budget: int | Budget = DEFAULT_NODE_BUDGET,
 ) -> DescentSearchResult:
-    """Exhaustive bounded search for Y over the codomain of i pulling back
-    to the given complex over its domain.
+    """Exhaustive bounded search for Y over the codomain of a mono
+    inclusion i pulling back to the given complex over its domain.
 
     New cells sit over simplices whose base lies outside the image of i;
     at most two new cells are tried per dimension.  NONE is a bounded
@@ -461,14 +465,15 @@ def search_descent_extension(
     X = p.source
     if p.target != A:
         raise ValueError("p must land in the domain of i")
+    if not i.is_mono():
+        raise ValueError("descent search requires a mono inclusion")
     bound = B.dim + 1 if max_dim is None else max_dim
     budget = Budget.of(node_budget)
 
     a_cells = {i.images[a].base for a in A.all_cells()}
-    # the partial extension: X plus the new cells chosen so far, with the
-    # image in B and the face tuple of every cell
+    # the partial extension: X plus the new cells chosen so far, as
+    # (image in B, face tuple) per dimension, and the image of every cell
     q = {c: i.apply(p.images[c]) for c in X.all_cells()}
-    faces = {c: X.cell_faces(c) for c in X.all_cells() if c.dim > 0}
     new: list[list[tuple[Simplex, tuple[Simplex, ...]]]] = [[] for _ in range(bound + 1)]
 
     # candidate target simplices per dimension, outside A
@@ -484,21 +489,18 @@ def search_descent_extension(
         return CellId(d, X.n_cells(d) + idx)
 
     def try_build():
-        counts = [X.n_cells(d) for d in range(max(X.dim, bound) + 1)]
+        builder = ComplexBuilder()
+        for c in X.all_cells():
+            builder.add_cell(c.dim, X.cell_faces(c) if c.dim > 0 else ())
         for d, cells in enumerate(new):
-            counts[d] += len(cells)
-        try:
-            Y = SimplicialSet(counts, dict(faces))
-        except ValueError:
-            return None
+            for _, fs in cells:
+                builder.add_cell(d, fs)
+        Y = builder.build()
         if validate(Y):
             return None
-        try:
-            qm = SimplicialMap(Y, B, dict(q))
-        except ValueError:
-            return None
+        qm = SimplicialMap(Y, B, q)
         if qm.check():
-            return None
+            raise AssertionError("descent candidate has a non-simplicial base map")
         rep = classify_map(qm, bound, budget, classes=("inner",))
         status = rep.classes["inner"].status
         if status == BUDGET:
@@ -546,20 +548,17 @@ def search_descent_extension(
                 c = new_cell(d, len(new[d]))
                 new[d].append(cand)
                 q[c] = img
-                if d > 0:
-                    faces[c] = fs
                 found = grow(d)
                 if found is not None:
                     return found
                 new[d].pop()
                 del q[c]
-                faces.pop(c, None)
         return None
 
     try:
         found = grow(0)
     except BudgetExceeded:
-        return DescentSearchResult(BUDGET)
+        return DescentSearchResult(BUDGET, bound)
     if found is None:
-        return DescentSearchResult(NONE)
-    return DescentSearchResult(FOUND, *found)
+        return DescentSearchResult(NONE, bound)
+    return DescentSearchResult(FOUND, bound, *found)

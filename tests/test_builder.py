@@ -3,11 +3,14 @@ ComplexBuilder.  Each reference below is the constructor as it was with
 its own per-dimension counter; on seeded inputs both must give the same
 cell counts, face tuples, labels, lookup tables and maps."""
 
+import ast
+import pathlib
 import random
 from itertools import product as iproduct
 
 import pytest
 
+import sskit
 from sskit.core import (
     Attachment,
     CellId,
@@ -22,6 +25,7 @@ from sskit.core import (
     from_vertex_tuples,
     function_complex,
     join,
+    product,
     slice_under,
     spine_complex,
     standard_simplex,
@@ -30,6 +34,7 @@ from sskit.core import (
     validate,
 )
 from sskit.core.generators import tuple_label
+from sskit.core.maps import simplex_label
 from sskit.core.simplex import apply_degeneracy
 from sskit.fileformat import ParseError, _parse_token, _strip, parse_complex, serialize_complex
 from sskit.lifting import boundary_inclusion, horn_inclusion
@@ -194,6 +199,37 @@ def ref_attach_all(S, attachments):
     return SimplicialSet(counts, faces, labels), news, totals
 
 
+def ref_product(X, Y):
+    """(complex, cell_pair, pair_cell, proj1 images, proj2 images)."""
+    cell_pair = {}
+    for n in range(X.dim + Y.dim + 1):
+        pairs = sorted(
+            (u, v) for u in X.simplices(n) for v in Y.simplices(n) if not set(u.word) & set(v.word)
+        )
+        for idx, p in enumerate(pairs):
+            cell_pair[CellId(n, idx)] = p
+    pair_cell = {p: c for c, p in cell_pair.items()}
+
+    def simplex_of_pair(u, v):
+        common = set(u.word) & set(v.word)
+        if not common:
+            return Simplex(pair_cell[(u, v)])
+        j = max(common)
+        inner = simplex_of_pair(X.face(u, j), Y.face(v, j))
+        return Simplex(inner.base, apply_degeneracy(inner.word, j))
+
+    counts = [0] * (X.dim + Y.dim + 1)
+    faces, labels = {}, {}
+    for c, (u, v) in cell_pair.items():
+        counts[c.dim] += 1
+        labels[c] = f"{simplex_label(X, u)}|{simplex_label(Y, v)}"
+        if c.dim > 0:
+            faces[c] = tuple(simplex_of_pair(X.face(u, i), Y.face(v, i)) for i in range(c.dim + 1))
+    proj1 = {c: p[0] for c, p in cell_pair.items()}
+    proj2 = {c: p[1] for c, p in cell_pair.items()}
+    return SimplicialSet(counts, faces, labels), cell_pair, pair_cell, proj1, proj2
+
+
 def ref_parse_complex(text):
     declared = None
     counts, faces, labels, byname = [], {}, {}, {}
@@ -266,7 +302,7 @@ def ref_parse_complex(text):
 
 
 def ref_levelwise(levels, face_fn, deg_fn):
-    """(space, cell of each (level, element), nondegenerate elements)."""
+    """(space, normal form of an element at a level, nondegenerate elements)."""
     levels = [list(lev) for lev in levels]
     cell_of, elements = {}, []
 
@@ -297,7 +333,7 @@ def ref_levelwise(levels, face_fn, deg_fn):
             faces[CellId(n, idx)] = tuple(
                 normalize(n - 1, face_fn(n, e, i)) for i in range(n + 1)
             )
-    return SimplicialSet(counts, faces), cell_of, elements
+    return SimplicialSet(counts, faces), normalize, elements
 
 
 # -- comparisons --------------------------------------------------------------------
@@ -311,6 +347,15 @@ def assert_same_complex(X, R):
             assert X.cell_faces(c) == R.cell_faces(c)
     assert X.labels == R.labels
     assert validate(X) == []
+
+
+def assert_same_normal_forms(L, normalize, elements):
+    """Same nondegenerate elements, and the same normal form for every
+    element of every level, degenerate ones included."""
+    assert L.elements == elements
+    for n, lev in enumerate(L.levels):
+        for e in lev:
+            assert L.normalize(n, e) == normalize(n, e)
 
 
 def seeded_complexes(seed, count):
@@ -454,24 +499,69 @@ def test_levelwise_space_matches_the_counting_constructor(seed):
     for X in seeded_complexes(seed, 4):
         for x in X.cells(0)[:2]:
             S = slice_under(X, x, 2)
-            R, cell_of, elements = ref_levelwise(
+            R, normalize, elements = ref_levelwise(
                 S.levels, lambda n, u, i: X.face(u, i + 1), lambda n, u, j: degenerate(u, j + 1)
             )
             assert_same_complex(S.space, R)
-            assert (S._cell_of, S.elements) == (cell_of, elements)
+            assert_same_normal_forms(S, normalize, elements)
     for C, K in ((standard_simplex(1).complex, standard_simplex(1).complex),
                  (random_generator_complex(rng).complex, standard_simplex(0).complex)):
         F = function_complex(C, K, 2)
-        R, cell_of, elements = ref_levelwise(F.levels, F.face_map, F.deg_map)
+        R, normalize, elements = ref_levelwise(F.levels, F.face_map, F.deg_map)
         assert_same_complex(F.space, R)
-        assert (F._cell_of, F.elements) == (cell_of, elements)
+        assert_same_normal_forms(F, normalize, elements)
     # a level with no nondegenerate element below one that has some
     levels = [["a"], ["a0"], ["a00", "t"]]
     face = {("a0", i): "a" for i in range(2)} | {("a00", i): "a0" for i in range(3)}
     face |= {("t", i): "a0" for i in range(3)}
     deg = {("a", 0): "a0", ("a0", 0): "a00", ("a0", 1): "a00"}
     L = LevelwiseSpace(levels, lambda n, e, i: face[(e, i)], lambda n, e, j: deg[(e, j)])
-    R, cell_of, elements = ref_levelwise(levels, lambda n, e, i: face[(e, i)], lambda n, e, j: deg[(e, j)])
+    R, normalize, elements = ref_levelwise(levels, lambda n, e, i: face[(e, i)], lambda n, e, j: deg[(e, j)])
     assert L.space.cell_counts() == R.cell_counts() == (1, 0, 1)
     assert_same_complex(L.space, R)
-    assert (L._cell_of, L.elements) == (cell_of, elements)
+    assert_same_normal_forms(L, normalize, elements)
+    assert L.normalize(2, "a00") == Simplex(CellId(0, 0), (0, 1))
+    with pytest.raises(ValueError, match="element not found at level 1: 'b0'"):
+        L.normalize(1, "b0")
+    # a degenerate element whose face is not an element is rejected at
+    # construction, as a nondegenerate one always was
+    with pytest.raises(ValueError, match="element not found at level 0: 'b'"):
+        LevelwiseSpace([["a"], ["a0", "b0"]], lambda n, e, i: e[0], lambda n, e, j: e + "0")
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_product_matches_the_counting_constructor(seed):
+    Xs = seeded_complexes(seed, 3) + [SimplicialSet([], {})]
+    for X in Xs:
+        for Y in Xs[:2] + Xs[-1:] + [standard_simplex(2).complex]:
+            P = product(X, Y)
+            R, cell_pair, pair_cell, proj1, proj2 = ref_product(X, Y)
+            assert_same_complex(P.complex, R)
+            assert (P.cell_pair, P.pair_cell) == (cell_pair, pair_cell)
+            assert (P.proj1.images, P.proj2.images) == (proj1, proj2)
+            assert P.proj1.check() == [] and P.proj2.check() == []
+
+
+def test_only_the_builder_constructs_a_simplicial_set():
+    """Inside the library, `SimplicialSet(...)` is called only by
+    `ComplexBuilder.build`: every complex is numbered by the builder."""
+    package = pathlib.Path(sskit.__file__).parent
+    calls = []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = {}
+        for node in ast.walk(tree):
+            for child in ast.iter_child_nodes(node):
+                scopes[child] = node
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name == "SimplicialSet":
+                owner, where = node, []
+                while owner in scopes:
+                    owner = scopes[owner]
+                    if isinstance(owner, (ast.FunctionDef, ast.ClassDef)):
+                        where.append(owner.name)
+                calls.append((path.relative_to(package).as_posix(), ".".join(reversed(where))))
+    assert calls == [("core/complex.py", "ComplexBuilder.build")]

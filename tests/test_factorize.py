@@ -17,6 +17,7 @@ from sskit.core import (
     is_constant,
     spine_complex,
     standard_simplex,
+    terminal_map,
     validate,
 )
 from sskit.factorize import (
@@ -88,6 +89,19 @@ def test_prefibrantize_closes_the_spine_to_a_triangle():
     assert [s.cell_counts() for s in tr.stages] == [(3, 2), (3, 3, 1)]
     assert is_prefibrant(tr.result, 4).ok
     assert tr.composite_inclusion().is_mono()
+
+
+def test_factorizations_record_their_bound():
+    sp = spine_complex(2).complex
+    assert prefibrantize(sp).bound == 3  # the default for a 1-dimensional input
+    assert prefibrantize(standard_simplex(3).complex).bound == 4
+    assert prefibrantize(sp, max_dim=2).bound == 2
+    p = identity_map(horn_complex(2, 1).complex)
+    assert descend_over_triangle(p).bound == 3
+    assert descend_over_triangle(p, max_dim=0).bound == 0
+    i = generator_inclusion(horn_complex(2, 1), standard_simplex(2))
+    assert search_descent_extension(p, i).bound == 3  # the target's dimension plus one
+    assert search_descent_extension(p, i, max_dim=1).bound == 1
 
 
 def test_saturation_of_the_triangle():
@@ -174,6 +188,15 @@ def test_descent_extension_search_over_the_spine():
     res = search_descent_extension(identity_map(sp.complex), i)
     assert res.status == FOUND
     assert res.extension.cell_counts() == (3, 3, 1)
+
+
+def test_descent_extension_search_rejects_a_non_mono_inclusion():
+    # the pullback of the identity of Delta^1 over Delta^0 along the
+    # collapse Delta^1 -> Delta^0 is Delta^1 x Delta^1, not Delta^1, so no
+    # extension of it can be an answer
+    d1, pt = standard_simplex(1).complex, standard_simplex(0).complex
+    with pytest.raises(ValueError, match="mono inclusion"):
+        search_descent_extension(identity_map(d1), terminal_map(d1, pt))
 
 
 @pytest.mark.parametrize("limit", [50, 200, 1000, 1500])

@@ -1,7 +1,9 @@
 """Text formats and the command-line interface."""
 
 import json
+import os
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -344,6 +346,25 @@ def test_cli_descend_triangle_honours_max_dim_zero(tmp_path, capsys):
     assert stages["0"] == stages["1"] == [5, 5, 5]
 
 
+def test_cli_prefibrantize_and_descend_triangle_report_their_bound(tmp_path, capsys):
+    _, full, _ = _gen_files(tmp_path)
+    horn_id = _write(
+        tmp_path,
+        "id.map",
+        serialize_map(identity_map(horn_complex(2, 1).complex), "horn.txt", "horn.txt"),
+    )
+    for argv, bound in (
+        (["prefibrantize", full], 3),
+        (["--max-dim", "4", "prefibrantize", full], 4),
+        (["--stages", "1", "descend-triangle", horn_id], 3),
+        (["--max-dim", "2", "--stages", "1", "descend-triangle", horn_id], 2),
+    ):
+        assert cli.main(["--format", "structured", *argv]) == 0
+        assert json.loads(capsys.readouterr().out)["bound"] == bound
+    assert cli.main(["prefibrantize", full]) == 0
+    assert capsys.readouterr().out.startswith("command: prefibrantize\nbound: 3\nstages: ")
+
+
 def _fibration_maps(tmp_path, name):
     """(map, map file) for the identity of the walking isomorphism, the
     inclusion of its vertex x, or one edge missing a parallel one."""
@@ -477,6 +498,7 @@ def test_cli_prefibrantize_structured_output_is_one_object(tmp_path, capsys):
     assert report == {
         "format_version": 1,
         "command": "prefibrantize",
+        "bound": trace.bound,
         "stages": [s.total_cells() for s in trace.stages],
         "attachments": [len(a) for a in trace.attachments],
         "result": serialize_complex(trace.result),
@@ -644,3 +666,60 @@ def test_cli_options_of_one_call_do_not_reach_the_next(tmp_path, capsys):
     assert out.startswith("command: classify\n")
     for name in ("inner", "left", "right", "kan", "trivial_kan"):
         assert f"{name}: YesUpTo(3)\n" in out
+
+
+# -- malformed input files ------------------------------------------------------------
+
+_MALFORMED = {
+    "bad.txt": "dim 1\ncell a 0\ncell e 1 faces: a x\n",  # unknown face
+    "bad.map": "map full.txt full.txt\nimage nosuch 0\n",  # unknown source cell
+    "badref.map": "# a map between malformed complexes\nmap bad.txt bad.txt\n",
+    "bad.cert": "class inner\nstep 2 1\n",  # a step needs a cell
+}
+
+
+_READERS = [
+    ["validate", "{c}"],
+    ["op", "product", "{c}", "{full}"],
+    ["op", "join", "{full}", "{c}"],
+    ["lift", "--along", "{m}", "{ok}"],
+    ["lift", "--along", "{ok}", "{m}"],
+    ["lift", "--along", "{ok}", "{ok}", "--p", "{m}", "--v", "{ok}"],
+    ["lift", "--along", "{ok}", "{ok}", "--p", "{ok}", "--v", "{m}"],
+    ["classify", "{m}"],
+    ["homcat", "{c}"],
+    ["equiv-edge", "{c}", "e"],
+    ["isofib", "{m}"],
+    ["catfib", "{m}"],
+    ["dk-check", "{m}"],
+    ["mapspace", "{c}", "a", "a"],
+    ["certify", "{m}"],
+    ["certify", "{ok}", "--verify", "{cert}"],
+    ["two-of-three", "{m}", "{ok}"],
+    ["two-of-three", "{ok}", "{m}"],
+    ["prefibrantize", "{c}"],
+    ["saturate", "{c}", "--up-to", "2"],
+    ["complete", "{c}"],
+    ["descend-triangle", "{m}"],
+    ["pathspace", "{m}"],
+]
+
+
+@pytest.mark.parametrize("argv", [
+    [a.replace("{m}", m) for a in argv]
+    for argv in _READERS
+    for m in (("{bad_map}", "{badref_map}") if "{m}" in argv else ("",))
+], ids=lambda argv: " ".join(a.strip("{}") for a in argv))
+@pytest.mark.parametrize("fmt", ["human", "structured"])
+def test_cli_malformed_file_is_an_input_error_naming_its_line(argv, fmt, tmp_path, capsys):
+    for name, text in _MALFORMED.items():
+        _write(tmp_path, name, text)
+    ok = os.path.basename(_identity_map_file(tmp_path))
+    files = {"c": "bad.txt", "bad_map": "bad.map", "badref_map": "badref.map",
+             "cert": "bad.cert", "full": "full.txt", "ok": ok}
+    files = {k: str(tmp_path / v) for k, v in files.items()}
+    assert cli.main(["--format", fmt, *(a.format_map(files) for a in argv)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and re.fullmatch(r"error: line \d+: .+", lines[0])
