@@ -71,8 +71,8 @@ class SimplicialSet:
         return 0 <= c.dim <= self.dim and 0 <= c.index < self._counts[c.dim]
 
     def cell_faces(self, c: CellId) -> tuple[Simplex, ...]:
-        """Stored face tuple (d_0 ... d_k) of a nondegenerate cell, k >= 1."""
-        return self._faces[c]
+        """Stored face tuple (d_0 ... d_k) of a nondegenerate cell; () for a vertex."""
+        return () if c.dim == 0 and self.has_cell(c) else self._faces[c]
 
     def label(self, c: CellId) -> str:
         return self.labels.get(c, f"c{c.dim}_{c.index}")

@@ -138,7 +138,7 @@ def sub_complex(
     for c in X.all_cells():
         if c not in kept:
             continue
-        fs = X.cell_faces(c) if c.dim > 0 else ()
+        fs = X.cell_faces(c)
         if any(f.base not in kept for f in fs):
             raise ValueError(f"cell set not face-closed at {X.label(c)}")
         reindex[c] = builder.add_cell(
@@ -171,7 +171,7 @@ def attach_all(
     """
     builder = ComplexBuilder()
     for c in S.all_cells():
-        builder.add_cell(c.dim, S.cell_faces(c) if c.dim > 0 else (), S.labels.get(c))
+        builder.add_cell(c.dim, S.cell_faces(c), S.labels.get(c))
     used = set(S.labels.values())
     totals: list[dict[CellId, Simplex]] = []
 
@@ -188,7 +188,7 @@ def attach_all(
             while lab in used:
                 lab += "'"
             used.add(lab)
-            fs = B.cell_faces(b) if b.dim > 0 else ()
+            fs = B.cell_faces(b)
             nc = builder.add_cell(b.dim, (apply_images(g, s) for s in fs), lab)
             g[b] = Simplex(nc)
             att.new_cells.append(nc)
@@ -314,10 +314,10 @@ class Join:
         self.x_cell, self.y_cell, self.pair_cell = {}, {}, {}
         builder = ComplexBuilder()
         for c in X.all_cells():
-            fs = X.cell_faces(c) if c.dim > 0 else ()
+            fs = X.cell_faces(c)
             self.x_cell[c] = builder.add_cell(c.dim, map(self.embed_x, fs), X.label(c))
         for c in Y.all_cells():
-            fs = Y.cell_faces(c) if c.dim > 0 else ()
+            fs = Y.cell_faces(c)
             self.y_cell[c] = builder.add_cell(c.dim, map(self.embed_y, fs), Y.label(c) + "~")
         for cx in X.all_cells():
             for cy in Y.all_cells():

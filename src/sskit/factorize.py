@@ -10,6 +10,7 @@ stage of inner-horn attachments.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -34,7 +35,6 @@ from .core import (
     degenerate,
     enumerate_maps,
     hom_left,
-    horn_complex,
     identity_map,
     is_constant,
     map_by_vertices,
@@ -47,12 +47,12 @@ from .core import (
 from .lifting import (
     BUDGET,
     FOUND,
-    HORN_RANGES,
     NONE,
     YES,
     classify_map,
+    family_keys,
     generating_family,
-    generator_inclusion,
+    key_inclusion,
 )
 
 # -- small-object stages (one pushout per stage) -------------------------------
@@ -123,11 +123,11 @@ def _inner_horns(
     the d_0 face of the filler) for each inner horn with lo <= n <= bound,
     in (n, i) order."""
     table = []
-    for n in range(lo, bound + 1):
-        for i in HORN_RANGES["inner"](n):
-            horn = horn_complex(n, i)
-            inc = generator_inclusion(horn, standard_simplex(n))
-            table.append((n, i, inc, horn.lookup[tuple(range(1, n + 1))]))
+    for n, i in family_keys("inner", bound):
+        if n >= lo:
+            inc = key_inclusion((n, i))
+            d0 = inc.target.face(Simplex(CellId(n, 0)), 0)
+            table.append((n, i, inc, next(c for c, s in inc.images.items() if s == d0)))
     return tuple(table)
 
 
@@ -323,11 +323,10 @@ def descend_over_triangle(
     2-horn at index 1: only horns whose base simplex hits both endpoint
     vertices 0 and 2 are filled, and after every stage the part of the
     stage complex sitting over the horn must be exactly the input."""
-    lam = horn_complex(2, 1)
+    lam_in_d2 = key_inclusion((2, 1))
     d2 = standard_simplex(2)
-    if p.target != lam.complex:
+    if p.target != lam_in_d2.source:
         raise ValueError("descent input must be a map to the 2-horn at index 1")
-    lam_in_d2 = generator_inclusion(lam, d2)
     lam_cells = {c.base for c in lam_in_d2.images.values()}
 
     X = p.source
@@ -471,27 +470,25 @@ def search_descent_extension(
     budget = Budget.of(node_budget)
 
     a_cells = {i.images[a].base for a in A.all_cells()}
-    # the partial extension: X plus the new cells chosen so far, as
-    # (image in B, face tuple) per dimension, and the image of every cell
+    # the partial extension: the new cells chosen so far, as (image in B,
+    # face tuple) per dimension, and the image of every cell.  q lists X's
+    # cells and then the new ones in the order they were added, which is
+    # (dim, index) order, so the newest cell is q's last item
     q = {c: i.apply(p.images[c]) for c in X.all_cells()}
     new: list[list[tuple[Simplex, tuple[Simplex, ...]]]] = [[] for _ in range(bound + 1)]
 
-    # candidate target simplices per dimension, outside A
-    outside = {
-        d: sorted(
+    @functools.cache
+    def outside(d: int) -> list[Simplex]:
+        """The d-simplices of B outside A, nondegenerate images first."""
+        return sorted(
             (s for s in B.simplices(d) if s.base not in a_cells),
-            key=lambda s: (len(s.word), s),  # nondegenerate images first
+            key=lambda s: (len(s.word), s),
         )
-        for d in range(bound + 1)
-    }
-
-    def new_cell(d: int, idx: int) -> CellId:
-        return CellId(d, X.n_cells(d) + idx)
 
     def try_build():
         builder = ComplexBuilder()
         for c in X.all_cells():
-            builder.add_cell(c.dim, X.cell_faces(c) if c.dim > 0 else ())
+            builder.add_cell(c.dim, X.cell_faces(c))
         for d, cells in enumerate(new):
             for _, fs in cells:
                 builder.add_cell(d, fs)
@@ -510,53 +507,55 @@ def search_descent_extension(
         inc = SimplicialMap(X, Y, {c: Simplex(c) for c in X.all_cells()})
         return Y, inc, qm
 
-    def simplices_so_far(d: int) -> list[Simplex]:
-        """All d-simplices of the partial extension."""
-        out = list(X.simplices(d))
-        for k in range(min(d, bound) + 1):
-            for idx in range(len(new[k])):
-                c = new_cell(k, idx)
-                out.extend(Simplex(c, w) for w in degeneracy_words(k, d))
-        return out
-
-    def face_choices(d: int, img: Simplex) -> list[tuple[Simplex, ...]]:
-        below = simplices_so_far(d - 1)
-        opts_per_face = []
-        for j in range(d + 1):
-            want = B.face(img, j)
-            opts = [s for s in below if apply_images(q, s) == want]
-            if not opts:
-                return []
-            opts_per_face.append(opts)
-        return list(itertools.product(*opts_per_face))
-
-    def grow(d: int):
-        """Search on from dimension d, keeping the new cells chosen so far
-        and adding up to the cap more at d in canonical nondecreasing order."""
-        budget.spend()
-        if d > bound:
-            return try_build()
-        found = grow(d + 1)
-        if found is not None or len(new[d]) >= _CELL_CAP:
-            return found
+    def candidates(d: int):
+        """The new d-cells (image, faces) that may follow those chosen at d,
+        up to the cap, in nondecreasing order.  The faces are (d-1)-simplices
+        of the partial extension, grouped once by their image."""
+        if len(new[d]) >= _CELL_CAP:
+            return
         last = new[d][-1] if new[d] else None
-        for img in outside[d]:
-            for fs in face_choices(d, img) if d > 0 else [()]:
-                cand = (img, fs)
-                if last is not None and cand < last:
-                    continue
-                c = new_cell(d, len(new[d]))
-                new[d].append(cand)
-                q[c] = img
-                found = grow(d)
-                if found is not None:
-                    return found
-                new[d].pop()
-                del q[c]
-        return None
+        below: dict[Simplex, list[Simplex]] = {}
+        for c in [c for c in q if c.dim < d]:
+            for s in (Simplex(c, w) for w in degeneracy_words(c.dim, d - 1)):
+                below.setdefault(apply_images(q, s), []).append(s)
+        for img in outside(d):
+            opts = []
+            for j in range(d + 1 if d else 0):
+                opts.append(below.get(B.face(img, j), ()))
+                if not opts[-1]:
+                    break
+            for fs in itertools.product(*opts):
+                if last is None or (img, fs) >= last:
+                    yield img, fs
+
+    # the path: one frame [d, the untried candidates at d, or None while the
+    # search is above d] per dimension climbed or new cell added
+    path: list[list] = []
+
+    def climb(d: int):
+        """Enter dimensions d .. bound + 1, one node each, and try the
+        partial extension as it stands."""
+        for _ in range(d, bound + 2):
+            budget.spend()
+        path.extend([e, None] for e in range(d, bound + 1))
+        return try_build()
 
     try:
-        found = grow(0)
+        found = climb(0)
+        while path and found is None:
+            d, untried = frame = path[-1]
+            if untried is None:
+                frame[1] = untried = candidates(d)
+            else:
+                new[d].pop()
+                q.popitem()
+            cand = next(untried, None)
+            if cand is None:
+                path.pop()
+            else:
+                q[CellId(d, X.n_cells(d) + len(new[d]))] = cand[0]
+                new[d].append(cand)
+                found = climb(d)
     except BudgetExceeded:
         return DescentSearchResult(BUDGET, bound)
     if found is None:

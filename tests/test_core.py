@@ -207,6 +207,14 @@ def test_builder_numbers_each_dimension_in_the_order_cells_are_added():
     assert X.cell_faces(f) == (Simplex(y), Simplex(x))
 
 
+def test_a_vertex_has_no_faces_and_a_non_cell_has_none_to_read():
+    X = standard_simplex(1).complex
+    assert X.cell_faces(CellId(0, 1)) == ()
+    for c in (CellId(0, 2), CellId(1, 1), CellId(2, 0)):
+        with pytest.raises(KeyError):
+            X.cell_faces(c)
+
+
 def test_equality_ignores_labels():
     a = ComplexBuilder()
     a.add_cell(0, label="p")

@@ -1,22 +1,33 @@
 """Stage-bounded factorizations: attachment stages, pre-fibrancy,
 saturation, descent, and mapping path spaces."""
 
+import ast
+import pathlib
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
+import sskit
 from sskit.core import (
     Budget,
     BudgetExceeded,
+    CellId,
+    ComplexBuilder,
+    SimplicialMap,
+    Simplex,
+    apply_images,
     compose,
     cosk0_complex,
+    degeneracy_words,
+    enumerate_maps,
     from_vertex_tuples,
     horn_complex,
     identity_map,
     is_constant,
     spine_complex,
     standard_simplex,
+    sub_complex,
     terminal_map,
     validate,
 )
@@ -30,8 +41,20 @@ from sskit.factorize import (
     saturate_prefibrant,
     search_descent_extension,
     soa_stage,
+    _CELL_CAP,
 )
-from sskit.lifting import BUDGET, FOUND, generator_inclusion, horn_inclusion
+from sskit.fileformat import serialize_complex
+from sskit.lifting import (
+    BUDGET,
+    FOUND,
+    NONE,
+    YES,
+    boundary_inclusion,
+    classify_map,
+    generator_inclusion,
+    horn_inclusion,
+    spine_inclusion,
+)
 
 from conftest import (
     build_edges_over_horn,
@@ -315,3 +338,171 @@ def test_a_starved_filler_search_attaches_nothing(limit):
     # limits run out inside the last filler search of the stage
     with pytest.raises(BudgetExceeded):
         prefibrantize(standard_simplex(2).complex, 1, 3, limit)
+
+
+# -- the descent search against its recursive predecessor --------------------------
+
+
+def recursive_descent_search(p, i, max_dim, budget):
+    """`search_descent_extension` as it was, with a recursive `grow` that
+    re-listed and re-mapped the simplices below for every candidate image
+    and built the table of images outside A for every dimension up front."""
+    A, B = i.source, i.target
+    X = p.source
+    bound = B.dim + 1 if max_dim is None else max_dim
+    a_cells = {i.images[a].base for a in A.all_cells()}
+    q = {c: i.apply(p.images[c]) for c in X.all_cells()}
+    new = [[] for _ in range(bound + 1)]
+    outside = {
+        d: sorted(
+            (s for s in B.simplices(d) if s.base not in a_cells),
+            key=lambda s: (len(s.word), s),
+        )
+        for d in range(bound + 1)
+    }
+
+    def new_cell(d, idx):
+        return CellId(d, X.n_cells(d) + idx)
+
+    def try_build():
+        builder = ComplexBuilder()
+        for c in X.all_cells():
+            builder.add_cell(c.dim, X.cell_faces(c) if c.dim > 0 else ())
+        for d, cells in enumerate(new):
+            for _, fs in cells:
+                builder.add_cell(d, fs)
+        Y = builder.build()
+        if validate(Y):
+            return None
+        qm = SimplicialMap(Y, B, q)
+        rep = classify_map(qm, bound, budget, classes=("inner",))
+        status = rep.classes["inner"].status
+        if status == BUDGET:
+            raise BudgetExceeded("budget")
+        return (Y, qm) if status == YES else None
+
+    def simplices_so_far(d):
+        out = list(X.simplices(d))
+        for k in range(min(d, bound) + 1):
+            for idx in range(len(new[k])):
+                c = new_cell(k, idx)
+                out.extend(Simplex(c, w) for w in degeneracy_words(k, d))
+        return out
+
+    def face_choices(d, img):
+        below = simplices_so_far(d - 1)
+        opts_per_face = []
+        for j in range(d + 1):
+            want = B.face(img, j)
+            opts = [s for s in below if apply_images(q, s) == want]
+            if not opts:
+                return []
+            opts_per_face.append(opts)
+        return list(product(*opts_per_face))
+
+    def grow(d):
+        budget.spend()
+        if d > bound:
+            return try_build()
+        found = grow(d + 1)
+        if found is not None or len(new[d]) >= _CELL_CAP:
+            return found
+        last = new[d][-1] if new[d] else None
+        for img in outside[d]:
+            for fs in face_choices(d, img) if d > 0 else [()]:
+                cand = (img, fs)
+                if last is not None and cand < last:
+                    continue
+                c = new_cell(d, len(new[d]))
+                new[d].append(cand)
+                q[c] = img
+                found = grow(d)
+                if found is not None:
+                    return found
+                new[d].pop()
+                del q[c]
+        return None
+
+    try:
+        found = grow(0)
+    except BudgetExceeded:
+        return BUDGET, None, None
+    if found is None:
+        return NONE, None, None
+    Y, qm = found
+    return FOUND, serialize_complex(Y), _images(qm)
+
+
+def _descent_inclusions():
+    incs = [horn_inclusion(n, k) for n in range(1, 4) for k in range(n + 1)]
+    incs += [boundary_inclusion(n) for n in range(4)]
+    incs += [spine_inclusion(2), spine_inclusion(3)]
+    for n in (1, 2):
+        D = standard_simplex(n).complex
+        incs += [sub_complex(D, [v])[1] for v in D.cells(0)]
+    return incs
+
+
+def _descent_inputs(seed):
+    """(p, i) per inclusion: the identity over its domain, and one seeded
+    map into the domain from a vertex or an edge."""
+    rng = random.Random(seed)
+    sources = [standard_simplex(0).complex, standard_simplex(1).complex]
+    out = []
+    for i in _descent_inclusions():
+        A = i.source
+        out.append((identity_map(A), i))
+        maps = list(enumerate_maps(rng.choice(sources), A))
+        if maps:
+            out.append((rng.choice(maps), i))
+    return out
+
+
+@pytest.mark.parametrize(
+    "max_dim, statuses", [(None, {FOUND, BUDGET}), (1, {FOUND}), (2, {FOUND, NONE, BUDGET})]
+)
+def test_descent_search_agrees_with_the_recursive_search(max_dim, statuses):
+    # with max_dim 1 no inner horn is checked, so the first candidate is found
+    seen = set()
+    for p, i in _descent_inputs(15):
+        for limit in (50, 400, 1393, 1394, 5000, 40000):
+            budget, ref_budget = Budget(limit), Budget(limit)
+            res = search_descent_extension(p, i, max_dim, budget)
+            got = (res.status, None, None)
+            if res.status == FOUND:
+                got = (FOUND, serialize_complex(res.extension), _images(res.base_map))
+            assert got == recursive_descent_search(p, i, max_dim, ref_budget)
+            assert budget.used == ref_budget.used
+            seen.add(res.status)
+    assert seen == statuses
+
+
+def test_a_descent_search_past_a_thousand_dimensions_answers_budget():
+    i = sub_complex(standard_simplex(1).complex, [CellId(0, 0)])[1]
+    res = search_descent_extension(identity_map(i.source), i, 1100, 3000)
+    assert (res.status, res.bound) == (BUDGET, 1100)
+
+
+def recursive_spenders(package):
+    """(module, function) for every function under the package, nested ones
+    included, that spends budget nodes and calls itself."""
+    out = []
+    for path in sorted(package.rglob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            calls = [n.func for n in ast.walk(fn) if isinstance(n, ast.Call)]
+            spends = any(isinstance(f, ast.Attribute) and f.attr == "spend" for f in calls)
+            if spends and any(
+                (isinstance(f, ast.Name) and f.id == fn.name)
+                or (isinstance(f, ast.Attribute) and f.attr == fn.name and getattr(f.value, "id", None) == "self")
+                for f in calls
+            ):
+                out.append((path.relative_to(package).as_posix(), fn.name))
+    return out
+
+
+def test_no_search_that_spends_budget_recurses():
+    """Every budgeted search keeps its path on an explicit stack, so none
+    has a depth limit."""
+    assert recursive_spenders(pathlib.Path(sskit.__file__).parent) == []

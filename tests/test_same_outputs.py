@@ -3,6 +3,9 @@
 import importlib.util
 import json
 import pathlib
+import tempfile
+
+import pytest
 
 TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "same_outputs.py"
 spec = importlib.util.spec_from_file_location("same_outputs", TOOL)
@@ -58,3 +61,55 @@ def test_every_kind_of_difference_is_reported(tmp_path):
         "file new.txt: only in the change's corpus",
     ]
     assert report[8:] == ["changed output lines, with the number of queries:", "     1  stdout +bound: 3"]
+
+
+FAKE_WORKER = """import json, os, sys
+if sys.argv[1] == {fail!r}:
+    sys.exit("broken checkout")
+if sys.argv[1] == "setup":
+    os.makedirs(sys.argv[4])
+    with open(os.path.join(sys.argv[4], "manifest.json"), "w") as fh:
+        json.dump([], fh)
+else:
+    with open(sys.argv[3], "w") as fh:
+        json.dump({{"queries": []}}, fh)
+"""
+
+
+def _checkout(root, fail=None):
+    """A checkout whose worker answers an empty corpus, or exits non-zero
+    at the named step."""
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "worker.py").write_text(FAKE_WORKER.format(fail=fail))
+    return str(root)
+
+
+@pytest.mark.parametrize(
+    "parent_fails, change_fails, line",
+    [
+        ("setup", None, "failed: the parent checkout's worker setup exited 1"),
+        (None, "pass", "failed: the change checkout's worker pass exited 1"),
+    ],
+)
+def test_a_failing_worker_is_exit_2_naming_the_side_and_step(
+    tmp_path, monkeypatch, capfd, parent_fails, change_fails, line
+):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    (tmp_path / "tmp").mkdir()
+    parent = _checkout(tmp_path / "p", parent_fails)
+    change = _checkout(tmp_path / "c", change_fails)
+    argv = [parent, change, "--workload", "construct", "--seed", "1"]
+    assert same_outputs.main(argv) == 2
+    err = capfd.readouterr().err.splitlines()
+    assert err[-1] == line
+    assert "broken checkout" in err
+    assert list((tmp_path / "tmp").iterdir()) == []  # the temporary directory is gone
+    work = tmp_path / "work"
+    assert same_outputs.main(argv + ["--work", str(work)]) == 2
+    assert (work / "parent").is_dir()  # a named work directory is kept
+
+
+def test_fake_checkouts_that_answer_alike_are_identical(tmp_path, capsys):
+    argv = [_checkout(tmp_path / "p"), _checkout(tmp_path / "c"), "--workload", "w", "--seed", "0"]
+    assert same_outputs.main(argv) == 0
+    assert capsys.readouterr().out.startswith("identical: w seed 0, 0 queries")

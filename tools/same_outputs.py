@@ -8,7 +8,7 @@ generate the seeded corpus and then `perfbench/worker.py pass` to answer
 it, each in a fresh interpreter with `PYTHONHASHSEED=0`, as
 `perfbench/run.py` does.  It only invokes the benchmark's files and
 changes none of them; the corpora and results go to a work directory
-(a new temporary one unless `--work` names one).
+(`--work`, which is kept, or else a new temporary one, which is removed).
 
 It reports every query whose exit code, stdout or stderr differs (or
 that raised in one checkout), and every file of the corpus directory,
@@ -16,7 +16,8 @@ the files the queries wrote included, whose bytes differ or that only
 one side has.  The changed output lines are also tallied across
 queries, so a deliberate change of one report key shows as a few lines
 with their counts.  Exit 0 when both sides agree byte for byte, 1 when
-they do not.
+they do not, and 2, with one line naming the side and the step, when a
+worker exits non-zero.
 """
 
 from __future__ import annotations
@@ -26,9 +27,14 @@ import collections
 import difflib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
+
+
+class WorkerFailed(Exception):
+    """A checkout's worker exited non-zero; the message names the step."""
 
 
 def run_side(checkout: str, workload: str, seed: int, work: str) -> tuple[str, dict]:
@@ -42,7 +48,9 @@ def run_side(checkout: str, workload: str, seed: int, work: str) -> tuple[str, d
         ["setup", workload, str(seed), corpus, os.path.join(work, "setup.json")],
         ["pass", corpus, os.path.join(work, "pass.json")],
     ):
-        subprocess.run([sys.executable, worker, *args], env=env, check=True)
+        code = subprocess.run([sys.executable, worker, *args], env=env).returncode
+        if code:
+            raise WorkerFailed(f"{args[0]} exited {code}")
     with open(os.path.join(work, "pass.json"), encoding="utf-8") as fh:
         return corpus, json.load(fh)
 
@@ -116,12 +124,20 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--work", help="directory for the corpora and results")
     args = ap.parse_args(argv)
     work = args.work or tempfile.mkdtemp(prefix="same-outputs-")
-    sides = []
-    for side, checkout in (("parent", args.parent), ("change", args.change)):
-        side_work = os.path.join(work, side)
-        os.makedirs(side_work, exist_ok=False)
-        sides.append(run_side(checkout, args.workload, args.seed, side_work))
-    report = compare(*sides)
+    try:
+        sides = []
+        for side, checkout in (("parent", args.parent), ("change", args.change)):
+            side_work = os.path.join(work, side)
+            os.makedirs(side_work, exist_ok=False)
+            try:
+                sides.append(run_side(checkout, args.workload, args.seed, side_work))
+            except WorkerFailed as exc:
+                print(f"failed: the {side} checkout's worker {exc}", file=sys.stderr)
+                return 2
+        report = compare(*sides)
+    finally:
+        if not args.work:
+            shutil.rmtree(work)
     n = len(sides[0][1]["queries"])
     where = f"{args.workload} seed {args.seed}, {n} queries"
     if not report:
