@@ -121,13 +121,12 @@ def _cmd_op(args):
 
 
 def _cmd_lift(args):
+    if bool(args.p) != bool(args.v):
+        raise ValueError("--p requires --v" if args.p else "--v requires --p")
     i = _load_map(args.along)
     u = _load_map(args.map)
     if args.p:
-        p = _load_map(args.p)
-        v = _load_map(args.v) if args.v else None
-        if v is None:
-            raise ValueError("--p requires --v")
+        p, v = _load_map(args.p), _load_map(args.v)
     else:
         pt = standard_simplex(0).complex
         p = terminal_map(u.target, pt)

@@ -136,22 +136,16 @@ class SimplicialSet:
         """The j-th vertex of a simplex."""
         if not 0 <= j <= s.dim:
             raise IndexError(f"vertex index {j} out of range for dim {s.dim}")
-        cur = s
-        for k in range(s.dim, j, -1):
-            cur = self.face(cur, k)
-        for _ in range(j):
-            cur = self.face(cur, 0)
-        return cur.base
+        return self.restrict(s, (j,)).base
 
     def vertices_of(self, s: Simplex) -> tuple[CellId, ...]:
         return tuple(self.vertex(s, j) for j in range(s.dim + 1))
 
     def restrict(self, s: Simplex, positions: Sequence[int]) -> Simplex:
         """Iterated face keeping only the given vertex positions (increasing)."""
-        keep = list(positions)
         cur = s
         for j in range(s.dim, -1, -1):
-            if j not in keep:
+            if j not in positions:
                 cur = self.face(cur, j)
         return cur
 

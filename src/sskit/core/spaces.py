@@ -95,15 +95,19 @@ class SliceSpace(LevelwiseSpace):
         )
 
 
+def _slice_levels(X: SimplicialSet, x: CellId, up_to: int) -> list[list[Simplex]]:
+    """Level n: the (n+1)-simplices of X with initial vertex x."""
+    return [
+        [u for u in X.simplices(n + 1) if X.vertex(u, 0) == x]
+        for n in range(up_to + 1)
+    ]
+
+
 def slice_under(X: SimplicialSet, x: CellId, up_to: int) -> SliceSpace:
     """Levels of X_{x/}: (n+1)-simplices with initial vertex x."""
     if x.dim != 0 or not X.has_cell(x):
         raise ValueError("slice base must be a vertex of the complex")
-    levels = [
-        [u for u in X.simplices(n + 1) if X.vertex(u, 0) == x]
-        for n in range(up_to + 1)
-    ]
-    return SliceSpace(X, levels)
+    return SliceSpace(X, _slice_levels(X, x, up_to))
 
 
 def hom_left(X: SimplicialSet, x: CellId, y: CellId, up_to: int) -> SliceSpace:
@@ -113,12 +117,8 @@ def hom_left(X: SimplicialSet, x: CellId, y: CellId, up_to: int) -> SliceSpace:
         if v.dim != 0 or not X.has_cell(v):
             raise ValueError("hom endpoints must be vertices of the complex")
     levels = [
-        [
-            u
-            for u in X.simplices(n + 1)
-            if X.vertex(u, 0) == x and X.face(u, 0) == constant_simplex(y, n)
-        ]
-        for n in range(up_to + 1)
+        [u for u in level if X.face(u, 0) == constant_simplex(y, n)]
+        for n, level in enumerate(_slice_levels(X, x, up_to))
     ]
     return SliceSpace(X, levels)
 

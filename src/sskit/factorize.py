@@ -70,12 +70,7 @@ class SoaTrace:
         return self.stages[-1]
 
     def composite_inclusion(self) -> SimplicialMap:
-        f = None
-        for inc in self.inclusions:
-            f = inc if f is None else compose(f, inc)
-        if f is None:
-            return identity_map(self.stages[0])
-        return f
+        return functools.reduce(compose, self.inclusions, identity_map(self.stages[0]))
 
 
 def soa_stage(
@@ -425,7 +420,7 @@ def mapping_path_space(
         src_imgs[c] = ce
     projection = SimplicialMap(Q, D, proj_imgs)
     to_source = SimplicialMap(Q, C, src_imgs)
-    if compose(section, projection) != f:
+    if any(projection.apply(s) != f.images[c] for c, s in sec_imgs.items()):
         raise AssertionError("mapping path space factorization failed")
     return PathSpaceResult(Q, section, projection, to_source, up_to)
 

@@ -14,7 +14,7 @@ line number, 0 for a defect of the file as a whole.
 from __future__ import annotations
 
 import re
-from typing import Callable
+from typing import Callable, Iterator
 
 from .certify import AnodyneCertificate
 from .core import CellId, ComplexBuilder, Simplex, SimplicialMap, SimplicialSet, validate
@@ -91,6 +91,14 @@ def _strip(raw: str) -> str:
     return raw.split("#", 1)[0].strip()
 
 
+def _records(text: str) -> Iterator[tuple[int, str, list[str]]]:
+    """Line number, text and tokens of each line left non-empty by _strip."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = _strip(raw)
+        if line:
+            yield lineno, line, line.split()
+
+
 def _parse_token(tok: str, byname: dict[str, CellId], lineno: int) -> Simplex:
     # an exact name wins over the degeneracy reading, so generated names
     # containing '@' survive a round trip
@@ -108,11 +116,7 @@ def parse_complex(text: str) -> SimplicialSet:
     builder = ComplexBuilder()
     byname: dict[str, CellId] = {}
 
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = _strip(raw)
-        if not line:
-            continue
-        toks = line.split()
+    for lineno, _, toks in _records(text):
         if toks[0] == "dim":
             if declared is not None or len(toks) != 2:
                 raise ParseError(lineno, "malformed or repeated dim header")
@@ -179,11 +183,7 @@ def parse_map(
     tgt_byname: dict[str, CellId] = {}
     images: dict[CellId, Simplex] = {}
 
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = _strip(raw)
-        if not line:
-            continue
-        toks = line.split()
+    for lineno, _, toks in _records(text):
         if toks[0] == "map":
             if src is not None or len(toks) != 3:
                 raise ParseError(lineno, "malformed or repeated map header")
@@ -230,11 +230,7 @@ def parse_certificate(text: str, B: SimplicialSet) -> AnodyneCertificate:
     family = None
     steps = []
     byname = {v: k for k, v in name_table(B).items()}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = _strip(raw)
-        if not line:
-            continue
-        toks = line.split()
+    for lineno, line, toks in _records(text):
         if toks[0] == "class" and len(toks) == 2:
             if family is not None:
                 raise ParseError(lineno, "repeated class header")

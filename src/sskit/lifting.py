@@ -85,24 +85,10 @@ def solve_lift(
 
     try:
         for lift in enumerate_maps(P.i.target, P.p.source, fixed, ok, budget):
-            if compose(P.i, lift) != P.u or compose(lift, P.p) != P.v:
+            lower = all(P.p.apply(s) == P.v.images[b] for b, s in lift.images.items())
+            if not (lower and fixed.items() <= lift.images.items()):
                 raise AssertionError("solver produced an invalid lift")
             return LiftResult(FOUND, lift)
-    except BudgetExceeded:
-        return LiftResult(BUDGET)
-    return LiftResult(NONE)
-
-
-def extend_along(
-    f: SimplicialMap,
-    i: SimplicialMap,
-    node_budget: int | Budget = DEFAULT_NODE_BUDGET,
-) -> LiftResult:
-    """First extension of f: A -> X along the mono inclusion i: A -> B."""
-    budget = Budget.of(node_budget)
-    try:
-        for g in all_extensions(f, i, budget=budget):
-            return LiftResult(FOUND, g)
     except BudgetExceeded:
         return LiftResult(BUDGET)
     return LiftResult(NONE)

@@ -14,8 +14,9 @@ from sskit.core import (
     pushout,
     spine_complex,
     standard_simplex,
+    terminal_map,
 )
-from sskit.lifting import generator_inclusion
+from sskit.lifting import LiftingProblem, generator_inclusion
 
 
 def build_walking_iso():
@@ -48,6 +49,13 @@ def build_glued_spines():
         generator_inclusion(sp, standard_simplex(3)),
         generator_inclusion(sp, boundary_complex(3)),
     )
+
+
+def extension_problem(f, i):
+    """Extending f: A -> X along a mono inclusion i: A -> B, as the
+    lifting problem of i against the map from X to the point."""
+    pt = standard_simplex(0).complex
+    return LiftingProblem(i, terminal_map(f.target, pt), f, terminal_map(i.target, pt))
 
 
 def build_parallel_edge_square():

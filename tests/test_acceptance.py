@@ -49,17 +49,18 @@ from sskit.lifting import (
     NONE,
     YES,
     classify_map,
-    extend_along,
     generating_family,
     generator_inclusion,
     has_rlp,
     horn_inclusion,
+    solve_lift,
     spine_inclusion,
 )
 
 from conftest import (
     build_edges_over_horn,
     build_horn_plus_vertex,
+    extension_problem,
     over_horn_is_source,
     random_generator_complex,
     random_mono_pair,
@@ -130,12 +131,12 @@ def test_criterion_04_glued_spines_fill_spines_but_not_the_inner_horn(glued_spin
     for n in range(1, 5):
         inc = spine_inclusion(n)
         for alpha in enumerate_maps(inc.source, S):
-            assert extend_along(alpha, inc).status == FOUND
+            assert solve_lift(extension_problem(alpha, inc)).status == FOUND
     u = compose(
         generator_inclusion(horn_complex(3, 1), boundary_complex(3)),
         glued_spines.from_codomain,
     )
-    r = extend_along(u, horn_inclusion(3, 1))
+    r = solve_lift(extension_problem(u, horn_inclusion(3, 1)))
     assert r.status == NONE
     assert u.check() == []  # the witness is a replayable horn map
     assert time.monotonic() - t0 < 10.0

@@ -8,7 +8,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sskit import certify, cli, factorize
+from sskit import certify, cli, factorize, lifting
 from sskit.certify import (
     INNER_ANODYNE,
     NOT_INNER_ANODYNE,
@@ -549,6 +549,33 @@ def test_cli_lift_against_a_given_right_leg(tmp_path, capsys):
     assert parse_map(report["lift"], lambda ref: standard_simplex(2).complex) == identity_map(
         standard_simplex(2).complex
     )
+
+
+@pytest.mark.parametrize("given, missing", [("--p", "--v"), ("--v", "--p")])
+def test_cli_lift_checks_the_right_leg_flags_before_reading_a_file(given, missing, tmp_path, capsys):
+    # none of the files exists: the flag error comes before any read
+    along, u, leg = (str(tmp_path / name) for name in ("i.map", "u.map", "leg.map"))
+    assert cli.main(["lift", "--along", along, u, given, leg]) == 3
+    assert capsys.readouterr().err == f"error: {given} requires {missing}\n"
+
+
+def test_cli_lift_reports_an_invalid_lift_as_an_internal_fault(tmp_path, capsys, monkeypatch):
+    # vertex 0 of Delta^1 over the point, with the solver stubbed to send
+    # the edge to vertex 1
+    _complex_file(tmp_path, "pt.txt", standard_simplex(0).complex)
+    _complex_file(tmp_path, "d1.txt", standard_simplex(1).complex)
+    vertex = generator_inclusion(standard_simplex(0), standard_simplex(1))
+    along = _write(tmp_path, "v.map", serialize_map(vertex, "pt.txt", "d1.txt"))
+    d1 = standard_simplex(1).complex
+    bad = SimplicialMap(d1, d1, {c: Simplex(CellId(0, 1), (0,) * c.dim) for c in d1.all_cells()})
+    monkeypatch.setattr(lifting, "enumerate_maps", lambda *args: iter([bad]))
+    assert cli.main(["--format", "structured", "lift", "--along", along, along]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "format_version": 1,
+        "command": "lift",
+        "verdict": "error",
+        "reason": "solver produced an invalid lift",
+    }
 
 
 def test_cli_lift_along_a_vertex_of_a_large_simplex(tmp_path, capsys):

@@ -5,12 +5,18 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sskit import lifting
 from sskit.core import (
     DEFAULT_NODE_BUDGET,
     Budget,
+    BudgetExceeded,
     CellId,
     Simplex,
+    all_extensions,
+    boundary_complex,
     compose,
+    enumerate_maps,
+    horn_complex,
     identity_map,
     map_by_vertices,
     product,
@@ -27,7 +33,6 @@ from sskit.lifting import (
     LiftingProblem,
     boundary_inclusion,
     classify_map,
-    extend_along,
     family_keys,
     generating_family,
     generator_inclusion,
@@ -37,7 +42,7 @@ from sskit.lifting import (
     spine_inclusion,
 )
 
-from conftest import random_generator_complex
+from conftest import build_glued_spines, extension_problem, random_generator_complex
 
 PT = standard_simplex(0).complex
 
@@ -59,7 +64,7 @@ def test_inner_horn_fills_in_its_own_simplex():
 
 
 def test_spine_extends_through_the_full_simplex():
-    r = extend_along(spine_inclusion(3), spine_inclusion(3))
+    r = solve_lift(extension_problem(spine_inclusion(3), spine_inclusion(3)))
     assert r.status == FOUND
 
 
@@ -67,8 +72,78 @@ def test_no_lift_when_the_target_lacks_the_filler():
     # extend the identity of the boundary over the full simplex: the
     # interior has nowhere to go
     i = boundary_inclusion(2)
-    r = extend_along(identity_map(i.source), i)
+    r = solve_lift(extension_problem(identity_map(i.source), i))
     assert r.status == NONE
+
+
+def _first_extension(f, i, budget):
+    """Status and map of the first item of all_extensions."""
+    try:
+        for g in all_extensions(f, i, budget=budget):
+            return FOUND, g
+    except BudgetExceeded:
+        return BUDGET, None
+    return NONE, None
+
+
+def _extension_cases():
+    """The extensions that the spine, boundary and horn tests solve as
+    lifts over the point: the spine of Delta^3 along itself, the identity
+    of the boundary of Delta^2 along its inclusion, the horn of Delta^3
+    sent into the shell of the glued spines, and every map from the spine
+    of Delta^n (n <= 4) into the glued spines."""
+    glued = build_glued_spines()
+    cases = [
+        (spine_inclusion(3), spine_inclusion(3)),
+        (identity_map(boundary_inclusion(2).source), boundary_inclusion(2)),
+        (
+            compose(
+                generator_inclusion(horn_complex(3, 1), boundary_complex(3)),
+                glued.from_codomain,
+            ),
+            horn_inclusion(3, 1),
+        ),
+    ]
+    for n in range(1, 5):
+        inc = spine_inclusion(n)
+        cases += [(alpha, inc) for alpha in enumerate_maps(inc.source, glued.complex)]
+    return cases
+
+
+@pytest.mark.parametrize("limit", [1, 3, 8, DEFAULT_NODE_BUDGET])
+def test_an_extension_is_a_lift_over_the_point_node_for_node(limit):
+    statuses = set()
+    for f, i in _extension_cases():
+        ext_budget, lift_budget = Budget(limit), Budget(limit)
+        status, g = _first_extension(f, i, ext_budget)
+        r = solve_lift(extension_problem(f, i), lift_budget)
+        assert (r.status, r.lift) == (status, g)
+        assert lift_budget.used == ext_budget.used
+        statuses.add(status)
+    # both refutations spend fewer nodes than the smallest limit
+    assert statuses == ({FOUND, NONE} if limit == DEFAULT_NODE_BUDGET else {FOUND, NONE, BUDGET})
+
+
+def _vertex_map(vmap):
+    d1 = standard_simplex(1)
+    return map_by_vertices(d1.complex, d1, {CellId(0, v): w for v, w in vmap.items()})
+
+
+@pytest.mark.parametrize("triangle", ["upper", "lower"])
+def test_the_lift_self_check_rejects_a_map_that_does_not_fill_the_square(triangle, monkeypatch):
+    # vertex 0 of Delta^1 against the point (the upper triangle fails when
+    # the edge goes to vertex 1) or against the identity of Delta^1 (the
+    # lower one fails when the edge goes to vertex 0)
+    i = generator_inclusion(standard_simplex(0), standard_simplex(1))
+    if triangle == "upper":
+        P, bad = extension_problem(i, i), _vertex_map({0: 1, 1: 1})
+    else:
+        ident = identity_map(i.target)
+        P, bad = LiftingProblem(i, ident, i, ident), _vertex_map({0: 0, 1: 0})
+    assert solve_lift(P).status == FOUND
+    monkeypatch.setattr(lifting, "enumerate_maps", lambda *args: iter([bad]))
+    with pytest.raises(AssertionError, match="^solver produced an invalid lift$"):
+        solve_lift(P)
 
 
 def test_budget_exhaustion_is_a_distinct_outcome():
