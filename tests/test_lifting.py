@@ -47,13 +47,6 @@ from conftest import build_glued_spines, extension_problem, random_generator_com
 PT = standard_simplex(0).complex
 
 
-def _square_over_point(i):
-    """The square pushing a mono inclusion against the terminal map of
-    its own target, with u the inclusion itself."""
-    p = terminal_map(i.target, PT)
-    return LiftingProblem(i, p, i, terminal_map(i.target, PT))
-
-
 def test_inner_horn_fills_in_its_own_simplex():
     i = horn_inclusion(2, 1)
     u = i  # fill the horn inside Delta^2 itself
