@@ -188,7 +188,7 @@ def _cmd_equiv_edge(args):
     e = X.cell_by_label(args.edge)
     if e is None or e.dim != 1:
         raise ValueError(f"no edge named {args.edge!r}")
-    v = homotopy.is_equivalence_edge(X, Simplex(e), args.word_budget)
+    v = homotopy.homotopy_category(X, args.word_budget).is_equivalence(Simplex(e))
     _emit({"command": "equiv-edge", "verdict": v.value}, args)
     return _status_code(v.value)
 

@@ -34,8 +34,6 @@ class LevelwiseSpace:
         self, levels: Sequence[Sequence], face_fn: Callable, deg_fn: Callable
     ) -> None:
         self.levels = [list(lev) for lev in levels]
-        self.face_fn = face_fn
-        self.deg_fn = deg_fn
         self.elements: list[list] = []  # nondegenerate elements per dim
         self._normal: dict[tuple[int, object], Simplex] = {}  # of every element
 
@@ -143,11 +141,17 @@ class FunctionComplexTruncation(LevelwiseSpace):
         # id x d_i : K x Delta^n -> K x Delta^{n+1} at [n][i], and
         # id x s_j : K x Delta^{n+1} -> K x Delta^n at [n][j]
         self._cofaces = [
-            [_connecting(deltas, products, n, n + 1, _coface(i)) for i in range(n + 2)]
+            [
+                _connecting(deltas, products, n + 1, [v if v < i else v + 1 for v in range(n + 1)])
+                for i in range(n + 2)
+            ]
             for n in range(len(deltas) - 1)
         ]
         self._codegeneracies = [
-            [_connecting(deltas, products, n + 1, n, _codegeneracy(j)) for j in range(n + 1)]
+            [
+                _connecting(deltas, products, n, [v if v <= j else v - 1 for v in range(n + 2)])
+                for j in range(n + 1)
+            ]
             for n in range(len(deltas) - 1)
         ]
         super().__init__(levels, self.face_map, self.deg_map)
@@ -177,27 +181,15 @@ class FunctionComplexTruncation(LevelwiseSpace):
 
 
 def _connecting(
-    deltas: list[GeneratorComplex],
-    products: list[Product],
-    m: int,
-    n: int,
-    vfun: Callable[[int], int],
+    deltas: list[GeneratorComplex], products: list[Product], n: int, images: list[int]
 ) -> SimplicialMap:
-    """id x d : K x Delta^m -> K x Delta^n, where d has vertex function vfun."""
+    """id x d : K x Delta^m -> K x Delta^n, where m = len(images) - 1 and
+    d sends vertex v to vertex images[v]."""
+    m = len(images) - 1
     d = map_by_vertices(
-        deltas[m].complex,
-        deltas[n],
-        {CellId(0, v): vfun(v) for v in range(m + 1)},
+        deltas[m].complex, deltas[n], {CellId(0, v): w for v, w in enumerate(images)}
     )
     return product_functor(products[m], products[n], identity_map(products[m].x), d)
-
-
-def _coface(i: int) -> Callable[[int], int]:
-    return lambda v: v if v < i else v + 1
-
-
-def _codegeneracy(j: int) -> Callable[[int], int]:
-    return lambda v: v if v <= j else v - 1
 
 
 def _enumerate_levels(
@@ -246,9 +238,7 @@ def restricted_function_complex(
     ok = {u for u in all_levels[0] if vertex_ok(u)}
     levels = [[u for u in all_levels[0] if u in ok]]
     for n in range(1, up_to + 1):
-        vertices = [
-            _connecting(deltas, products, 0, n, lambda v, j=j: j) for j in range(n + 1)
-        ]
+        vertices = [_connecting(deltas, products, n, [j]) for j in range(n + 1)]
         levels.append(
             [u for u in all_levels[n] if all(compose(w, u) in ok for w in vertices)]
         )

@@ -99,16 +99,14 @@ def soa_stage(
 
 @dataclass
 class PreFibrantReport:
-    lambda21_verdict: str  # "yes" | "no" | "budget"
-    lambda21_witness: SimplicialMap | None
-    constant_horn_verdicts: dict[int, str]  # per dimension n >= 3
-    constant_horn_witness: SimplicialMap | None
+    # "yes" | "no" | "budget" for each dimension the check entered; key 2
+    # holds the 2-horns at index 1, keys n >= 3 the constant-d_0 horns
+    verdicts: dict[int, str]
+    witness: SimplicialMap | None = None  # the horn behind a "no"
 
     @property
     def ok(self) -> bool:
-        return self.lambda21_verdict == "yes" and all(
-            v == "yes" for v in self.constant_horn_verdicts.values()
-        )
+        return all(v == "yes" for v in self.verdicts.values())
 
 
 def _inner_horns(
@@ -151,26 +149,16 @@ def is_prefibrant(
     simplex fills."""
     bound = _default_bound(S) if max_dim is None else max_dim
     budget = Budget.of(node_budget)
-    report = PreFibrantReport("yes", None, {}, None)
-
-    def settle(n: int, verdict: str, witness: SimplicialMap | None = None) -> None:
-        if n == 2:
-            report.lambda21_verdict, report.lambda21_witness = verdict, witness
-        else:
-            report.constant_horn_verdicts[n] = verdict
-            report.constant_horn_witness = witness
-
-    horns = _inner_horns(2, max(bound, 2))
+    report = PreFibrantReport({})
     try:
-        for n, _, inc, d0 in horns:
-            if n > 2:
-                report.constant_horn_verdicts[n] = "yes"
+        for n, _, inc, d0 in _inner_horns(2, max(bound, 2)):
+            report.verdicts[n] = "yes"
             for alpha in enumerate_maps(inc.source, S, budget=budget):
                 if _needs_filler(n, inc, d0, alpha, budget):
-                    settle(n, "no", alpha)
+                    report.verdicts[n], report.witness = "no", alpha
                     return report
     except BudgetExceeded:
-        settle(n, "budget")
+        report.verdicts[n] = "budget"
     return report
 
 
@@ -242,8 +230,12 @@ def saturate_prefibrant(
     target restriction that no other caller needs.  An int limit gives the
     pre-check and the attachments a budget each: one for both would turn
     the benchmark's saturation of cosk0(3, 2) at 3,000 nodes (it spends
-    3,579) into a budget verdict, so it waits for a re-recorded benchmark."""
+    3,579) into a budget verdict, so it waits for a re-recorded benchmark.
+    A pre-check that runs out of budget raises BudgetExceeded, as the
+    attachments do: it refutes nothing."""
     pre = is_prefibrant(S, up_to_dim, node_budget)
+    if "budget" in pre.verdicts.values():
+        raise BudgetExceeded("the pre-fibrancy check ran out of budget")
     if not pre.ok:
         raise ValueError("saturation requires a pre-fibrant input up to the bound")
     budget = Budget.of(node_budget)
@@ -382,6 +374,8 @@ def mapping_path_space(
     0-endpoint is f(c).  The section embeds via constant homotopies and
     the projection evaluates the 1-endpoint; f factors as pi o i."""
     C, D = f.source, f.target
+    if C.dim > up_to:
+        raise ValueError("truncation bound too small for the source complex")
     budget = Budget.of(node_budget)
     rfc = restricted_function_complex(D, standard_simplex(1).complex, up_to, budget, word_budget)
     start, end = CellId(0, 0), CellId(0, 1)
@@ -405,8 +399,6 @@ def mapping_path_space(
 
     sec_imgs = {}
     for c in C.all_cells():
-        if c.dim > up_to:
-            raise ValueError("truncation bound too small for the source complex")
         P = rfc.products[c.dim]
         hom = compose(compose(P.proj2, simplex_as_map(C, Simplex(c))), f)
         sec_imgs[c] = lw.normalize(c.dim, (Simplex(c), hom))

@@ -212,9 +212,6 @@ def parse_map(
 
     if src is None or tgt is None:
         raise ParseError(1, "missing map header")
-    missing = [c for c in src.all_cells() if c not in images]
-    if missing:
-        raise ParseError(0, f"missing images for {len(missing)} cells")
     try:
         f = SimplicialMap(src, tgt, images)
     except ValueError as e:

@@ -246,16 +246,6 @@ def homotopy_category(S: SimplicialSet, word_budget: int = DEFAULT_WORD_BUDGET) 
     return pres
 
 
-# -- equivalence edges ---------------------------------------------------------
-
-
-def is_equivalence_edge(
-    S: SimplicialSet, e: Simplex, word_budget: int = DEFAULT_WORD_BUDGET
-) -> EquivalenceVerdict:
-    """Is the class of an edge invertible in the homotopy category?"""
-    return homotopy_category(S, word_budget).is_equivalence(e)
-
-
 # -- pi0 -----------------------------------------------------------------------
 
 

@@ -189,10 +189,6 @@ class FibrationReport:
     checked_dim: int = 0
 
 
-def default_max_dim(p: SimplicialMap) -> int:
-    return max(p.source.dim, p.target.dim, 0) + 1
-
-
 def classify_map(
     p: SimplicialMap,
     max_dim: int | None = None,
@@ -207,7 +203,7 @@ def classify_map(
     reaches it, and its verdict is shared by every class that contains
     it.  A class takes the first verdict of its family that is not YES.
     """
-    bound = default_max_dim(p) if max_dim is None else max_dim
+    bound = max(p.source.dim, p.target.dim, 0) + 1 if max_dim is None else max_dim
     budget = Budget.of(node_budget)
     report = FibrationReport(
         mono=p.is_mono(),

@@ -5,12 +5,15 @@ import random
 import pytest
 
 from sskit.core import (
+    CellId,
     ComplexBuilder,
     Simplex,
     SimplicialMap,
     boundary_complex,
     from_vertex_tuples,
     horn_complex,
+    identity_map,
+    map_by_vertices,
     pushout,
     spine_complex,
     standard_simplex,
@@ -56,6 +59,22 @@ def extension_problem(f, i):
     lifting problem of i against the map from X to the point."""
     pt = standard_simplex(0).complex
     return LiftingProblem(i, terminal_map(f.target, pt), f, terminal_map(i.target, pt))
+
+
+def ill_posed_squares():
+    """Squares that LiftingProblem.check rejects, by the message it gives:
+    i collapses Delta^1 to the point (the square commutes), or i picks
+    vertex 0 of Delta^1 while u picks vertex 1 over the identity."""
+    pt, d1 = standard_simplex(0), standard_simplex(1)
+    collapse, over_pt = terminal_map(d1.complex, pt.complex), identity_map(pt.complex)
+    over_d1 = identity_map(d1.complex)
+    vertex1 = map_by_vertices(pt.complex, d1, {CellId(0, 0): 1})
+    return {
+        "i is not a mono inclusion": LiftingProblem(collapse, over_pt, collapse, over_pt),
+        "square does not commute: p o u != v o i": LiftingProblem(
+            generator_inclusion(pt, d1), over_d1, vertex1, over_d1
+        ),
+    }
 
 
 def build_parallel_edge_square():

@@ -96,8 +96,8 @@ def test_spine_is_not_prefibrant_and_the_witness_is_the_open_horn():
     for max_dim in (3, 1):
         rep = is_prefibrant(spine_complex(2).complex, max_dim)
         assert not rep.ok
-        assert rep.lambda21_verdict == "no"
-        assert rep.lambda21_witness is not None
+        assert rep.verdicts == {2: "no"}
+        assert rep.witness is not None
 
 
 def test_prefibrantize_is_idempotent_on_prefibrant_input():
@@ -147,6 +147,13 @@ def test_saturation_rejects_non_prefibrant_input():
         saturate_prefibrant(spine_complex(2).complex, 3)
 
 
+def test_a_starved_saturation_pre_check_is_a_budget_overrun_not_a_refutation():
+    # cosk0(3, 2) is pre-fibrant, and its pre-check answers "budget" at 5 nodes
+    with pytest.raises(BudgetExceeded):
+        saturate_prefibrant(cosk0_complex(3, 2).complex, 3, 5)
+    assert is_prefibrant(cosk0_complex(3, 2).complex, 3, 5).verdicts == {2: "budget"}
+
+
 def test_saturation_on_random_prefibrant_truncations():
     done = 0
     seed = 0
@@ -193,6 +200,12 @@ def test_mapping_path_space_factorization():
     assert res.space.cell_counts() == (1,)
     assert compose(res.section, res.projection) == f
     assert compose(res.section, res.to_source) == identity_map(pt)
+
+
+def test_mapping_path_space_checks_its_bound_before_enumerating():
+    # at 50 nodes the function complex of Delta^2 would run out of budget
+    with pytest.raises(ValueError, match="^truncation bound too small for the source complex$"):
+        mapping_path_space(identity_map(standard_simplex(2).complex), 1, Budget(50))
 
 
 def test_descent_extension_search_finds_the_minimal_filler():
@@ -271,13 +284,11 @@ def test_is_prefibrant_results_and_node_counts_are_pinned(
     budget = Budget(10**6)
     rep = is_prefibrant(PIN_COMPLEXES[name](), 4, budget)
     assert budget.used == used
-    assert rep.lambda21_verdict == lambda21
-    assert rep.constant_horn_verdicts == constant
-    assert rep.constant_horn_witness is None
+    assert rep.verdicts == {2: lambda21, **constant}
     if witness is None:
-        assert rep.lambda21_witness is None
+        assert rep.witness is None
     else:
-        assert _images(rep.lambda21_witness) == witness
+        assert _images(rep.witness) == witness
 
 
 @pytest.mark.parametrize(
@@ -321,8 +332,8 @@ def test_descent_result_and_node_count_are_pinned():
 @pytest.mark.parametrize("limit", range(1, 12))
 def test_a_starved_prefibrancy_check_answers_budget(limit):
     rep = is_prefibrant(standard_simplex(2).complex, node_budget=limit)
-    assert rep.lambda21_verdict == "budget"
-    assert rep.lambda21_witness is None
+    assert rep.verdicts == {2: "budget"}
+    assert rep.witness is None
 
 
 @pytest.mark.parametrize("limit", [6000, Budget(6000)], ids=["int", "Budget"])

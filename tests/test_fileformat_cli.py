@@ -43,7 +43,12 @@ from sskit.factorize import mapping_path_space, prefibrantize, saturate_prefibra
 from sskit.homotopy import check_categorical_fibration, check_isofibration, dwyer_kan_check
 from sskit.lifting import generator_inclusion, horn_inclusion, spine_inclusion
 
-from conftest import build_walking_iso, parallel_edges_map, random_generator_complex
+from conftest import (
+    build_walking_iso,
+    ill_posed_squares,
+    parallel_edges_map,
+    random_generator_complex,
+)
 
 
 # -- round trips -----------------------------------------------------------------
@@ -557,6 +562,33 @@ def test_cli_lift_checks_the_right_leg_flags_before_reading_a_file(given, missin
     along, u, leg = (str(tmp_path / name) for name in ("i.map", "u.map", "leg.map"))
     assert cli.main(["lift", "--along", along, u, given, leg]) == 3
     assert capsys.readouterr().err == f"error: {given} requires {missing}\n"
+
+
+@pytest.mark.parametrize("message", list(ill_posed_squares()))
+def test_cli_lift_rejects_an_ill_posed_square(message, tmp_path, capsys):
+    pt = standard_simplex(0).complex
+    _complex_file(tmp_path, "pt.txt", pt)
+    _complex_file(tmp_path, "d1.txt", standard_simplex(1).complex)
+    P = ill_posed_squares()[message]
+
+    def ref(X):
+        return "pt.txt" if X == pt else "d1.txt"
+
+    i, p, u, v = (
+        _write(tmp_path, f"{leg}.map", serialize_map(m, ref(m.source), ref(m.target)))
+        for leg, m in zip("ipuv", (P.i, P.p, P.u, P.v))
+    )
+    assert cli.main(["lift", "--along", i, u, "--p", p, "--v", v]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def test_cli_pathspace_checks_its_bound_before_enumerating(tmp_path, capsys):
+    ident = _identity_map_file(tmp_path)
+    assert cli.main(["--node-budget", "50", "pathspace", ident, "--up-to", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: truncation bound too small for the source complex\n"
 
 
 def test_cli_lift_reports_an_invalid_lift_as_an_internal_fault(tmp_path, capsys, monkeypatch):

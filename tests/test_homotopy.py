@@ -26,7 +26,6 @@ from sskit.homotopy import (
     collapses_to_point,
     dwyer_kan_check,
     homotopy_category,
-    is_equivalence_edge,
     pi0,
 )
 
@@ -239,12 +238,12 @@ def test_mutually_inverse_edges_are_equivalences(walking_iso):
     assert h.exact
     assert h.iso_exists(x, y)
     f = S.cell_by_label("f")
-    assert is_equivalence_edge(S, Simplex(f)).value == "yes"
+    assert homotopy_category(S).is_equivalence(Simplex(f)).value == "yes"
 
 
 def test_directed_edge_is_not_an_equivalence():
     d1 = standard_simplex(1).complex
-    v = is_equivalence_edge(d1, Simplex(CellId(1, 0)))
+    v = homotopy_category(d1).is_equivalence(Simplex(CellId(1, 0)))
     assert v.value == "no"
 
 
@@ -252,7 +251,7 @@ def test_degenerate_edges_are_equivalences():
     d1 = standard_simplex(1).complex
     from sskit.core import constant_simplex
 
-    assert is_equivalence_edge(d1, constant_simplex(CellId(0, 0), 1)).value == "yes"
+    assert homotopy_category(d1).is_equivalence(constant_simplex(CellId(0, 0), 1)).value == "yes"
 
 
 def test_pi0_counts_connected_components(walking_iso):

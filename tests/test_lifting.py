@@ -1,6 +1,7 @@
 """Lifting problems, RLP checks, and the fibration-class report."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -42,7 +43,12 @@ from sskit.lifting import (
     spine_inclusion,
 )
 
-from conftest import build_glued_spines, extension_problem, random_generator_complex
+from conftest import (
+    build_glued_spines,
+    extension_problem,
+    ill_posed_squares,
+    random_generator_complex,
+)
 
 PT = standard_simplex(0).complex
 
@@ -152,6 +158,12 @@ def test_noncommuting_square_is_rejected():
         solve_lift(LiftingProblem(i, identity_map(i.target), i, identity_map(i.target).__class__(
             i.target, i.target, {c: Simplex(CellId(c.dim, 0)) for c in i.target.all_cells()}
         )))
+
+
+@pytest.mark.parametrize("message", list(ill_posed_squares()))
+def test_an_ill_posed_square_is_rejected_with_its_reason(message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        solve_lift(ill_posed_squares()[message])
 
 
 def test_generating_families_have_the_right_shapes():
