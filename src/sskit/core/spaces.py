@@ -140,14 +140,14 @@ class FunctionComplexTruncation(LevelwiseSpace):
         self.products = products
         # id x d_i : K x Delta^n -> K x Delta^{n+1} at [n][i], and
         # id x s_j : K x Delta^{n+1} -> K x Delta^n at [n][j]
-        self._cofaces = [
+        self._face_connectors = [
             [
                 _connecting(deltas, products, n + 1, [v if v < i else v + 1 for v in range(n + 1)])
                 for i in range(n + 2)
             ]
             for n in range(len(deltas) - 1)
         ]
-        self._codegeneracies = [
+        self._degeneracy_connectors = [
             [
                 _connecting(deltas, products, n, [v if v <= j else v - 1 for v in range(n + 2)])
                 for j in range(n + 1)
@@ -158,10 +158,10 @@ class FunctionComplexTruncation(LevelwiseSpace):
 
     def face_map(self, n: int, u: SimplicialMap, i: int) -> SimplicialMap:
         """Restriction along id x delta_i : K x Delta^{n-1} -> K x Delta^n."""
-        return compose(self._cofaces[n - 1][i], u)
+        return compose(self._face_connectors[n - 1][i], u)
 
     def deg_map(self, n: int, u: SimplicialMap, j: int) -> SimplicialMap:
-        return compose(self._codegeneracies[n][j], u)
+        return compose(self._degeneracy_connectors[n][j], u)
 
     def evaluate(self, n: int, u: SimplicialMap, v: CellId) -> Simplex:
         """The n-simplex of the base that the level-n element u takes
