@@ -34,6 +34,7 @@ from .maps import (
     product,
     product_functor,
     pushout,
+    require_composable,
     simplex_as_map,
     simplex_label,
     sub_complex,

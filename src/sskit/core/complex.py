@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .simplex import (
@@ -9,6 +10,7 @@ from .simplex import (
     Simplex,
     apply_degeneracy,
     degeneracy_words,
+    degenerate,
     word_is_valid,
 )
 
@@ -162,16 +164,61 @@ class SimplicialSet:
     def simplices_with_boundary(
         self, n: int, faces: tuple[Simplex, ...]
     ) -> list[Simplex]:
-        """All n-simplices whose face tuple equals the given one (n >= 1)."""
-        index = self._boundary_index.get(n)
-        if index is None:
-            index = {}
-            for s in self.simplices(n):
-                index.setdefault(self.boundary(s), []).append(s)
-            for group in index.values():
-                group.sort()
-            self._boundary_index[n] = index
-        return index.get(faces, [])
+        """All n-simplices whose face tuple equals the given one (n >= 1),
+        sorted.
+
+        The nondegenerate ones are the n-cells stored with exactly these
+        faces.  A degenerate s with outermost degeneracy s_j has
+        d_j s = d_{j+1} s = t and s = s_j t, so the degenerate ones are
+        among the s_j(faces[j]) with faces[j] == faces[j+1].  Answers are
+        memoised per dimension.
+        """
+        index = self._boundary_index.setdefault(n, {})
+        found = index.get(faces)
+        if found is None:
+            found = [Simplex(c) for c in self._cells_by_faces.get(faces, ())]
+            for j in range(n):
+                if faces[j] == faces[j + 1]:
+                    s = degenerate(faces[j], j)
+                    if s not in found and self.boundary(s) == faces:
+                        found.append(s)
+            found.sort()
+            index[faces] = found
+        return found
+
+    @cached_property
+    def _cells_by_faces(self) -> dict[tuple[Simplex, ...], list[CellId]]:
+        """The cells of dimension >= 1 grouped by their stored face tuples."""
+        out: dict[tuple[Simplex, ...], list[CellId]] = {}
+        for cells in self._cells[1:]:
+            for c in cells:
+                out.setdefault(self._faces[c], []).append(c)
+        return out
+
+    @cached_property
+    def faces_first(self) -> tuple[CellId, ...]:
+        """Every cell once, each after its faces: a depth-first walk down
+        each cell's faces (d_0 first), taking the cells top dimension
+        first and in index order within a dimension."""
+        order: list[CellId] = []
+        seen: set[CellId] = set()
+        for top in reversed(self._cells):
+            for c in top:
+                if c in seen:
+                    continue
+                seen.add(c)
+                stack = [(c, iter(self.cell_faces(c)))]
+                while stack:
+                    cell, faces = stack[-1]
+                    for f in faces:
+                        if f.base not in seen:
+                            seen.add(f.base)
+                            stack.append((f.base, iter(self.cell_faces(f.base))))
+                            break
+                    else:
+                        stack.pop()
+                        order.append(cell)
+        return tuple(order)
 
     # -- internal ----------------------------------------------------------
 

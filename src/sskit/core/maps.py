@@ -106,10 +106,15 @@ def identity_map(X: SimplicialSet) -> SimplicialMap:
     return SimplicialMap(X, X, {c: Simplex(c) for c in X.all_cells()})
 
 
-def compose(f: SimplicialMap, g: SimplicialMap) -> SimplicialMap:
-    """f followed by g (diagrammatic order)."""
+def require_composable(f: SimplicialMap, g: SimplicialMap) -> None:
+    """Raise ValueError unless f's target is g's source."""
     if f.target is not g.source and f.target != g.source:
         raise ValueError("maps do not compose")
+
+
+def compose(f: SimplicialMap, g: SimplicialMap) -> SimplicialMap:
+    """f followed by g (diagrammatic order)."""
+    require_composable(f, g)
     return SimplicialMap(
         f.source, g.target, {c: g.apply(img) for c, img in f.images.items()}
     )
@@ -417,12 +422,14 @@ def enumerate_maps(
 ) -> Iterator[SimplicialMap]:
     """All simplicial maps X -> Y extending a partial assignment.
 
-    Cells are assigned in increasing (dim, index) order; a candidate for a
-    cell of dim >= 1 must have exactly the face tuple forced by the images
-    already chosen, so consistency never needs re-checking afterwards.
+    Cells are assigned in `X.faces_first` order, so each cell comes
+    right after its faces and a vertex is chosen only when a cell above
+    it needs it; a candidate for a cell of dim >= 1 must have exactly the
+    face tuple forced by the images already chosen, so consistency never
+    needs re-checking afterwards.
     """
     images: dict[CellId, Simplex] = dict(fixed or {})
-    todo = [c for c in sorted(X.all_cells()) if c not in images]
+    todo = [c for c in X.faces_first if c not in images]
 
     def candidates(c: CellId) -> Iterator[Simplex]:
         if c.dim == 0:

@@ -227,18 +227,15 @@ def saturate_prefibrant(
     are unchanged in levels <= up_to_dim - 2.  It keeps its own
     enumerate-and-attach loop: horns map into the part built so far but
     attach to the whole stage, which `soa_stage` could do only through a
-    target restriction that no other caller needs.  An int limit gives the
-    pre-check and the attachments a budget each: one for both would turn
-    the benchmark's saturation of cosk0(3, 2) at 3,000 nodes (it spends
-    3,579) into a budget verdict, so it waits for a re-recorded benchmark.
-    A pre-check that runs out of budget raises BudgetExceeded, as the
-    attachments do: it refutes nothing."""
-    pre = is_prefibrant(S, up_to_dim, node_budget)
+    target restriction that no other caller needs.  The pre-check and the
+    attachments spend one budget.  A pre-check that runs out of it raises
+    BudgetExceeded, as the attachments do: it refutes nothing."""
+    budget = Budget.of(node_budget)
+    pre = is_prefibrant(S, up_to_dim, budget)
     if "budget" in pre.verdicts.values():
         raise BudgetExceeded("the pre-fibrancy check ran out of budget")
     if not pre.ok:
         raise ValueError("saturation requires a pre-fibrant input up to the bound")
-    budget = Budget.of(node_budget)
 
     cur = S
     s_cells = set(S.all_cells())

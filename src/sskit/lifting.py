@@ -1,9 +1,10 @@
 """Lifting problems: exhaustive solvers and fibration-class checks.
 
 A lifting problem is a commuting square u/v over a mono inclusion i and a
-map p; the solver backtracks over images of the missing cells in
-increasing dimension.  NONE is only ever reported after exhausting the
-finite search space; running out of node budget is a distinct outcome.
+map p; the solver backtracks over images of the missing cells, each
+right after its faces (`SimplicialSet.faces_first`).  NONE is only ever
+reported after exhausting the finite search space; running out of node
+budget is a distinct outcome.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .core import (
     compose,
     enumerate_maps,
     horn_complex,
+    require_composable,
     spine_complex,
     standard_simplex,
 )
@@ -54,10 +56,22 @@ class LiftingProblem:
     v: SimplicialMap
 
     def check(self) -> list[str]:
+        """Reasons the square is ill-posed; it commutes when p(u(a)) is
+        v(i(a)) for every cell a of A."""
+        i, p, u, v = self.i, self.p, self.u, self.v
         out = []
-        if not self.i.is_mono():
+        if not i.is_mono():
             out.append("i is not a mono inclusion")
-        if compose(self.u, self.p) != compose(self.i, self.v):
+        require_composable(u, p)
+        require_composable(i, v)
+        if (
+            u.source.cell_counts() != i.source.cell_counts()
+            or p.target.cell_counts() != v.target.cell_counts()
+            or any(
+                p.apply(u.images[a]) != v.apply(i.images[a])
+                for a in i.source.all_cells()
+            )
+        ):
             out.append("square does not commute: p o u != v o i")
         return out
 

@@ -302,10 +302,11 @@ def test_enumerate_maps_has_no_depth_limit():
     assert len(maps) == 1
 
 
-def recursive_enumerate_maps(X, Y, fixed, constraint, budget):
-    """`enumerate_maps` as it was, with one generator frame per cell."""
+def recursive_enumerate_maps(X, Y, fixed, constraint, budget, order=None):
+    """`enumerate_maps` as it was, with one generator frame per cell,
+    assigning the cells in the given order (faces-first by default)."""
     images = dict(fixed)
-    todo = [c for c in sorted(X.all_cells()) if c not in images]
+    todo = [c for c in (X.faces_first if order is None else order) if c not in images]
 
     def rec(k):
         if k == len(todo):
@@ -346,6 +347,72 @@ def test_enumerate_maps_agrees_with_the_recursive_enumeration(seed):
         assert budget.used == ref_budget.used
         found += len(maps)
     assert found > 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_faces_first_and_dimension_order_yield_the_same_maps(seed):
+    rng = random.Random(seed)
+    found = 0
+    for _ in range(30):
+        X, Y = random_generator_complex(rng).complex, random_generator_complex(rng).complex
+        order = list(X.faces_first)
+        assert sorted(order) == list(X.all_cells())
+        assert all(
+            order.index(f.base) < order.index(c) for c in order for f in X.cell_faces(c)
+        )
+        maps = list(enumerate_maps(X, Y))
+        by_dim = recursive_enumerate_maps(X, Y, {}, lambda c, s: True, Budget(10**6), sorted(order))
+        assert len(set(maps)) == len(maps)
+        assert set(maps) == set(by_dim)
+        found += len(maps)
+    assert found > 0
+
+
+def random_looped_complex(rng):
+    """One or two vertices, up to three edges with random endpoints (so
+    loops and parallel edges), and up to three 2- and 3-cells each, with
+    random face tuples that satisfy the simplicial identities, degenerate
+    faces included, or else the boundary of a random simplex."""
+    builder = ComplexBuilder()
+    n_vertices = rng.choice([1, 2])
+    for _ in range(n_vertices):
+        builder.add_cell(0)
+    for _ in range(rng.randint(0, 3)):
+        builder.add_cell(1, [Simplex(CellId(0, rng.randrange(n_vertices))) for _ in range(2)])
+    X = builder.build()
+    for n in (2, 3):
+        for _ in range(rng.randint(0, 3)):
+            lower = list(X.simplices(n - 1))
+            for _ in range(20):
+                faces = [rng.choice(lower) for _ in range(n + 1)]
+                if all(
+                    X.face(faces[j], i) == X.face(faces[i], j - 1)
+                    for j in range(n + 1) for i in range(j)
+                ):
+                    break
+            else:
+                faces = X.boundary(rng.choice(list(X.simplices(n))))
+            builder.add_cell(n, faces)
+            X = builder.build()
+    return X
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**30))
+def test_simplices_with_boundary_agrees_with_the_full_scan(seed):
+    rng = random.Random(seed)
+    X = random_looped_complex(rng)
+    assert validate(X) == []
+    for n in range(1, X.dim + 2):
+        scan = {}
+        for s in X.simplices(n):
+            scan.setdefault(X.boundary(s), []).append(s)
+        for faces, group in scan.items():
+            assert X.simplices_with_boundary(n, faces) == sorted(group)
+        lower = list(X.simplices(n - 1))
+        for _ in range(10):
+            faces = tuple(rng.choice(lower) for _ in range(n + 1))
+            assert X.simplices_with_boundary(n, faces) == sorted(scan.get(faces, []))
 
 
 def test_product_of_two_intervals():

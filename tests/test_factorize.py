@@ -253,8 +253,8 @@ def test_descent_search_spends_no_more_than_its_budget(limit, monkeypatch):
     assert res.status == (FOUND if limit >= 1394 else BUDGET)
 
 
-# The node counts and results below were recorded before the pre-fibrancy
-# code shared one inner-horn table; they pin the search order.
+# The node counts below pin the faces-first search order; the results were
+# recorded before the pre-fibrancy code shared one inner-horn table.
 PIN_COMPLEXES = {
     "simplex2": lambda: standard_simplex(2).complex,
     "spine2": lambda: spine_complex(2).complex,
@@ -271,11 +271,11 @@ def _images(f):
 @pytest.mark.parametrize(
     "name, used, lambda21, constant, witness",
     [
-        ("simplex2", 5055, "yes", {3: "yes", 4: "yes"}, None),
-        ("spine2", 25, "no", {}, "[<0.0>, <0.1>, <0.2>, <1.0>, <1.1>]"),
-        ("simplex3", 16631, "yes", {3: "yes", 4: "yes"}, None),
-        ("cosk0_3_2", 19152, "yes", {3: "yes", 4: "yes"}, None),
-        ("simplex3_1skeleton", 34, "no", {}, "[<0.0>, <0.1>, <0.2>, <1.0>, <1.3>]"),
+        ("simplex2", 2204, "yes", {3: "yes", 4: "yes"}, None),
+        ("spine2", 24, "no", {}, "[<0.0>, <0.1>, <0.2>, <1.0>, <1.1>]"),
+        ("simplex3", 5538, "yes", {3: "yes", 4: "yes"}, None),
+        ("cosk0_3_2", 9906, "yes", {3: "yes", 4: "yes"}, None),
+        ("simplex3_1skeleton", 33, "no", {}, "[<0.0>, <0.1>, <0.2>, <1.0>, <1.3>]"),
     ],
 )
 def test_is_prefibrant_results_and_node_counts_are_pinned(
@@ -294,11 +294,11 @@ def test_is_prefibrant_results_and_node_counts_are_pinned(
 @pytest.mark.parametrize(
     "name, used, counts, attached",
     [
-        ("simplex2", 825, [(3, 3, 1)], []),
-        ("spine2", 1459, [(3, 2), (3, 3, 1)], [1]),
-        ("simplex3", 2174, [(4, 6, 4, 1)], []),
-        ("cosk0_3_2", 1881, [(3, 6, 12)], []),
-        ("simplex3_1skeleton", 7939, [(4, 6), (4, 10, 4), (4, 12, 6)], [4, 2]),
+        ("simplex2", 455, [(3, 3, 1)], []),
+        ("spine2", 780, [(3, 2), (3, 3, 1)], [1]),
+        ("simplex3", 1005, [(4, 6, 4, 1)], []),
+        ("cosk0_3_2", 1395, [(3, 6, 12)], []),
+        ("simplex3_1skeleton", 2669, [(4, 6), (4, 10, 4), (4, 12, 6)], [4, 2]),
     ],
 )
 def test_prefibrantize_results_and_node_counts_are_pinned(name, used, counts, attached):
@@ -314,18 +314,29 @@ def test_prefibrantize_results_and_node_counts_are_pinned(name, used, counts, at
 def test_saturation_result_and_node_count_are_pinned():
     budget = Budget(10**6)
     res = saturate_prefibrant(cosk0_complex(3, 2).complex, 3, budget)
-    assert budget.used == 3579
+    assert budget.used == 2625
     assert res.truncation.cell_counts() == (3, 6, 120, 108)
     assert len(res.steps) == 108
     assert res.p2_violations == []
     assert res.hom_levels_equal
 
 
+def test_saturation_spends_one_budget_across_its_pre_check_and_attachments():
+    # the pre-check and the attachments take 2,625 nodes together, so the
+    # saturation of cosk0(3, 2) at 3,000 nodes answers; one node fewer runs
+    # out in the attachments, which a budget per phase would not
+    S = cosk0_complex(3, 2).complex
+    assert saturate_prefibrant(S, 3, 2625).truncation.cell_counts() == (3, 6, 120, 108)
+    assert is_prefibrant(S, 3, 2624).ok
+    with pytest.raises(BudgetExceeded):
+        saturate_prefibrant(S, 3, 2624)
+
+
 def test_descent_result_and_node_count_are_pinned():
     budget = Budget(10**6)
     lam = horn_complex(2, 1).complex
     res = descend_over_triangle(identity_map(lam), 2, 3, budget)
-    assert budget.used == 1381
+    assert budget.used == 702
     assert [s.cell_counts() for s in res.stages] == [(3, 2), (3, 3, 1), (3, 6, 16, 12)]
 
 
@@ -336,14 +347,15 @@ def test_a_starved_prefibrancy_check_answers_budget(limit):
     assert rep.witness is None
 
 
-@pytest.mark.parametrize("limit", [6000, Budget(6000)], ids=["int", "Budget"])
+@pytest.mark.parametrize("limit", [2000, Budget(2000)], ids=["int", "Budget"])
 def test_prefibrantize_spends_one_budget_across_its_stages(limit):
-    # each stage fits in 6,000 nodes, the two together take 7,939
+    # the stages take 856 and 1,813 nodes: each fits in 2,000, the two
+    # together take 2,669
     with pytest.raises(BudgetExceeded):
         prefibrantize(PIN_COMPLEXES["simplex3_1skeleton"](), 2, 3, limit)
 
 
-@pytest.mark.parametrize("limit", [823, 824])
+@pytest.mark.parametrize("limit", [453, 454])
 def test_a_starved_filler_search_attaches_nothing(limit):
     # the triangle is pre-fibrant, so no stage may attach a filler; these
     # limits run out inside the last filler search of the stage
