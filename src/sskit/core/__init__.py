@@ -36,9 +36,9 @@ from .maps import (
     pushout,
     require_composable,
     simplex_as_map,
-    simplex_label,
     sub_complex,
     terminal_map,
+    word_label,
 )
 from .simplex import (
     CellId,

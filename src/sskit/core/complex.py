@@ -102,14 +102,16 @@ class SimplicialSet:
         """The i-th face of a simplex, in normal form.
 
         Commutes d_i through the degeneracy word with the standard
-        identities, then applies the stored face data at the base.
+        identities, then applies the stored face data at the base.  The
+        cache is read first: a cached key passed the range check when its
+        answer was computed.
         """
-        if not 0 <= i <= s.dim or s.dim == 0:
-            raise IndexError(f"face index {i} out of range for dim {s.dim}")
         key = (s, i)
         cached = self._face_cache.get(key)
         if cached is not None:
             return cached
+        if not 0 <= i <= s.dim or s.dim == 0:
+            raise IndexError(f"face index {i} out of range for dim {s.dim}")
 
         word = list(s.word)
         outer: list[int] = []  # degeneracies passed, outermost first

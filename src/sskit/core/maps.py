@@ -9,6 +9,7 @@ all live here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .budget import Budget
@@ -239,23 +240,42 @@ class Product:
     proj2: SimplicialMap = field(init=False)
 
     def __post_init__(self) -> None:
-        """Each dimension's word-disjoint pairs in sorted order; the faces
-        of a cell name cells of the dimension below."""
+        """The n-cells are the pairs (s_I x, s_J y) with disjoint words I
+        and J (Eilenberg-Zilber), generated in sorted order: dim p of x,
+        x, I among the (n - p)-subsets of range(n), then q >= n - p, y, J
+        among the (n - q)-subsets of the indices not in I.  The faces of a
+        cell name cells of the dimension below."""
         X, Y = self.x, self.y
         self.cell_pair, self.pair_cell = {}, {}
+        xnames = {c: X.label(c) for c in X.all_cells()}
+        ynames = {c: Y.label(c) for c in Y.all_cells()}
         builder = ComplexBuilder()
         for n in range(X.dim + Y.dim + 1):
-            pairs = (
-                (u, v) for u in X.simplices(n) for v in Y.simplices(n)
-                if not set(u.word) & set(v.word)
-            )
-            for u, v in sorted(pairs):
-                c = builder.add_cell(
-                    n,
-                    (self.simplex_of_pair(X.face(u, i), Y.face(v, i)) for i in range(n + 1)),
-                    f"{simplex_label(X, u)}|{simplex_label(Y, v)}",
-                )
-                self.cell_pair[c], self.pair_cell[(u, v)] = (u, v), c
+            faces = range(n + 1 if n else 0)
+            for p in range(min(n, X.dim) + 1):
+                # per word I: each second factor v with its label and faces
+                seconds = []
+                for I in combinations(range(n), n - p):
+                    free = [j for j in range(n) if j not in I]
+                    vs = []
+                    for q in range(n - p, min(n, Y.dim) + 1):
+                        Js = list(combinations(free, n - q))
+                        for y in Y.cells(q):
+                            for J in Js:
+                                v = Simplex(y, J)
+                                vs.append((v, word_label(ynames[y], J),
+                                           [Y.face(v, i) for i in faces]))
+                    seconds.append((I, vs))
+                for x in X.cells(p):
+                    for I, vs in seconds:
+                        u = Simplex(x, I)
+                        ulab = word_label(xnames[x], I) + "|"
+                        ufaces = [X.face(u, i) for i in faces]
+                        for v, vlab, vfaces in vs:
+                            c = builder.add_cell(
+                                n, map(self.simplex_of_pair, ufaces, vfaces), ulab + vlab
+                            )
+                            self.cell_pair[c], self.pair_cell[(u, v)] = (u, v), c
         self.complex = builder.build()
         self.proj1 = SimplicialMap(
             self.complex, X, {c: p[0] for c, p in self.cell_pair.items()}
@@ -266,9 +286,12 @@ class Product:
 
     def simplex_of_pair(self, u: Simplex, v: Simplex) -> Simplex:
         """Normal form of the pair (u, v) as a simplex of the product."""
+        c = self.pair_cell.get((u, v))
+        if c is not None:
+            return Simplex(c)
         common = set(u.word) & set(v.word)
         if not common:
-            return Simplex(self.pair_cell[(u, v)])
+            raise KeyError((u, v))
         j = max(common)
         inner = self.simplex_of_pair(self.x.face(u, j), self.y.face(v, j))
         return Simplex(inner.base, apply_degeneracy(inner.word, j))
@@ -291,11 +314,11 @@ def product_functor(P: Product, Q: Product, f: SimplicialMap, g: SimplicialMap) 
     )
 
 
-def simplex_label(X: SimplicialSet, s: Simplex) -> str:
-    lab = X.label(s.base)
-    if s.nondegenerate:
-        return lab
-    return "s" + ",".join(str(j) for j in s.word) + "@" + lab
+def word_label(name: str, word: tuple[int, ...]) -> str:
+    """The name of s_word applied to the cell called `name`."""
+    if not word:
+        return name
+    return "s" + ",".join(map(str, word)) + "@" + name
 
 
 # -- joins ------------------------------------------------------------------

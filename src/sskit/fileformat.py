@@ -17,7 +17,9 @@ import re
 from typing import Callable, Iterator
 
 from .certify import AnodyneCertificate
-from .core import CellId, ComplexBuilder, Simplex, SimplicialMap, SimplicialSet, validate
+from .core import (
+    CellId, ComplexBuilder, Simplex, SimplicialMap, SimplicialSet, validate, word_label,
+)
 
 _DEGENERATE = re.compile(r"s(\d+(?:,\d+)*)@(.+)")
 
@@ -37,19 +39,13 @@ def name_table(X: SimplicialSet) -> dict[CellId, str]:
     used: set[str] = set()
     for c in X.all_cells():
         nm = X.label(c)
-        if not nm or any(ch.isspace() for ch in nm):
+        if nm.split() != [nm]:  # empty, or containing whitespace
             nm = f"c{c.dim}_{c.index}"
         while nm in used:
             nm += "'"
         used.add(nm)
         names[c] = nm
     return names
-
-
-def _simplex_token(names: dict[CellId, str], s: Simplex) -> str:
-    if s.nondegenerate:
-        return names[s.base]
-    return "s" + ",".join(str(j) for j in s.word) + "@" + names[s.base]
 
 
 def serialize_complex(X: SimplicialSet) -> str:
@@ -59,7 +55,7 @@ def serialize_complex(X: SimplicialSet) -> str:
         if c.dim == 0:
             lines.append(f"cell {names[c]} 0")
         else:
-            toks = " ".join(_simplex_token(names, f) for f in X.cell_faces(c))
+            toks = " ".join(word_label(names[f.base], f.word) for f in X.cell_faces(c))
             lines.append(f"cell {names[c]} {c.dim} faces: {toks}")
     return "\n".join(lines) + "\n"
 
@@ -69,9 +65,8 @@ def serialize_map(f: SimplicialMap, src_ref: str, tgt_ref: str) -> str:
     tgt_names = name_table(f.target)
     lines = [f"map {src_ref} {tgt_ref}"]
     for c in f.source.all_cells():
-        lines.append(
-            f"image {src_names[c]} {_simplex_token(tgt_names, f.images[c])}"
-        )
+        img = f.images[c]
+        lines.append(f"image {src_names[c]} {word_label(tgt_names[img.base], img.word)}")
     return "\n".join(lines) + "\n"
 
 

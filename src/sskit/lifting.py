@@ -18,9 +18,7 @@ from .core import (
     GeneratorComplex,
     SimplicialMap,
     Simplex,
-    all_extensions,
     boundary_complex,
-    compose,
     enumerate_maps,
     horn_complex,
     require_composable,
@@ -176,14 +174,21 @@ def has_rlp(
     max_dim: int,
     node_budget: int | Budget = DEFAULT_NODE_BUDGET,
 ) -> RlpVerdict:
-    """Right lifting property of p against every instantiated square."""
+    """Right lifting property of p against every instantiated square.
+
+    The squares over i are the maps u: A -> X, each with every map v
+    extending p o u along i; i is checked to be mono once, at the first u.
+    """
     budget = Budget.of(node_budget)
     for i in generators:
         if i.target.dim > max_dim:
             continue
         try:
-            for u in enumerate_maps(i.source, p.source, budget=budget):
-                for v in all_extensions(compose(u, p), i, budget=budget):
+            for k, u in enumerate(enumerate_maps(i.source, p.source, budget=budget)):
+                if k == 0 and not i.is_mono():
+                    raise ValueError("extension requires a mono inclusion")
+                fixed = {i.images[a].base: p.apply(s) for a, s in u.images.items()}
+                for v in enumerate_maps(i.target, p.target, fixed, budget=budget):
                     P = LiftingProblem(i, p, u, v)
                     r = solve_lift(P, budget)
                     if r.status == NONE:

@@ -14,6 +14,7 @@ import sskit
 from sskit.core import (
     Attachment,
     CellId,
+    ComplexBuilder,
     LevelwiseSpace,
     Simplex,
     SimplicialSet,
@@ -24,6 +25,7 @@ from sskit.core import (
     enumerate_maps,
     from_vertex_tuples,
     function_complex,
+    j_truncation,
     join,
     product,
     slice_under,
@@ -34,7 +36,6 @@ from sskit.core import (
     validate,
 )
 from sskit.core.generators import tuple_label
-from sskit.core.maps import simplex_label
 from sskit.core.simplex import apply_degeneracy
 from sskit.fileformat import ParseError, _parse_token, _strip, parse_complex, serialize_complex
 from sskit.lifting import boundary_inclusion, horn_inclusion
@@ -199,6 +200,11 @@ def ref_attach_all(S, attachments):
     return SimplicialSet(counts, faces, labels), news, totals
 
 
+def ref_label(X, s):
+    lab = X.label(s.base)
+    return lab if s.nondegenerate else "s" + ",".join(str(j) for j in s.word) + "@" + lab
+
+
 def ref_product(X, Y):
     """(complex, cell_pair, pair_cell, proj1 images, proj2 images)."""
     cell_pair = {}
@@ -222,7 +228,7 @@ def ref_product(X, Y):
     faces, labels = {}, {}
     for c, (u, v) in cell_pair.items():
         counts[c.dim] += 1
-        labels[c] = f"{simplex_label(X, u)}|{simplex_label(Y, v)}"
+        labels[c] = f"{ref_label(X, u)}|{ref_label(Y, v)}"
         if c.dim > 0:
             faces[c] = tuple(simplex_of_pair(X.face(u, i), Y.face(v, i)) for i in range(c.dim + 1))
     proj1 = {c: p[0] for c, p in cell_pair.items()}
@@ -529,17 +535,42 @@ def test_levelwise_space_matches_the_counting_constructor(seed):
         LevelwiseSpace([["a"], ["a0", "b0"]], lambda n, e, i: e[0], lambda n, e, j: e + "0")
 
 
+def loop_with_triangle():
+    """One vertex, a loop a on it, and a triangle with faces (a, a, a)."""
+    b = ComplexBuilder()
+    v = b.add_cell(0, label="v")
+    a = b.add_cell(1, (Simplex(v), Simplex(v)), "a")
+    b.add_cell(2, (Simplex(a),) * 3, "t")
+    return b.build()
+
+
+def assert_same_product(X, Y):
+    P = product(X, Y)
+    R, cell_pair, pair_cell, proj1, proj2 = ref_product(X, Y)
+    assert_same_complex(P.complex, R)
+    assert list(P.cell_pair.items()) == list(cell_pair.items())
+    assert P.pair_cell == pair_cell
+    assert (P.proj1.images, P.proj2.images) == (proj1, proj2)
+    assert P.proj1.check() == [] and P.proj2.check() == []
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_product_matches_the_counting_constructor(seed):
     Xs = seeded_complexes(seed, 3) + [SimplicialSet([], {})]
     for X in Xs:
         for Y in Xs[:2] + Xs[-1:] + [standard_simplex(2).complex]:
-            P = product(X, Y)
-            R, cell_pair, pair_cell, proj1, proj2 = ref_product(X, Y)
-            assert_same_complex(P.complex, R)
-            assert (P.cell_pair, P.pair_cell) == (cell_pair, pair_cell)
-            assert (P.proj1.images, P.proj2.images) == (proj1, proj2)
-            assert P.proj1.check() == [] and P.proj2.check() == []
+            assert_same_product(X, Y)
+    # degenerate stored faces and loops, in both argument orders
+    odd = [cosk0_complex(3, 2).complex, j_truncation(2).complex, loop_with_triangle()]
+    for Z in odd:
+        for W in odd:
+            assert_same_product(Z, W)
+        assert_same_product(Z, Xs[3])
+        assert_same_product(Xs[3], Z)
+    # a pair with disjoint words that names no cell is no simplex of the product
+    P = product(standard_simplex(1).complex, standard_simplex(1).complex)
+    with pytest.raises(KeyError):
+        P.simplex_of_pair(Simplex(CellId(0, 0), (0,)), Simplex(CellId(1, 7)))
 
 
 def test_only_the_builder_constructs_a_simplicial_set():

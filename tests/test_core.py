@@ -234,6 +234,24 @@ def test_face_commutes_through_degeneracy_words():
     assert d2.face(s, 3) == degenerate(d2.face(top, 2), 1)
 
 
+def test_face_reads_its_cache_first_and_keeps_its_range_check():
+    X = cosk0_complex(3, 2).complex
+    s = Simplex(CellId(2, 1), (1,))  # a degenerate 3-simplex
+    faces = [X.face(s, i) for i in range(4)]
+    assert all((s, i) in X._face_cache for i in range(4))
+    # a cached answer is the one a complex with an empty cache computes
+    assert faces == [cosk0_complex(3, 2).complex.face(s, i) for i in range(4)]
+    assert [X.face(s, i) for i in range(4)] == faces
+    for i in (-1, 4, 5):
+        with pytest.raises(IndexError):
+            X.face(s, i)
+    v = Simplex(CellId(0, 0))
+    for i in (0, 1):
+        with pytest.raises(IndexError):
+            X.face(v, i)
+    assert not any(key[0] == v for key in X._face_cache)
+
+
 @pytest.mark.parametrize("n", range(6))
 def test_standard_simplex_counts_are_binomial(n):
     G = standard_simplex(n)

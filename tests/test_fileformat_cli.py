@@ -106,14 +106,21 @@ def test_certificate_text_names_cells_of_the_target():
 
 
 def test_name_table_uniquifies_duplicate_labels():
+    """Labels that are empty or contain whitespace (a space, a tab, a
+    no-break space, a newline) fall back to the positional name, and a
+    name already taken is primed until it is free."""
     from sskit.core import ComplexBuilder
 
     b = ComplexBuilder()
-    b.add_cell(0, label="v")
-    b.add_cell(0, label="v")
-    b.add_cell(0)  # empty label falls back to a positional name
+    labels = ["v", "v", "", "a b", "a\tb", "a\u00a0b", "c0_2", "v'", None, "w"]
+    vs = [b.add_cell(0, label=lab) for lab in labels]
+    b.add_cell(1, (Simplex(vs[0]), Simplex(vs[1])), "\n")
+    b.add_cell(1, (Simplex(vs[1]), Simplex(vs[0])), "w")
     names = name_table(b.build())
-    assert len(set(names.values())) == 3
+    assert list(names.values()) == [
+        "v", "v'", "c0_2", "c0_3", "c0_4", "c0_5", "c0_2'", "v''", "c0_8", "w",
+        "c1_0", "w'",
+    ]
 
 
 # -- parse errors ----------------------------------------------------------------
