@@ -251,7 +251,7 @@ class Product:
         ynames = {c: Y.label(c) for c in Y.all_cells()}
         builder = ComplexBuilder()
         for n in range(X.dim + Y.dim + 1):
-            faces = range(n + 1 if n else 0)
+            faces = range(n + 1 if n else 0)  # a vertex has no faces
             for p in range(min(n, X.dim) + 1):
                 # per word I: each second factor v with its label and faces
                 seconds = []
