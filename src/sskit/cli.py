@@ -342,12 +342,12 @@ def _cmd_saturate(args):
 def _cmd_complete(args):
     X = _load_complex(args.file)
     bound = args.max_dim if args.max_dim is not None else max(X.dim, 0) + 1
-    gens = lifting.generating_family("inner", bound)
     cur = X
     sizes = [X.total_cells()]
     budget = Budget.of(args.node_budget)
     for _ in range(args.stages):
-        cur, _inc, _atts = factorize.soa_stage(cur, gens, lambda i, a: True, budget)
+        keys = lifting.family_keys("inner", bound)
+        cur, _inc, _atts = factorize.soa_stage(cur, keys, lambda k, a: True, budget)
         sizes.append(cur.total_cells())
     _emit({"command": "complete", "stages": sizes, "bound": bound}, args)
     if args.output:

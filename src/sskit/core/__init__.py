@@ -22,7 +22,6 @@ from .maps import (
     Product,
     Pushout,
     SimplicialMap,
-    all_extensions,
     apply_images,
     attach_all,
     compose,

@@ -27,7 +27,11 @@ def apply_images(images: dict[CellId, Simplex], s: Simplex) -> Simplex:
 
 
 class SimplicialMap:
-    """A simplicial map, given by images of nondegenerate source cells."""
+    """A simplicial map, given by images of nondegenerate source cells.
+
+    A map never changes after construction, so what is read off it once,
+    such as `is_mono`, holds for good.
+    """
 
     def __init__(
         self,
@@ -38,6 +42,7 @@ class SimplicialMap:
         self.source = source
         self.target = target
         self.images = dict(images)
+        self._mono: bool | None = None
         for c in source.all_cells():
             img = self.images.get(c)
             if img is None:
@@ -70,7 +75,13 @@ class SimplicialMap:
         return out
 
     def is_mono(self) -> bool:
-        """Injective on nondegenerate cells in every dimension."""
+        """Injective on nondegenerate cells in every dimension; the cells
+        are scanned at the first call only."""
+        if self._mono is None:
+            self._mono = self._scan_mono()
+        return self._mono
+
+    def _scan_mono(self) -> bool:
         for d in range(self.source.dim + 1):
             seen = set()
             for c in self.source.cells(d):
@@ -487,12 +498,3 @@ def enumerate_maps(
         else:
             k -= 1
 
-
-def all_extensions(
-    f: SimplicialMap, i: SimplicialMap, budget: Budget | None = None
-) -> Iterator[SimplicialMap]:
-    """All maps B -> Y with g o i = f, for a mono inclusion i: A -> B."""
-    if not i.is_mono():
-        raise ValueError("extension requires a mono inclusion")
-    fixed = {i.images[a].base: f.images[a] for a in i.source.all_cells()}
-    return enumerate_maps(i.target, f.target, fixed, budget=budget)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from typing import Iterable
 
 from .certify import AnodyneCertificate
 from .core import (
@@ -27,7 +28,6 @@ from .core import (
     SimplicialMap,
     SimplicialSet,
     Simplex,
-    all_extensions,
     apply_images,
     attach_all,
     compose,
@@ -49,9 +49,9 @@ from .lifting import (
     FOUND,
     NONE,
     YES,
+    Key,
     classify_map,
     family_keys,
-    generating_family,
     key_inclusion,
 )
 
@@ -75,20 +75,20 @@ class SoaTrace:
 
 def soa_stage(
     S: SimplicialSet,
-    generators: list[SimplicialMap],
+    keys: Iterable[Key],
     selector,
     node_budget: int | Budget = DEFAULT_NODE_BUDGET,
 ) -> tuple[SimplicialSet, SimplicialMap, list[Attachment]]:
-    """One stage of the small object argument: enumerate every map from a
-    generator domain into S, keep those passing the selector, attach all
-    of them as a single pushout.  All-or-nothing: a budget overrun raises
-    before any cell is attached."""
+    """One stage of the small object argument: enumerate every map from the
+    domain of each keyed generator into S, keep those the selector passes
+    with their key, attach all of them as a single pushout.  All-or-nothing:
+    a budget overrun raises before any cell is attached."""
     budget = Budget.of(node_budget)
     attachments = [
-        Attachment(i, alpha)
-        for i in generators
-        for alpha in enumerate_maps(i.source, S, budget=budget)
-        if selector(i, alpha)
+        Attachment(key_inclusion(key), alpha)
+        for key in keys
+        for alpha in enumerate_maps(key_inclusion(key).source, S, budget=budget)
+        if selector(key, alpha)
     ]
     out, inc = attach_all(S, attachments)
     return out, inc, attachments
@@ -109,30 +109,18 @@ class PreFibrantReport:
         return all(v == "yes" for v in self.verdicts.values())
 
 
-def _inner_horns(
-    lo: int, bound: int
-) -> tuple[tuple[int, int, SimplicialMap, CellId], ...]:
-    """(n, i, the inclusion of the horn into Delta^n, the horn cell carrying
-    the d_0 face of the filler) for each inner horn with lo <= n <= bound,
-    in (n, i) order."""
-    table = []
-    for n, i in family_keys("inner", bound):
-        if n >= lo:
-            inc = key_inclusion((n, i))
-            d0 = inc.target.face(Simplex(CellId(n, 0)), 0)
-            table.append((n, i, inc, next(c for c, s in inc.images.items() if s == d0)))
-    return tuple(table)
-
-
-def _needs_filler(
-    n: int, inc: SimplicialMap, d0: CellId, alpha: SimplicialMap, budget: Budget
-) -> bool:
-    """Whether the horn alpha is one pre-fibrancy asks to fill (a 2-horn,
-    or a higher inner horn with constant d_0 face) and has no filler.
-    Raises BudgetExceeded when the filler search runs out of budget."""
-    if n > 2 and not is_constant(alpha.images[d0]):
+def _needs_filler(key: Key, alpha: SimplicialMap, budget: Budget) -> bool:
+    """Whether the inner horn alpha is one pre-fibrancy asks to fill (a
+    2-horn, or a higher one whose d_0 face, the horn's last (n-1)-cell,
+    maps to a constant simplex) and has no filler.  Raises BudgetExceeded
+    when the filler search runs out of budget."""
+    n = key[0]
+    if n > 2 and not is_constant(alpha.images[CellId(n - 1, n - 1)]):
         return False
-    return next(all_extensions(alpha, inc, budget=budget), None) is None
+    inc = key_inclusion(key)
+    fixed = {inc.images[a].base: alpha.images[a] for a in inc.source.all_cells()}
+    fillers = enumerate_maps(inc.target, alpha.target, fixed, budget=budget)
+    return next(fillers, None) is None
 
 
 def _default_bound(S: SimplicialSet) -> int:
@@ -151,10 +139,11 @@ def is_prefibrant(
     budget = Budget.of(node_budget)
     report = PreFibrantReport({})
     try:
-        for n, _, inc, d0 in _inner_horns(2, max(bound, 2)):
+        for key in family_keys("inner", max(bound, 2)):
+            n = key[0]
             report.verdicts[n] = "yes"
-            for alpha in enumerate_maps(inc.source, S, budget=budget):
-                if _needs_filler(n, inc, d0, alpha, budget):
+            for alpha in enumerate_maps(key_inclusion(key).source, S, budget=budget):
+                if _needs_filler(key, alpha, budget):
                     report.verdicts[n], report.witness = "no", alpha
                     return report
     except BudgetExceeded:
@@ -177,19 +166,12 @@ def prefibrantize(
     if stages < 1:
         raise ValueError("need at least one stage")
     bound = _default_bound(S) if max_dim is None else max_dim
-    horns = _inner_horns(2, bound)
-    generators = [inc for _, _, inc, _ in horns]
-    n_d0 = {id(inc): (n, d0) for n, _, inc, d0 in horns}
     budget = Budget.of(node_budget)
-
-    def selector(inc: SimplicialMap, alpha: SimplicialMap) -> bool:
-        n, d0 = n_d0[id(inc)]
-        return _needs_filler(n, inc, d0, alpha, budget)
-
+    selector = functools.partial(_needs_filler, budget=budget)
     trace = SoaTrace([S], [], [], bound)
     cur = S
     for _ in range(stages):
-        nxt, step_inc, atts = soa_stage(cur, generators, selector, budget)
+        nxt, step_inc, atts = soa_stage(cur, family_keys("inner", bound), selector, budget)
         if not atts:
             break
         cur = nxt
@@ -241,7 +223,8 @@ def saturate_prefibrant(
     s_cells = set(S.all_cells())
     attached: set[CellId] = set()
     steps: list[tuple[int, int, CellId]] = []
-    for n, horns in itertools.groupby(_inner_horns(3, up_to_dim), lambda h: h[0]):
+    higher = (k for k in family_keys("inner", up_to_dim) if k[0] >= 3)
+    for n, keys in itertools.groupby(higher, lambda k: k[0]):
         allowed = [
             c
             for c in cur.all_cells()
@@ -249,9 +232,10 @@ def saturate_prefibrant(
         ]
         part, part_inc = sub_complex(cur, allowed)
         atts = []
-        for _, hi, inc, d0 in horns:
+        for _, hi in keys:
+            inc = key_inclusion((n, hi))
             for alpha in enumerate_maps(inc.source, part, budget=budget):
-                img = alpha.images[d0]
+                img = alpha.images[CellId(n - 1, n - 1)]  # the d_0 face
                 # both cells created by the pushout must satisfy (P-2):
                 # the filler has d_0 = img, the freed face has
                 # d_0 = d_{hi-1}(img)
@@ -318,17 +302,17 @@ def descend_over_triangle(
     cur = X
     res = TriangleDescentResult([X], [], [q], max_dim)
     budget = Budget.of(node_budget)
-    horns = generating_family("inner", max_dim)
 
-    def spans_the_ends(inc: SimplicialMap, alpha: SimplicialMap) -> bool:
+    def spans_the_ends(key: Key, alpha: SimplicialMap) -> bool:
         """Whether the base simplex of the filler, read off on vertices
         through the current stage's base map q, hits vertices 0 and 2."""
         return {0, 2} <= {
-            q.apply(alpha.images[v]).base.index for v in inc.source.cells(0)
+            q.apply(alpha.images[v]).base.index for v in alpha.source.cells(0)
         }
 
     for _ in range(stages):
-        nxt, inc_step, _ = soa_stage(cur, horns, spans_the_ends, budget)
+        keys = family_keys("inner", max_dim)
+        nxt, inc_step, _ = soa_stage(cur, keys, spans_the_ends, budget)
         # a horn of dimension >= 2 has every vertex, so the stage adds no
         # vertex, and a map into Delta^2 is fixed by its vertex images
         q = map_by_vertices(nxt, d2, {v: q.images[v].base.index for v in nxt.cells(0)})

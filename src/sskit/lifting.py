@@ -9,7 +9,9 @@ budget is a distinct outcome.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 from .core import (
     Budget,
@@ -42,6 +44,10 @@ HORN_RANGES = {
     "right": lambda n: range(1, n + 1),
     "kan": lambda n: range(0, n + 1),
 }
+
+# a generator's name: (n, i) for the horn of index i in Delta^n, (n, None)
+# for the boundary of Delta^n
+Key = tuple[int, int | None]
 
 
 @dataclass
@@ -119,36 +125,38 @@ def generator_inclusion(sub: GeneratorComplex, amb: GeneratorComplex) -> Simplic
 
 
 def horn_inclusion(n: int, i: int) -> SimplicialMap:
-    return generator_inclusion(horn_complex(n, i), standard_simplex(n))
+    return key_inclusion((n, i))
 
 
 def boundary_inclusion(n: int) -> SimplicialMap:
-    return generator_inclusion(boundary_complex(n), standard_simplex(n))
+    return key_inclusion((n, None))
 
 
 def spine_inclusion(n: int) -> SimplicialMap:
     return generator_inclusion(spine_complex(n), standard_simplex(n))
 
 
-def family_keys(name: str, max_dim: int) -> list[tuple[int, int | None]]:
+def family_keys(name: str, max_dim: int) -> Iterator[Key]:
     """Keys of the named class's generators up to the bound, in search
-    order: (n, i) for the horn inclusion of index i into Delta^n, and
-    (n, None) for the boundary inclusion into Delta^n."""
+    order, yielded one at a time; an unknown class raises at the call."""
     if name == "trivial_kan":
-        return [(n, None) for n in range(max_dim + 1)]
+        return ((n, None) for n in range(max_dim + 1))
     if name not in HORN_RANGES:
         raise ValueError(f"unknown fibration class {name!r}")
-    return [(n, i) for n in range(1, max_dim + 1) for i in HORN_RANGES[name](n)]
+    return ((n, i) for n in range(1, max_dim + 1) for i in HORN_RANGES[name](n))
 
 
-def key_inclusion(key: tuple[int, int | None]) -> SimplicialMap:
+@functools.cache
+def key_inclusion(key: Key) -> SimplicialMap:
+    """The generator named by a key, built once per process: complexes and
+    maps never change after construction, so every caller shares it, and
+    the generators into one Delta^n share that simplex."""
     n, i = key
-    return boundary_inclusion(n) if i is None else horn_inclusion(n, i)
+    sub = boundary_complex(n) if i is None else horn_complex(n, i)
+    return generator_inclusion(sub, _table_simplex(n))
 
 
-def generating_family(name: str, max_dim: int) -> list[SimplicialMap]:
-    """Horn/boundary inclusions of the named class, up to the bound."""
-    return [key_inclusion(k) for k in family_keys(name, max_dim)]
+_table_simplex = functools.cache(standard_simplex)
 
 
 # -- right-lifting-property checks --------------------------------------------
@@ -170,23 +178,21 @@ class RlpVerdict:
 
 def has_rlp(
     p: SimplicialMap,
-    generators: list[SimplicialMap],
+    keys: Iterable[Key],
     max_dim: int,
     node_budget: int | Budget = DEFAULT_NODE_BUDGET,
 ) -> RlpVerdict:
-    """Right lifting property of p against every instantiated square.
-
-    The squares over i are the maps u: A -> X, each with every map v
-    extending p o u along i; i is checked to be mono once, at the first u.
-    """
+    """Right lifting property of p against every instantiated square over
+    the generators named by the keys, skipping those above the bound
+    unbuilt.  The squares over i are the maps u: A -> X, each with every
+    map v extending p o u along i."""
     budget = Budget.of(node_budget)
-    for i in generators:
-        if i.target.dim > max_dim:
+    for key in keys:
+        if key[0] > max_dim:
             continue
+        i = key_inclusion(key)
         try:
-            for k, u in enumerate(enumerate_maps(i.source, p.source, budget=budget)):
-                if k == 0 and not i.is_mono():
-                    raise ValueError("extension requires a mono inclusion")
+            for u in enumerate_maps(i.source, p.source, budget=budget):
                 fixed = {i.images[a].base: p.apply(s) for a, s in u.images.items()}
                 for v in enumerate_maps(i.target, p.target, fixed, budget=budget):
                     P = LiftingProblem(i, p, u, v)
@@ -218,9 +224,9 @@ def classify_map(
 
     The families overlap (an inner horn is also a left and a right horn,
     and the Kan horns are the left and right ones), so each generator is
-    built and checked at most once per call, the first time a class
-    reaches it, and its verdict is shared by every class that contains
-    it.  A class takes the first verdict of its family that is not YES.
+    checked at most once per call, the first time a class reaches it, and
+    its verdict is shared by every class that contains it.  A class takes
+    the first verdict of its family that is not YES.
     """
     bound = max(p.source.dim, p.target.dim, 0) + 1 if max_dim is None else max_dim
     budget = Budget.of(node_budget)
@@ -229,12 +235,12 @@ def classify_map(
         vertex_bijective=p.is_vertex_bijective(),
         checked_dim=bound,
     )
-    verdicts: dict[tuple[int, int | None], RlpVerdict] = {}
+    verdicts: dict[Key, RlpVerdict] = {}
     for name in classes:
         report.classes[name] = RlpVerdict(YES, bound)
         for key in family_keys(name, bound):
             if key not in verdicts:
-                verdicts[key] = has_rlp(p, [key_inclusion(key)], bound, budget)
+                verdicts[key] = has_rlp(p, [key], bound, budget)
             if verdicts[key].status != YES:
                 report.classes[name] = verdicts[key]
                 break

@@ -49,7 +49,7 @@ from sskit.lifting import (
     NONE,
     YES,
     classify_map,
-    generating_family,
+    family_keys,
     generator_inclusion,
     has_rlp,
     horn_inclusion,
@@ -269,7 +269,7 @@ def test_criterion_10_equivalence_restricted_evaluation_is_trivial_kan():
     fc = restricted_function_complex(d2, d1, 2)
     ev = fc.restrict_to_vertex(CellId(0, 0))
     assert ev.check() == []
-    v = has_rlp(ev, generating_family("trivial_kan", 2), 2)
+    v = has_rlp(ev, family_keys("trivial_kan", 2), 2)
     assert v.status == YES
     assert str(v) == "YesUpTo(2)"
     assert time.monotonic() - t0 < 60.0

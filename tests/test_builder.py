@@ -573,9 +573,9 @@ def test_product_matches_the_counting_constructor(seed):
         P.simplex_of_pair(Simplex(CellId(0, 0), (0,)), Simplex(CellId(1, 7)))
 
 
-def test_only_the_builder_constructs_a_simplicial_set():
-    """Inside the library, `SimplicialSet(...)` is called only by
-    `ComplexBuilder.build`: every complex is numbered by the builder."""
+def library_calls(names):
+    """(module, enclosing function, callee) for every call inside the
+    library to a function or method named in `names`, sorted."""
     package = pathlib.Path(sskit.__file__).parent
     calls = []
     for path in sorted(package.rglob("*.py")):
@@ -588,11 +588,29 @@ def test_only_the_builder_constructs_a_simplicial_set():
             if not isinstance(node, ast.Call):
                 continue
             name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-            if name == "SimplicialSet":
+            if name in names:
                 owner, where = node, []
                 while owner in scopes:
                     owner = scopes[owner]
                     if isinstance(owner, (ast.FunctionDef, ast.ClassDef)):
                         where.append(owner.name)
-                calls.append((path.relative_to(package).as_posix(), ".".join(reversed(where))))
-    assert calls == [("core/complex.py", "ComplexBuilder.build")]
+                module = path.relative_to(package).as_posix()
+                calls.append((module, ".".join(reversed(where)), name))
+    return sorted(calls)
+
+
+def test_only_the_builder_constructs_a_simplicial_set():
+    """Inside the library, `SimplicialSet(...)` is called only by
+    `ComplexBuilder.build`: every complex is numbered by the builder."""
+    assert library_calls({"SimplicialSet"}) == [
+        ("core/complex.py", "ComplexBuilder.build", "SimplicialSet")
+    ]
+
+
+def test_only_the_generator_table_builds_horns_and_boundaries():
+    """Inside the library, horns and boundaries are built only by
+    `key_inclusion`, so every consumer shares its cached inclusions."""
+    assert library_calls({"horn_complex", "boundary_complex"}) == [
+        ("lifting.py", "key_inclusion", "boundary_complex"),
+        ("lifting.py", "key_inclusion", "horn_complex"),
+    ]

@@ -79,7 +79,7 @@ def test_accept_all_stage_on_the_open_triangle():
     # maps from the 2-horn to itself are composable edge pairs, with
     # degenerate edges allowed: 8 in total, each attaching two cells
     lam = horn_complex(2, 1).complex
-    out, inc, atts = soa_stage(lam, [horn_inclusion(2, 1)], lambda i, a: True)
+    out, inc, atts = soa_stage(lam, [(2, 1)], lambda k, a: True)
     assert len(atts) == 8
     assert out.total_cells() - lam.total_cells() == 16
     assert validate(out) == []

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sskit import lifting
+from sskit.core import generators
 from sskit.core import (
     DEFAULT_NODE_BUDGET,
     Budget,
     BudgetExceeded,
     CellId,
     Simplex,
-    all_extensions,
+    SimplicialMap,
     boundary_complex,
     compose,
     enumerate_maps,
@@ -35,10 +36,10 @@ from sskit.lifting import (
     boundary_inclusion,
     classify_map,
     family_keys,
-    generating_family,
     generator_inclusion,
     has_rlp,
     horn_inclusion,
+    key_inclusion,
     solve_lift,
     spine_inclusion,
 )
@@ -75,10 +76,19 @@ def test_no_lift_when_the_target_lacks_the_filler():
     assert r.status == NONE
 
 
+def _extensions(f, i, budget):
+    """All maps B -> Y with g o i = f, for a mono inclusion i: A -> B,
+    enumerated directly: the reference a lift over the point must match."""
+    if not i.is_mono():
+        raise ValueError("extension requires a mono inclusion")
+    fixed = {i.images[a].base: f.images[a] for a in i.source.all_cells()}
+    return enumerate_maps(i.target, f.target, fixed, budget=budget)
+
+
 def _first_extension(f, i, budget):
-    """Status and map of the first item of all_extensions."""
+    """Status and map of the first reference extension."""
     try:
-        for g in all_extensions(f, i, budget=budget):
+        for g in _extensions(f, i, budget):
             return FOUND, g
     except BudgetExceeded:
         return BUDGET, None
@@ -147,7 +157,7 @@ def test_the_lift_self_check_rejects_a_map_that_does_not_fill_the_square(triangl
 
 def test_budget_exhaustion_is_a_distinct_outcome():
     p = terminal_map(standard_simplex(2).complex, PT)
-    v = has_rlp(p, generating_family("inner", 3), 3, Budget(5))
+    v = has_rlp(p, family_keys("inner", 3), 3, Budget(5))
     assert v.status == BUDGET
     assert str(v) == "Budget"
 
@@ -167,11 +177,11 @@ def test_an_ill_posed_square_is_rejected_with_its_reason(message):
 
 
 def test_generating_families_have_the_right_shapes():
-    assert [i.target.dim for i in generating_family("inner", 3)] == [2, 3, 3]
-    assert len(generating_family("kan", 2)) == 2 + 3
-    assert len(generating_family("trivial_kan", 2)) == 3
+    assert [key_inclusion(k).target.dim for k in family_keys("inner", 3)] == [2, 3, 3]
+    assert len(list(family_keys("kan", 2))) == 2 + 3
+    assert len(list(family_keys("trivial_kan", 2))) == 3
     with pytest.raises(ValueError):
-        generating_family("outer", 2)
+        family_keys("outer", 2)
 
 
 def test_identity_has_every_lifting_property():
@@ -196,7 +206,7 @@ def _classify_per_class(p, bound):
     verdicts, used = {}, 0
     for name in FIBRATION_CLASSES:
         budget = Budget(DEFAULT_NODE_BUDGET)
-        verdicts[name] = has_rlp(p, generating_family(name, bound), bound, budget)
+        verdicts[name] = has_rlp(p, family_keys(name, bound), bound, budget)
         used += budget.used
     return verdicts, used
 
@@ -253,11 +263,75 @@ def test_each_generator_is_checked_once_per_call():
 
 
 def test_family_keys_name_the_generating_family():
-    assert family_keys("inner", 3) == [(2, 1), (3, 1), (3, 2)]
-    assert family_keys("trivial_kan", 1) == [(0, None), (1, None)]
-    right = [horn_inclusion(n, i) for n, i in family_keys("right", 2)]
-    assert generating_family("right", 2) == right
-    assert generating_family("trivial_kan", 2) == [boundary_inclusion(n) for n in range(3)]
+    assert list(family_keys("inner", 3)) == [(2, 1), (3, 1), (3, 2)]
+    assert list(family_keys("trivial_kan", 1)) == [(0, None), (1, None)]
+    right = [generator_inclusion(horn_complex(n, i), standard_simplex(n))
+             for n, i in family_keys("right", 2)]
+    assert [key_inclusion(k) for k in family_keys("right", 2)] == right
+    assert [key_inclusion(k) for k in family_keys("trivial_kan", 2)] == [
+        generator_inclusion(boundary_complex(n), standard_simplex(n)) for n in range(3)
+    ]
+
+
+def test_each_key_names_one_inclusion_per_process():
+    for key in [(2, 1), (3, 0), (0, None), (2, None)]:
+        assert key_inclusion(key) is key_inclusion(key)
+    assert horn_inclusion(3, 2) is key_inclusion((3, 2))
+    assert boundary_inclusion(1) is key_inclusion((1, None))
+
+
+def test_a_second_classification_builds_no_generator(monkeypatch):
+    p = identity_map(standard_simplex(2).complex)
+    classify_map(p, 3)
+    builds = []
+    build = generators.from_vertex_tuples
+    monkeypatch.setattr(generators, "from_vertex_tuples", lambda ts: builds.append(ts) or build(ts))
+    classify_map(p, 3)
+    assert builds == []
+
+
+def test_keys_above_the_bound_are_skipped_unbuilt(monkeypatch):
+    p = terminal_map(standard_simplex(1).complex, PT)
+    want_budget = Budget(DEFAULT_NODE_BUDGET)
+    want = has_rlp(p, family_keys("inner", 3), 3, want_budget)
+    looked_up = []
+    table = lifting.key_inclusion
+    monkeypatch.setattr(lifting, "key_inclusion", lambda k: looked_up.append(k) or table(k))
+    budget = Budget(DEFAULT_NODE_BUDGET)
+    got = has_rlp(p, family_keys("inner", 4), 3, budget)
+    assert (str(got), got.bound, budget.used) == (str(want), 3, want_budget.used)
+    assert looked_up == [(2, 1), (3, 1), (3, 2)]
+
+
+def test_family_keys_are_yielded_lazily():
+    # bound 10**6 would name about 5 * 10**11 inner horns
+    assert next(family_keys("inner", 10**6)) == (2, 1)
+    assert next(family_keys("trivial_kan", 10**6)) == (0, None)
+
+
+def test_the_filler_d0_face_is_the_last_horn_cell_below_the_top():
+    """`from_vertex_tuples` numbers the (n-1)-cells of an inner horn by
+    their vertex tuples, so the face on vertices 1..n comes last."""
+    for n, i in family_keys("inner", 7):
+        inc = key_inclusion((n, i))
+        d0 = inc.target.face(Simplex(CellId(n, 0)), 0)
+        assert [c for c, s in inc.images.items() if s == d0] == [CellId(n - 1, n - 1)]
+
+
+def test_each_map_is_scanned_for_mono_once(monkeypatch):
+    """Every square of has_rlp still checks its generator, and classify_map
+    checks p, but each map's cells are scanned at its first check only."""
+    calls, scans = [], []
+    is_mono, scan = SimplicialMap.is_mono, SimplicialMap._scan_mono
+    monkeypatch.setattr(SimplicialMap, "is_mono", lambda f: calls.append(f) or is_mono(f))
+    monkeypatch.setattr(SimplicialMap, "_scan_mono", lambda f: scans.append(f) or scan(f))
+    p = identity_map(standard_simplex(2).complex)
+    classify_map(p, 3)
+    assert scans[0] is p
+    assert len({id(f) for f in scans}) == len(scans) <= 14  # p and 13 generators
+    del calls[:], scans[:]
+    classify_map(p, 3)
+    assert (len(calls), scans) == (137, [])  # p and one per square, none scanned
 
 
 def test_interval_over_point_is_inner_but_not_kan():
@@ -270,7 +344,7 @@ def test_interval_over_point_is_inner_but_not_kan():
 
 def test_rlp_refutation_witness_replays_to_none():
     p = terminal_map(standard_simplex(1).complex, PT)
-    v = has_rlp(p, generating_family("kan", 2), 2)
+    v = has_rlp(p, family_keys("kan", 2), 2)
     assert v.status == NO
     assert str(v) == "No(witness)"
     assert solve_lift(v.witness).status == NONE

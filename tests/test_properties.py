@@ -24,7 +24,7 @@ from sskit.core import (
     validate,
 )
 from sskit.factorize import mapping_path_space, soa_stage
-from sskit.lifting import generating_family
+from sskit.lifting import family_keys
 
 from conftest import random_generator_complex, random_mono_pair
 
@@ -88,8 +88,8 @@ def test_both_pushout_legs_are_simplicial(seed):
 @given(SEEDS)
 def test_soa_stage_inclusion_and_attachments_are_simplicial(seed):
     S = random_generator_complex(random.Random(seed)).complex
-    gens = generating_family("inner", 2) + generating_family("trivial_kan", 1)
-    out, inc, atts = soa_stage(S, gens, lambda i, a: True)
+    keys = [*family_keys("inner", 2), *family_keys("trivial_kan", 1)]
+    out, inc, atts = soa_stage(S, keys, lambda k, a: True)
     assert validate(out) == []
     assert inc.check() == []
     assert atts
