@@ -1,5 +1,6 @@
 """Homotopy categories, equivalence edges, and fibration checks on them."""
 
+import functools
 import hashlib
 import random
 
@@ -128,6 +129,28 @@ def test_normal_forms_and_hom_sets_match_leftmost_rewriting(n, seed):
             assert h.nf(w) == w == leftmost_normal_form(w, rules)
 
 
+@functools.lru_cache(maxsize=None)
+def triangle_subset_categories(n, word_budget, max_rules=homotopy._MAX_RULES):
+    """(rules, confluent, exact, hom-set sizes) of the homotopy categories of
+    seeds 0-199 of the scheme above, completed under a rule cap of max_rules."""
+    saved, homotopy._MAX_RULES = homotopy._MAX_RULES, max_rules
+    try:
+        rows = []
+        for seed in range(200):
+            rng = random.Random(seed)
+            X = random_triangle_subset(n, rng.randint(0, n * (n - 1) ** 2), rng)
+            h = homotopy_category(X, word_budget)
+            sizes = tuple(len(h.hom_set(x, y)) for x in h.objects for y in h.objects)
+            rows.append((list(h.rules), h.confluent, h.exact, sizes))
+        return rows
+    finally:
+        homotopy._MAX_RULES = saved
+
+
+def _digest(rows) -> str:
+    return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+
+
 # (n, confluent, exact, digest) over seeds 0-199 of the scheme above at word
 # budget 4; the digest covers every (confluent, exact, hom-set sizes) triple
 TRIANGLE_SUBSET_CATEGORIES = [
@@ -144,15 +167,36 @@ TRIANGLE_SUBSET_CATEGORIES = [
     ids=[f"n{c[0]}" for c in TRIANGLE_SUBSET_CATEGORIES],
 )
 def test_random_triangle_subsets_keep_their_hom_set_sizes(n, confluent, exact, digest):
-    rows = []
-    for seed in range(200):
-        rng = random.Random(seed)
-        h = homotopy_category(random_triangle_subset(n, rng.randint(0, n * (n - 1) ** 2), rng), 4)
-        sizes = tuple(len(h.hom_set(x, y)) for x in h.objects for y in h.objects)
-        rows.append((h.confluent, h.exact, sizes))
+    rows = [row[1:] for row in triangle_subset_categories(n, 4)]
     assert sum(r[0] for r in rows) == confluent
     assert sum(r[1] for r in rows) == exact
-    assert hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == digest
+    assert _digest(rows) == digest
+
+
+# (n, word budget, rule cap, rules, confluent, digest) over the same seeds; the
+# digest covers every (rule list in order, confluent) pair.  Word budget 1
+# stops 29 completions at a 3-letter left side and cap 8 stops 149 at the
+# cap; every row mixes 2- and 3-letter left sides in some completion
+TRIANGLE_SUBSET_RULES = [
+    (3, 4, 300, 1549, 200, "4084ceed1c9c22ff"),
+    (4, 4, 300, 5438, 200, "c741185ece0bb2b1"),
+    (5, 4, 300, 13003, 200, "9995a5d2e722f69c"),
+    (6, 4, 300, 25889, 200, "e600839bb6fbfa3d"),
+    (4, 1, 300, 5291, 171, "0314e126ebd615e7"),
+    (5, 4, 8, 9611, 51, "78961ec5a8754187"),
+]
+
+
+@pytest.mark.parametrize(
+    "n, word_budget, max_rules, rules, confluent, digest",
+    TRIANGLE_SUBSET_RULES,
+    ids=[f"n{c[0]}-budget{c[1]}-cap{c[2]}" for c in TRIANGLE_SUBSET_RULES],
+)
+def test_random_triangle_subsets_keep_their_rule_lists(n, word_budget, max_rules, rules, confluent, digest):
+    rows = [row[:2] for row in triangle_subset_categories(n, word_budget, max_rules)]
+    assert sum(len(r[0]) for r in rows) == rules
+    assert sum(r[1] for r in rows) == confluent
+    assert _digest(rows) == digest
 
 
 # the indiscrete groupoid on n objects: n (n - 1)^2 triangle relations, already
