@@ -8,11 +8,13 @@ length-lexicographic Knuth-Bendix; Exact status is claimed only on
 confluent termination with the irreducible-word enumeration exhausted
 inside the word budget.
 
-The rules live in a `RuleTable` that indexes their left sides.  Rewriting
-is leftmost, with the lowest rule position among the rules matching
-there, in one left-to-right pass.  Completion has two bounds and no pass
-limit: more than `_MAX_RULES` rules beyond one per relation, and a left
-side longer than twice the word budget, the longest word a presentation
+The rules live in a `RuleTable` that indexes their left sides, as words
+and by their letters.  Rewriting is leftmost, with the lowest rule
+position among the rules matching there, in one left-to-right pass.
+Completion visits only the rule pairs that the letter indexes admit, in
+the order of a loop over all pairs.  It has two bounds and no pass limit:
+more than `_MAX_RULES` rules beyond one per relation, and a left side
+longer than twice the word budget, the longest word a presentation
 normalises (an inverse check joins two hom words).  Hitting either makes
 the presentation inexact: answers turn "unknown", never into a wrong "no".
 """
@@ -49,13 +51,17 @@ class RuleTable:
 
     Left sides are distinct (each new one is irreducible under the rules
     before it), so `position` maps a left side to its rule; `lengths` holds
-    the distinct left-side lengths in increasing order.
+    the distinct left-side lengths in increasing order.  `starts[a]` and
+    `contains[a]` list, in increasing order, the positions of the rules
+    whose left side starts with the letter a and contains it.
     """
 
     def __init__(self) -> None:
         self.rules: list[tuple[Word, Word]] = []
         self.position: dict[Word, int] = {}
         self.lengths: list[int] = []
+        self.starts: dict[CellId, list[int]] = {}
+        self.contains: dict[CellId, list[int]] = {}
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -64,10 +70,14 @@ class RuleTable:
         return iter(self.rules)
 
     def add(self, l: Word, r: Word) -> None:
-        self.position[l] = len(self.rules)
+        p = len(self.rules)
+        self.position[l] = p
         self.rules.append((l, r))
         if len(l) not in self.lengths:
             bisect.insort(self.lengths, len(l))
+        self.starts.setdefault(l[0], []).append(p)
+        for a in set(l):
+            self.contains.setdefault(a, []).append(p)
 
     def has_suffix_rule(self, w: Word) -> bool:
         """Is some left side a suffix of w?"""
@@ -79,47 +89,56 @@ def normal_form(w: Word, rules: RuleTable) -> Word:
 
     Rewrites at the leftmost position where a left side matches, with the
     lowest-positioned rule among those matching there.  Only windows of
-    the indexed left-side lengths are looked up, and after a rewrite at i
-    the scan resumes at i - maxlen + 1: windows ending before i did not
-    change, and none of them matched.  Rewrites lower shortlex order.
+    the indexed left-side lengths are looked up, shortest first, up to the
+    end of the word, and after a rewrite at i the scan resumes at
+    i - maxlen + 1: windows ending before i did not change, and none of
+    them matched.  Rewrites lower shortlex order.
     """
     position, lengths = rules.position, rules.lengths
     back = lengths[-1] - 1 if lengths else 0
     i = 0
     while i < len(w):
-        hits = [
-            position[u]
-            for n in lengths
-            if i + n <= len(w) and (u := w[i : i + n]) in position
-        ]
-        if not hits:
+        hit = None
+        for n in lengths:
+            if i + n > len(w):
+                break
+            p = position.get(w[i : i + n])
+            if p is not None and (hit is None or p < hit):
+                hit = p
+        if hit is None:
             i += 1
             continue
-        l, r = rules.rules[min(hits)]
+        l, r = rules.rules[hit]
         w = w[:i] + r + w[i + len(l) :]
         i = max(0, i - back)
     return w
 
 
-def _critical_pairs(r1: tuple[Word, Word], r2: tuple[Word, Word]):
+def _critical_pairs(r1: tuple[Word, Word], r2: tuple[Word, Word]) -> list[tuple[Word, Word]]:
     l1, o1 = r1
     l2, o2 = r2
+    pairs = []
     # overlap: proper suffix of l1 equals proper prefix of l2
     for k in range(1, min(len(l1), len(l2))):
         if l1[len(l1) - k :] == l2[:k]:
-            yield (o1 + l2[k:], l1[: len(l1) - k] + o2)
+            pairs.append((o1 + l2[k:], l1[: len(l1) - k] + o2))
     # containment: l2 occurs strictly inside l1
     if len(l2) < len(l1):
         for i in range(len(l1) - len(l2) + 1):
             if l1[i : i + len(l2)] == l2:
-                yield (o1, l1[:i] + o2 + l1[i + len(l2) :])
+                pairs.append((o1, l1[:i] + o2 + l1[i + len(l2) :]))
+    return pairs
 
 
 def complete(relations: list[tuple[Word, Word]], max_len: int) -> tuple[RuleTable, bool]:
     """Knuth-Bendix completion under the shortlex order.
 
-    Each ordered pair of rules is examined once, when the later one comes
-    up.  Returns (rules, confluent) with sound rules; it stops, confluent
+    Each rule i is paired, when it comes up, with itself and each earlier
+    rule j whose left side can overlap l_i or lie inside it: (i, j) when
+    l_j starts with a letter of l_i, (j, i) when l_j contains l_i[0].  The
+    letter indexes give these j, visited in increasing order, (i, j)
+    before (j, i), as a loop over all pairs that skips the rest would.
+    Returns (rules, confluent) with sound rules; it stops, confluent
     False, at more than `_MAX_RULES` rules beyond one per relation or at a
     left side longer than `max_len`.  The two bounds keep the loop finite.
     """
@@ -140,10 +159,17 @@ def complete(relations: list[tuple[Word, Word]], max_len: int) -> tuple[RuleTabl
             return rules, False
     # the loop also reaches the rules added inside it
     for i, new in enumerate(rules):
-        for old in rules.rules[: i + 1]:
-            # a left side overlapping another, or inside it, starts with a letter of it
-            pairs = [(new, old)] if old is not new and old[0][0] in new[0] else []
-            if new[0][0] in old[0]:
+        l = new[0]
+        candidates = set()
+        for a in set(l):
+            js = rules.starts.get(a, [])
+            candidates.update(js[: bisect.bisect_left(js, i)])
+        js = rules.contains[l[0]]
+        candidates.update(js[: bisect.bisect_right(js, i)])
+        for j in sorted(candidates):
+            old = rules.rules[j]
+            pairs = [(new, old)] if j < i and old[0][0] in l else []
+            if l[0] in old[0]:
                 pairs.append((old, new))
             for r1, r2 in pairs:
                 for a, b in _critical_pairs(r1, r2):

@@ -124,14 +124,6 @@ def generator_inclusion(sub: GeneratorComplex, amb: GeneratorComplex) -> Simplic
     )
 
 
-def horn_inclusion(n: int, i: int) -> SimplicialMap:
-    return key_inclusion((n, i))
-
-
-def boundary_inclusion(n: int) -> SimplicialMap:
-    return key_inclusion((n, None))
-
-
 def spine_inclusion(n: int) -> SimplicialMap:
     return generator_inclusion(spine_complex(n), standard_simplex(n))
 

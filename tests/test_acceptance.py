@@ -52,7 +52,7 @@ from sskit.lifting import (
     family_keys,
     generator_inclusion,
     has_rlp,
-    horn_inclusion,
+    key_inclusion,
     solve_lift,
     spine_inclusion,
 )
@@ -136,7 +136,7 @@ def test_criterion_04_glued_spines_fill_spines_but_not_the_inner_horn(glued_spin
         generator_inclusion(horn_complex(3, 1), boundary_complex(3)),
         glued_spines.from_codomain,
     )
-    r = solve_lift(extension_problem(u, horn_inclusion(3, 1)))
+    r = solve_lift(extension_problem(u, key_inclusion((3, 1))))
     assert r.status == NONE
     assert u.check() == []  # the witness is a replayable horn map
     assert time.monotonic() - t0 < 10.0

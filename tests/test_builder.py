@@ -38,7 +38,7 @@ from sskit.core import (
 from sskit.core.generators import tuple_label
 from sskit.core.simplex import apply_degeneracy
 from sskit.fileformat import ParseError, _parse_token, _strip, parse_complex, serialize_complex
-from sskit.lifting import boundary_inclusion, horn_inclusion
+from sskit.lifting import key_inclusion
 
 from conftest import build_horn_plus_vertex, random_generator_complex, random_tuple_family
 
@@ -430,7 +430,7 @@ def test_join_matches_the_counting_constructor(seed):
 @pytest.mark.parametrize("seed", range(4))
 def test_attach_all_matches_the_counting_constructor(seed):
     rng = random.Random(seed)
-    gens = [horn_inclusion(2, 1), horn_inclusion(2, 0), horn_inclusion(3, 2), boundary_inclusion(1)]
+    gens = [key_inclusion((2, 1)), key_inclusion((2, 0)), key_inclusion((3, 2)), key_inclusion((1, None))]
     # a space without labels and one whose labels are not in cell order
     spaces = seeded_complexes(seed, 6) + [slice_under(spine_complex(2).complex, CellId(0, 0), 2).space]
     for S in spaces:

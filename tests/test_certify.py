@@ -38,9 +38,8 @@ from sskit.lifting import (
     FOUND,
     HORN_RANGES,
     NONE,
-    boundary_inclusion,
     generator_inclusion,
-    horn_inclusion,
+    key_inclusion,
     spine_inclusion,
 )
 from sskit.core import horn_complex, spine_complex
@@ -49,7 +48,7 @@ from conftest import random_mono_pair
 
 
 def test_single_step_certificate_for_the_open_triangle():
-    i = horn_inclusion(2, 1)
+    i = key_inclusion((2, 1))
     top = standard_simplex(2).lookup[(0, 1, 2)]
     cert = AnodyneCertificate("inner", [(2, 1, top)])
     assert verify_certificate(cert, i)
@@ -58,7 +57,7 @@ def test_single_step_certificate_for_the_open_triangle():
 
 
 def test_malformed_steps_raise_and_bad_family_raises():
-    i = horn_inclusion(2, 1)
+    i = key_inclusion((2, 1))
     top = standard_simplex(2).lookup[(0, 1, 2)]
     with pytest.raises(ValueError):
         verify_certificate(AnodyneCertificate("outer", [(2, 1, top)]), i)
@@ -69,12 +68,12 @@ def test_malformed_steps_raise_and_bad_family_raises():
 
 
 def test_out_of_range_horn_index_is_a_content_failure():
-    i = horn_inclusion(2, 1)
+    i = key_inclusion((2, 1))
     top = standard_simplex(2).lookup[(0, 1, 2)]
     assert not verify_certificate(AnodyneCertificate("inner", [(2, 0, top)]), i)
     assert verify_certificate(AnodyneCertificate("left", [(2, 0, top)]), i) is False
     # index 0 is fine for the left class when the free face matches
-    i0 = horn_inclusion(2, 0)
+    i0 = key_inclusion((2, 0))
     assert verify_certificate(AnodyneCertificate("left", [(2, 0, top)]), i0)
 
 
@@ -95,7 +94,7 @@ def test_identity_has_the_empty_certificate():
 def test_parity_shortcut_refutes_odd_cell_deficits():
     # the boundary inclusion adds a single cell: no sequence of
     # two-cell steps can account for it
-    r = search_certificate(boundary_inclusion(2), "kan")
+    r = search_certificate(key_inclusion((2, None)), "kan")
     assert r.status == NONE
 
 
@@ -138,15 +137,15 @@ def test_saturation_steps_verify_as_a_certificate():
 
 
 def test_classifier_confirms_an_inner_horn():
-    v = classify_inclusion(horn_inclusion(3, 2))
+    v = classify_inclusion(key_inclusion((3, 2)))
     assert v.value == INNER_ANODYNE
-    assert verify_certificate(v.certificate, horn_inclusion(3, 2))
+    assert verify_certificate(v.certificate, key_inclusion((3, 2)))
 
 
 def test_classifier_refutes_the_interval_boundary():
     # vertex-bijective, so the refutation has to come from the
     # homotopy-category invariants
-    v = classify_inclusion(boundary_inclusion(1))
+    v = classify_inclusion(key_inclusion((1, None)))
     assert v.value == NOT_INNER_ANODYNE
     assert v.reason == "equivalence-refuted"
 
@@ -168,7 +167,7 @@ def test_two_out_of_three_on_a_factored_horn():
 
 def test_two_out_of_three_rejects_non_composable_pairs():
     with pytest.raises(ValueError):
-        check_two_out_of_three(horn_inclusion(2, 1), horn_inclusion(2, 1))
+        check_two_out_of_three(key_inclusion((2, 1)), key_inclusion((2, 1)))
 
 
 def test_random_mono_pairs_never_alarm():

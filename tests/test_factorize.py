@@ -49,10 +49,9 @@ from sskit.lifting import (
     FOUND,
     NONE,
     YES,
-    boundary_inclusion,
     classify_map,
     generator_inclusion,
-    horn_inclusion,
+    key_inclusion,
     spine_inclusion,
 )
 
@@ -66,7 +65,7 @@ from conftest import (
 
 def test_attach_all_adds_filler_and_freed_face():
     lam = horn_complex(2, 1)
-    att = Attachment(horn_inclusion(2, 1), identity_map(lam.complex))
+    att = Attachment(key_inclusion((2, 1)), identity_map(lam.complex))
     out, inc = attach_all(lam.complex, [att])
     assert out.cell_counts() == (3, 3, 1)
     assert validate(out) == []
@@ -457,8 +456,8 @@ def recursive_descent_search(p, i, max_dim, budget):
 
 
 def _descent_inclusions():
-    incs = [horn_inclusion(n, k) for n in range(1, 4) for k in range(n + 1)]
-    incs += [boundary_inclusion(n) for n in range(4)]
+    incs = [key_inclusion((n, k)) for n in range(1, 4) for k in range(n + 1)]
+    incs += [key_inclusion((n, None)) for n in range(4)]
     incs += [spine_inclusion(2), spine_inclusion(3)]
     for n in (1, 2):
         D = standard_simplex(n).complex

@@ -41,7 +41,7 @@ from sskit.fileformat import (
 )
 from sskit.factorize import mapping_path_space, prefibrantize, saturate_prefibrant
 from sskit.homotopy import check_categorical_fibration, check_isofibration, dwyer_kan_check
-from sskit.lifting import generator_inclusion, horn_inclusion, spine_inclusion
+from sskit.lifting import generator_inclusion, key_inclusion, spine_inclusion
 
 from conftest import (
     build_walking_iso,
@@ -76,7 +76,7 @@ def test_random_complex_round_trip(seed):
 
 
 def test_map_round_trip():
-    i = horn_inclusion(2, 1)
+    i = key_inclusion((2, 1))
     complexes = {"A": i.source, "B": i.target}
     text = serialize_map(i, "A", "B")
     assert parse_map(text, complexes.__getitem__) == i
@@ -228,7 +228,7 @@ def _gen_files(tmp_path):
         tmp_path, "full.txt", serialize_complex(standard_simplex(2).complex)
     )
     inc = _write(
-        tmp_path, "inc.map", serialize_map(horn_inclusion(2, 1), "horn.txt", "full.txt")
+        tmp_path, "inc.map", serialize_map(key_inclusion((2, 1)), "horn.txt", "full.txt")
     )
     return horn, full, inc
 

@@ -199,6 +199,65 @@ def test_random_triangle_subsets_keep_their_rule_lists(n, word_budget, max_rules
     assert _digest(rows) == digest
 
 
+def reference_critical_pairs(r1, r2):
+    l1, o1 = r1
+    l2, o2 = r2
+    for k in range(1, min(len(l1), len(l2))):
+        if l1[len(l1) - k :] == l2[:k]:
+            yield (o1 + l2[k:], l1[: len(l1) - k] + o2)
+    if len(l2) < len(l1):
+        for i in range(len(l1) - len(l2) + 1):
+            if l1[i : i + len(l2)] == l2:
+                yield (o1, l1[:i] + o2 + l1[i + len(l2) :])
+
+
+def reference_complete(relations, max_len, max_rules):
+    """The completion loop from before the letter indexes: every rule
+    against itself and every earlier rule, in rule order, with leftmost
+    rewriting for normal forms."""
+    rules = []
+    cap = len(relations) + max_rules
+
+    def add(a, b):
+        a, b = leftmost_normal_form(a, rules), leftmost_normal_form(b, rules)
+        if a == b:
+            return True
+        if (len(a), a) < (len(b), b):
+            a, b = b, a
+        rules.append((a, b))
+        return len(rules) <= cap and len(a) <= max_len
+
+    for a, b in relations:
+        if not add(a, b):
+            return rules, False
+    for i, new in enumerate(rules):
+        for old in rules[: i + 1]:
+            pairs = [(new, old)] if old is not new and old[0][0] in new[0] else []
+            if new[0][0] in old[0]:
+                pairs.append((old, new))
+            for r1, r2 in pairs:
+                for a, b in reference_critical_pairs(r1, r2):
+                    if not add(a, b):
+                        return rules, False
+    return rules, True
+
+
+@st.composite
+def relation_lists(draw):
+    letters = [CellId(1, k) for k in range(draw(st.integers(2, 4)))]
+    words = st.lists(st.sampled_from(letters), max_size=4).map(tuple)
+    return draw(st.lists(st.tuples(words, words), min_size=1, max_size=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(relation_lists(), st.integers(2, 8), st.integers(0, 40))
+def test_completion_gives_the_rules_of_the_unindexed_pair_loop(relations, max_len, max_rules):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homotopy, "_MAX_RULES", max_rules)
+        rules, confluent = homotopy.complete(relations, max_len)
+    assert (list(rules), confluent) == reference_complete(relations, max_len, max_rules)
+
+
 # the indiscrete groupoid on n objects: n (n - 1)^2 triangle relations, already
 # complete; digests of the rule lists recorded before the rule table was indexed
 COSK0_CATEGORIES = [

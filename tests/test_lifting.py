@@ -33,12 +33,10 @@ from sskit.lifting import (
     NONE,
     YES,
     LiftingProblem,
-    boundary_inclusion,
     classify_map,
     family_keys,
     generator_inclusion,
     has_rlp,
-    horn_inclusion,
     key_inclusion,
     solve_lift,
     spine_inclusion,
@@ -55,7 +53,7 @@ PT = standard_simplex(0).complex
 
 
 def test_inner_horn_fills_in_its_own_simplex():
-    i = horn_inclusion(2, 1)
+    i = key_inclusion((2, 1))
     u = i  # fill the horn inside Delta^2 itself
     p = identity_map(i.target)
     r = solve_lift(LiftingProblem(i, p, u, p))
@@ -71,7 +69,7 @@ def test_spine_extends_through_the_full_simplex():
 def test_no_lift_when_the_target_lacks_the_filler():
     # extend the identity of the boundary over the full simplex: the
     # interior has nowhere to go
-    i = boundary_inclusion(2)
+    i = key_inclusion((2, None))
     r = solve_lift(extension_problem(identity_map(i.source), i))
     assert r.status == NONE
 
@@ -104,13 +102,13 @@ def _extension_cases():
     glued = build_glued_spines()
     cases = [
         (spine_inclusion(3), spine_inclusion(3)),
-        (identity_map(boundary_inclusion(2).source), boundary_inclusion(2)),
+        (identity_map(key_inclusion((2, None)).source), key_inclusion((2, None))),
         (
             compose(
                 generator_inclusion(horn_complex(3, 1), boundary_complex(3)),
                 glued.from_codomain,
             ),
-            horn_inclusion(3, 1),
+            key_inclusion((3, 1)),
         ),
     ]
     for n in range(1, 5):
@@ -163,7 +161,7 @@ def test_budget_exhaustion_is_a_distinct_outcome():
 
 
 def test_noncommuting_square_is_rejected():
-    i = horn_inclusion(2, 1)
+    i = key_inclusion((2, 1))
     with pytest.raises(ValueError):
         solve_lift(LiftingProblem(i, identity_map(i.target), i, identity_map(i.target).__class__(
             i.target, i.target, {c: Simplex(CellId(c.dim, 0)) for c in i.target.all_cells()}
@@ -276,8 +274,8 @@ def test_family_keys_name_the_generating_family():
 def test_each_key_names_one_inclusion_per_process():
     for key in [(2, 1), (3, 0), (0, None), (2, None)]:
         assert key_inclusion(key) is key_inclusion(key)
-    assert horn_inclusion(3, 2) is key_inclusion((3, 2))
-    assert boundary_inclusion(1) is key_inclusion((1, None))
+    assert key_inclusion((3, 2)) is key_inclusion((3, 2))
+    assert key_inclusion((1, None)) is key_inclusion((1, None))
 
 
 def test_a_second_classification_builds_no_generator(monkeypatch):
