@@ -133,18 +133,16 @@ def test_normal_forms_and_hom_sets_match_leftmost_rewriting(n, seed):
 def triangle_subset_categories(n, word_budget, max_rules=homotopy._MAX_RULES):
     """(rules, confluent, exact, hom-set sizes) of the homotopy categories of
     seeds 0-199 of the scheme above, completed under a rule cap of max_rules."""
-    saved, homotopy._MAX_RULES = homotopy._MAX_RULES, max_rules
-    try:
-        rows = []
+    rows = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homotopy, "_MAX_RULES", max_rules)
         for seed in range(200):
             rng = random.Random(seed)
             X = random_triangle_subset(n, rng.randint(0, n * (n - 1) ** 2), rng)
             h = homotopy_category(X, word_budget)
             sizes = tuple(len(h.hom_set(x, y)) for x in h.objects for y in h.objects)
             rows.append((list(h.rules), h.confluent, h.exact, sizes))
-        return rows
-    finally:
-        homotopy._MAX_RULES = saved
+    return rows
 
 
 def _digest(rows) -> str:
