@@ -134,11 +134,12 @@ def complete(relations: list[tuple[Word, Word]], max_len: int) -> tuple[RuleTabl
     """Knuth-Bendix completion under the shortlex order.
 
     Each rule i is paired, when it comes up, with itself and each earlier
-    rule j whose left side can overlap l_i or lie inside it: (i, j) when
-    l_j starts with a letter of l_i, (j, i) when l_j contains l_i[0].  The
-    letter indexes give these j, visited in increasing order, (i, j)
-    before (j, i), as a loop over all pairs that skips the rest would.
-    Returns (rules, confluent) with sound rules; it stops, confluent
+    rule j that can give it a critical pair: (i, j) when l_j starts with a
+    letter of l_i, (j, i) when l_j contains l_i[0] (a left side that
+    overlaps the end of another, or lies inside it, starts with a letter
+    of it).  The letter indexes give these j, visited in increasing order,
+    (i, j) before (j, i), as a loop over all pairs that skips the rest
+    would.  Returns (rules, confluent) with sound rules; it stops, confluent
     False, at more than `_MAX_RULES` rules beyond one per relation or at a
     left side longer than `max_len`.  The two bounds keep the loop finite.
     """
