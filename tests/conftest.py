@@ -206,6 +206,35 @@ def random_generator_complex(rng: random.Random):
     )
 
 
+def random_looped_complex(rng):
+    """One or two vertices, up to three edges with random endpoints (so
+    loops and parallel edges), and up to three 2- and 3-cells each, with
+    random face tuples that satisfy the simplicial identities, degenerate
+    faces included, or else the boundary of a random simplex."""
+    builder = ComplexBuilder()
+    n_vertices = rng.choice([1, 2])
+    for _ in range(n_vertices):
+        builder.add_cell(0)
+    for _ in range(rng.randint(0, 3)):
+        builder.add_cell(1, [Simplex(CellId(0, rng.randrange(n_vertices))) for _ in range(2)])
+    X = builder.build()
+    for n in (2, 3):
+        for _ in range(rng.randint(0, 3)):
+            lower = list(X.simplices(n - 1))
+            for _ in range(20):
+                faces = [rng.choice(lower) for _ in range(n + 1)]
+                if all(
+                    X.face(faces[j], i) == X.face(faces[i], j - 1)
+                    for j in range(n + 1) for i in range(j)
+                ):
+                    break
+            else:
+                faces = X.boundary(rng.choice(list(X.simplices(n))))
+            builder.add_cell(n, faces)
+            X = builder.build()
+    return X
+
+
 def random_mono_pair(rng: random.Random, max_cells: int = 12):
     """A composable pair of generator-complex inclusions, or None when the
     sampled complex is too large or the bottom layer comes out empty."""

@@ -46,7 +46,7 @@ from sskit.factorize import mapping_path_space
 from sskit.fileformat import serialize_complex
 from sskit.lifting import generator_inclusion
 
-from conftest import random_generator_complex
+from conftest import random_generator_complex, random_looped_complex
 
 
 # -- degeneracy words ----------------------------------------------------------
@@ -368,6 +368,32 @@ def test_enumerate_maps_agrees_with_the_recursive_enumeration(seed):
 
 
 @pytest.mark.parametrize("seed", range(4))
+def test_enumerate_maps_between_looped_complexes_agrees_with_the_recursion(seed):
+    """Sources with degenerate stored faces, loops and parallel edges."""
+    rng = random.Random(seed)
+    found = 0
+    for _ in range(30):
+        X, Y = random_looped_complex(rng), random_looped_complex(rng)
+        budget, ref_budget = Budget(10**6), Budget(10**6)
+        maps = list(enumerate_maps(X, Y, budget=budget))
+        assert maps == list(recursive_enumerate_maps(X, Y, {}, lambda c, s: True, ref_budget))
+        assert budget.used == ref_budget.used
+        found += len(maps)
+    assert found > 0
+
+
+@pytest.mark.parametrize(
+    "source, maps, nodes",
+    [(lambda: horn_complex(4, 2), 441, 13_845), (lambda: standard_simplex(3), 225, 4_071)],
+)
+def test_enumerate_maps_into_a_product_spends_the_pinned_nodes(source, maps, nodes):
+    target = product(standard_simplex(2).complex, standard_simplex(2).complex).complex
+    budget = Budget(10**7)
+    assert sum(1 for _ in enumerate_maps(source().complex, target, budget=budget)) == maps
+    assert budget.used == nodes
+
+
+@pytest.mark.parametrize("seed", range(4))
 def test_faces_first_and_dimension_order_yield_the_same_maps(seed):
     rng = random.Random(seed)
     found = 0
@@ -384,35 +410,6 @@ def test_faces_first_and_dimension_order_yield_the_same_maps(seed):
         assert set(maps) == set(by_dim)
         found += len(maps)
     assert found > 0
-
-
-def random_looped_complex(rng):
-    """One or two vertices, up to three edges with random endpoints (so
-    loops and parallel edges), and up to three 2- and 3-cells each, with
-    random face tuples that satisfy the simplicial identities, degenerate
-    faces included, or else the boundary of a random simplex."""
-    builder = ComplexBuilder()
-    n_vertices = rng.choice([1, 2])
-    for _ in range(n_vertices):
-        builder.add_cell(0)
-    for _ in range(rng.randint(0, 3)):
-        builder.add_cell(1, [Simplex(CellId(0, rng.randrange(n_vertices))) for _ in range(2)])
-    X = builder.build()
-    for n in (2, 3):
-        for _ in range(rng.randint(0, 3)):
-            lower = list(X.simplices(n - 1))
-            for _ in range(20):
-                faces = [rng.choice(lower) for _ in range(n + 1)]
-                if all(
-                    X.face(faces[j], i) == X.face(faces[i], j - 1)
-                    for j in range(n + 1) for i in range(j)
-                ):
-                    break
-            else:
-                faces = X.boundary(rng.choice(list(X.simplices(n))))
-            builder.add_cell(n, faces)
-            X = builder.build()
-    return X
 
 
 @settings(max_examples=60, deadline=None)

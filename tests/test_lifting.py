@@ -197,6 +197,14 @@ def test_classify_map_spends_one_budget_across_its_classes(limit):
     assert [v.status for v in rep.classes.values()] == [YES, YES, BUDGET, BUDGET, BUDGET]
 
 
+def test_inner_classification_of_a_projection_spends_the_pinned_nodes():
+    P = product(standard_simplex(2).complex, standard_simplex(1).complex)
+    budget = Budget(10**7)
+    rep = classify_map(P.proj1, 4, budget, classes=("inner",))
+    assert rep.classes["inner"] == lifting.RlpVerdict(YES, 4)
+    assert budget.used == 15_446
+
+
 def _classify_per_class(p, bound):
     """The classification with nothing shared: each class runs has_rlp over
     its whole generating family on a fresh budget.  Returns the verdicts
