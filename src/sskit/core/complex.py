@@ -70,7 +70,8 @@ class SimplicialSet:
         return iter(self._all_cells)
 
     def has_cell(self, c: CellId) -> bool:
-        return 0 <= c.dim <= self.dim and 0 <= c.index < self._counts[c.dim]
+        d, k = c
+        return 0 <= d < len(self._counts) and 0 <= k < self._counts[d]
 
     def cell_faces(self, c: CellId) -> tuple[Simplex, ...]:
         """Stored face tuple (d_0 ... d_k) of a nondegenerate cell; () for a vertex."""
@@ -101,25 +102,33 @@ class SimplicialSet:
     def face(self, s: Simplex, i: int) -> Simplex:
         """The i-th face of a simplex, in normal form.
 
-        Commutes d_i through the degeneracy word with the standard
-        identities, then applies the stored face data at the base.  The
-        cache is read first: a cached key passed the range check when its
-        answer was computed.
+        A nondegenerate simplex reads its stored face tuple.  A degenerate
+        one commutes d_i through its degeneracy word with the standard
+        identities, then applies the stored face data at the base; only
+        these answers are cached.  The cache is read first: a cached key
+        passed the range check when its answer was computed.
         """
+        base, word = s
+        if not word:
+            d = base.dim
+            if not 0 <= i <= d or d == 0:
+                raise IndexError(f"face index {i} out of range for dim {d}")
+            return self._faces[base][i]
         key = (s, i)
         cached = self._face_cache.get(key)
         if cached is not None:
             return cached
-        if not 0 <= i <= s.dim or s.dim == 0:
-            raise IndexError(f"face index {i} out of range for dim {s.dim}")
+        d = base.dim + len(word)
+        if not 0 <= i <= d or d == 0:
+            raise IndexError(f"face index {i} out of range for dim {d}")
 
-        word = list(s.word)
+        word = list(word)
         outer: list[int] = []  # degeneracies passed, outermost first
         result: Simplex | None = None
         while word:
             j = word.pop()
             if i == j or i == j + 1:
-                result = Simplex(s.base, tuple(word))
+                result = Simplex(base, tuple(word))
                 break
             if i < j:
                 outer.append(j - 1)
@@ -127,7 +136,7 @@ class SimplicialSet:
                 outer.append(j)
                 i -= 1
         if result is None:
-            result = self._faces[s.base][i]
+            result = self._faces[base][i]
         for a in reversed(outer):
             result = Simplex(result.base, apply_degeneracy(result.word, a))
         self._face_cache[key] = result
@@ -175,7 +184,9 @@ class SimplicialSet:
         among the s_j(faces[j]) with faces[j] == faces[j+1].  Answers are
         memoised per dimension.
         """
-        index = self._boundary_index.setdefault(n, {})
+        index = self._boundary_index.get(n)
+        if index is None:
+            index = self._boundary_index[n] = {}
         found = index.get(faces)
         if found is None:
             found = [Simplex(c) for c in self._cells_by_faces.get(faces, ())]
@@ -195,6 +206,18 @@ class SimplicialSet:
         for cells in self._cells[1:]:
             for c in cells:
                 out.setdefault(self._faces[c], []).append(c)
+        return out
+
+    @cached_property
+    def face_bases(self) -> dict[CellId, tuple[CellId, ...]]:
+        """The base cells of the stored faces (d_0 first) of each cell of
+        dimension >= 1 whose stored faces are all nondegenerate."""
+        out: dict[CellId, tuple[CellId, ...]] = {}
+        for cells in self._cells[1:]:
+            for c in cells:
+                fs = self._faces[c]
+                if not any(f.word for f in fs):
+                    out[c] = tuple(f.base for f in fs)
         return out
 
     @cached_property
@@ -225,17 +248,19 @@ class SimplicialSet:
     # -- internal ----------------------------------------------------------
 
     def _structural_check(self) -> None:
-        for d in range(1, self.dim + 1):
+        counts = self._counts
+        for d in range(1, len(counts)):
             for c in self._cells[d]:
                 fs = self._faces.get(c)
                 if fs is None or len(fs) != d + 1:
                     raise ValueError(f"cell {c} lacks a full face tuple")
                 for f in fs:
-                    if f.dim != d - 1:
+                    (fd, fk), word = f
+                    if fd + len(word) != d - 1:
                         raise ValueError(f"face {f} of {c} has wrong dimension")
-                    if not self.has_cell(f.base):
+                    if not (0 <= fd < len(counts) and 0 <= fk < counts[fd]):
                         raise ValueError(f"face {f} of {c} targets a missing cell")
-                    if not word_is_valid(f.word, f.base.dim):
+                    if word and not word_is_valid(word, fd):
                         raise ValueError(f"face {f} of {c} is not in normal form")
 
 

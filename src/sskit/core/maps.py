@@ -19,9 +19,19 @@ from .simplex import CellId, Simplex, apply_degeneracy, constant_simplex, degene
 
 
 def apply_images(images: dict[CellId, Simplex], s: Simplex) -> Simplex:
-    """Image of a (possibly degenerate) simplex under a cell-image table."""
-    r = images[s.base]
-    for j in s.word:
+    """Image of a (possibly degenerate) simplex under a cell-image table.
+
+    A nondegenerate image of a cell of its own dimension takes the word
+    of s as it is: applying the degeneracies of a normal-form word one by
+    one gives that word back.
+    """
+    base, word = s
+    r = images[base]
+    if not word:
+        return r
+    if not r.word and r.base.dim == base.dim:
+        return Simplex(r.base, word)
+    for j in word:
         r = degenerate(r, j)
     return r
 
@@ -43,15 +53,17 @@ class SimplicialMap:
         self.target = target
         self.images = dict(images)
         self._mono: bool | None = None
+        counts = target.cell_counts()
         for c in source.all_cells():
             img = self.images.get(c)
             if img is None:
                 raise ValueError(f"no image for cell {source.label(c)}")
-            if img.dim != c.dim:
+            (d, k), word = img
+            if d + len(word) != c.dim:
                 raise ValueError(
                     f"image of {source.label(c)} has dim {img.dim}, want {c.dim}"
                 )
-            if not target.has_cell(img.base):
+            if not (0 <= d < len(counts) and 0 <= k < counts[d]):
                 raise ValueError(f"image of {source.label(c)} not in target")
 
     def apply(self, s: Simplex) -> Simplex:
@@ -464,12 +476,18 @@ def enumerate_maps(
     """
     images: dict[CellId, Simplex] = dict(fixed or {})
     todo = [c for c in X.faces_first if c not in images]
+    vertices = [Simplex(v) for v in Y.cells(0)]
+    face_bases = X.face_bases
 
     def candidates(c: CellId) -> Iterator[Simplex]:
         if c.dim == 0:
-            cands: Sequence[Simplex] = [Simplex(v) for v in Y.cells(0)]
+            cands: Sequence[Simplex] = vertices
         else:
-            want = tuple(apply_images(images, s) for s in X.cell_faces(c))
+            bases = face_bases.get(c)
+            if bases is None:
+                want = tuple(apply_images(images, s) for s in X.cell_faces(c))
+            else:  # the image of a nondegenerate face is the image of its base
+                want = tuple([images[b] for b in bases])
             cands = Y.simplices_with_boundary(c.dim, want)
         if constraint is None:
             return iter(cands)
