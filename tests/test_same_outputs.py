@@ -106,10 +106,28 @@ def test_a_failing_worker_is_exit_2_naming_the_side_and_step(
     assert list((tmp_path / "tmp").iterdir()) == []  # the temporary directory is gone
     work = tmp_path / "work"
     assert same_outputs.main(argv + ["--work", str(work)]) == 2
-    assert (work / "parent").is_dir()  # a named work directory is kept
+    assert (work / "construct-seed1" / "parent").is_dir()  # a named work directory is kept
 
 
 def test_fake_checkouts_that_answer_alike_are_identical(tmp_path, capsys):
     argv = [_checkout(tmp_path / "p"), _checkout(tmp_path / "c"), "--workload", "w", "--seed", "0"]
     assert same_outputs.main(argv) == 0
     assert capsys.readouterr().out.startswith("identical: w seed 0, 0 queries")
+
+
+def test_runs_share_a_work_directory_and_a_repeated_run_is_refused(tmp_path, capsys):
+    checkouts = [_checkout(tmp_path / "p"), _checkout(tmp_path / "c")]
+    work = tmp_path / "work"
+    for workload, seed in (("rlp-enum", "1"), ("construct", "7")):
+        argv = [*checkouts, "--workload", workload, "--seed", seed, "--work", str(work)]
+        assert same_outputs.main(argv) == 0
+    assert sorted(p.name for p in work.iterdir()) == ["construct-seed7", "rlp-enum-seed1"]
+    assert sorted(p.name for p in (work / "rlp-enum-seed1").iterdir()) == ["change", "parent"]
+    capsys.readouterr()
+    before = sorted(str(p) for p in work.rglob("*"))
+    argv = [*checkouts, "--workload", "rlp-enum", "--seed", "1", "--work", str(work)]
+    assert same_outputs.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"refused: {work / 'rlp-enum-seed1'} exists from an earlier run\n"
+    assert sorted(str(p) for p in work.rglob("*")) == before

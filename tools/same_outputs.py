@@ -7,8 +7,10 @@ In each checkout it runs that checkout's `perfbench/worker.py setup` to
 generate the seeded corpus and then `perfbench/worker.py pass` to answer
 it, each in a fresh interpreter with `PYTHONHASHSEED=0`, as
 `perfbench/run.py` does.  It only invokes the benchmark's files and
-changes none of them; the corpora and results go to a work directory
-(`--work`, which is kept, or else a new temporary one, which is removed).
+changes none of them; the corpora and results go to
+`<work>/<workload>-seed<S>/{parent,change}` under a work directory
+(`--work`, which is kept, or else a new temporary one, which is removed),
+so runs of several workloads and seeds can share one work directory.
 
 It reports every query whose exit code, stdout or stderr differs (or
 that raised in one checkout), and every file of the corpus directory,
@@ -16,8 +18,10 @@ the files the queries wrote included, whose bytes differ or that only
 one side has.  The changed output lines are also tallied across
 queries, so a deliberate change of one report key shows as a few lines
 with their counts.  Exit 0 when both sides agree byte for byte, 1 when
-they do not, and 2, with one line naming the side and the step, when a
-worker exits non-zero.
+they do not, and 2 with one line on stderr when a worker exits non-zero
+(naming the side and the step) or when the work directory already holds
+a run of this workload and seed (naming that directory, which is left as
+it is).
 """
 
 from __future__ import annotations
@@ -124,11 +128,17 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--work", help="directory for the corpora and results")
     args = ap.parse_args(argv)
     work = args.work or tempfile.mkdtemp(prefix="same-outputs-")
+    run_work = os.path.join(work, f"{args.workload}-seed{args.seed}")
     try:
+        try:
+            os.makedirs(run_work)
+        except FileExistsError:
+            print(f"refused: {run_work} exists from an earlier run", file=sys.stderr)
+            return 2
         sides = []
         for side, checkout in (("parent", args.parent), ("change", args.change)):
-            side_work = os.path.join(work, side)
-            os.makedirs(side_work, exist_ok=False)
+            side_work = os.path.join(run_work, side)
+            os.makedirs(side_work)
             try:
                 sides.append(run_side(checkout, args.workload, args.seed, side_work))
             except WorkerFailed as exc:
