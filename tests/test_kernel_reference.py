@@ -173,6 +173,11 @@ def test_apply_images_agrees_with_the_degeneracy_loop(seed):
             want = outcome(reference_apply_images, images, s)
             assert outcome(apply_images, images, s) == want
             assert outcome(f.apply, s) == want
+    # a table that is no map: each image a simplex of any dimension
+    anything = every_simplex(Y)
+    loose = {c: rng.choice(anything) for c in X.all_cells()}
+    for s in every_simplex(X):
+        assert outcome(apply_images, loose, s) == outcome(reference_apply_images, loose, s)
 
 
 def malformed_faces(rng, X):
@@ -287,7 +292,7 @@ def test_each_map_violation_has_its_message():
     }
     for tail, images in cases.items():
         want = reference_map_error(X, Y, images)
-        assert want.endswith(tail) or tail in want
+        assert tail in want
         with pytest.raises(ValueError) as info:
             SimplicialMap(X, Y, images)
         assert str(info.value) == want
