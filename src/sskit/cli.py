@@ -23,6 +23,7 @@ from .core import (
     GENERATORS,
     Budget,
     Simplex,
+    SimplicialSet,
     join,
     product,
     standard_simplex,
@@ -44,9 +45,16 @@ FORMAT_VERSION = 1
 OK, REFUTED, UNKNOWN, INPUT_ERROR = 0, 1, 2, 3
 
 
+# the complexes one `main` call has loaded, by absolute path
+_loaded: dict[str, SimplicialSet] = {}
+
+
 def _load_complex(path: str):
-    with open(path, encoding="utf-8") as fh:
-        return parse_complex(fh.read())
+    key = os.path.abspath(path)
+    if key not in _loaded:
+        with open(path, encoding="utf-8") as fh:
+            _loaded[key] = parse_complex(fh.read())
+    return _loaded[key]
 
 
 def _load_map(path: str):
@@ -524,6 +532,8 @@ def main(argv: list[str] | None = None) -> int:
     except (AssertionError, RuntimeError) as e:  # an internal fault, never a verdict
         _emit({"command": args.command, "verdict": "error", "reason": str(e)}, args)
         return UNKNOWN
+    finally:
+        _loaded.clear()
 
 
 if __name__ == "__main__":

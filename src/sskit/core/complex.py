@@ -245,6 +245,38 @@ class SimplicialSet:
                         order.append(cell)
         return tuple(order)
 
+    @cached_property
+    def is_nerve(self) -> bool:
+        """Whether this is the nerve of a category: the finite Segal test.
+
+        The n-simplices of a nerve are its chains of n composable arrows,
+        the degenerate ones being the chains with an identity.  By
+        Eilenberg-Zilber it is enough that every nondegenerate k-cell
+        (k >= 2) has a spine (its edges j -> j+1) of nondegenerate edges,
+        that distinct cells have distinct spines, and that for k = 1 ..
+        dim+1 there are as many chains of k composable nondegenerate edges
+        as k-cells, none past the top dimension.  A nerve has a unique
+        filler for every inner horn.
+        """
+        spines: set[tuple[Simplex, ...]] = set()
+        for k in range(2, self.dim + 1):
+            for c in self._cells[k]:
+                spine = tuple(self.restrict(Simplex(c), (j, j + 1)) for j in range(k))
+                if any(e.word for e in spine) or spine in spines:
+                    return False
+                spines.add(spine)
+        # d_1 -> d_0 of each edge; chains[v] counts the chains ending at v
+        arrows = [(self._faces[e][1].base, self._faces[e][0].base) for e in self.cells(1)]
+        chains = dict.fromkeys(self.cells(0), 1)
+        for k in range(1, self.dim + 2):
+            longer = dict.fromkeys(chains, 0)
+            for a, b in arrows:
+                longer[b] += chains[a]
+            chains = longer
+            if sum(chains.values()) != self.n_cells(k):
+                return False
+        return True
+
     # -- internal ----------------------------------------------------------
 
     def _structural_check(self) -> None:

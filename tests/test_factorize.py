@@ -17,6 +17,7 @@ from sskit.core import (
     SimplicialMap,
     Simplex,
     apply_images,
+    boundary_complex,
     compose,
     cosk0_complex,
     degeneracy_words,
@@ -234,8 +235,14 @@ def test_descent_extension_search_rejects_a_non_mono_inclusion():
         search_descent_extension(identity_map(d1), terminal_map(d1, pt))
 
 
+@pytest.mark.parametrize("target, needed", [
+    # cosk0(3,2) is no nerve, so every candidate's inner check searches
+    (cosk0_complex(3, 2), 1013),
+    # over Delta^2 the found extension is a nerve and its check is free
+    (standard_simplex(2), 442),
+], ids=["cosk0", "nerve"])
 @pytest.mark.parametrize("limit", [50, 200, 1000, 1500])
-def test_descent_search_spends_no_more_than_its_budget(limit, monkeypatch):
+def test_descent_search_spends_no_more_than_its_budget(limit, target, needed, monkeypatch):
     spent = []
     spend = Budget.spend
 
@@ -245,11 +252,11 @@ def test_descent_search_spends_no_more_than_its_budget(limit, monkeypatch):
 
     monkeypatch.setattr(Budget, "spend", counting_spend)
     sp = spine_complex(2)
-    i = generator_inclusion(sp, standard_simplex(2))
+    i = generator_inclusion(sp, target)
     res = search_descent_extension(identity_map(sp.complex), i, node_budget=limit)
     assert sum(spent) <= limit + 1
-    # the unbounded search finds its extension after 1,394 nodes
-    assert res.status == (FOUND if limit >= 1394 else BUDGET)
+    # the unbounded search finds its extension after the needed nodes
+    assert res.status == (FOUND if limit >= needed else BUDGET)
 
 
 # The node counts below pin the faces-first search order; the results were
@@ -500,9 +507,20 @@ def test_descent_search_agrees_with_the_recursive_search(max_dim, statuses):
 
 
 def test_a_descent_search_past_a_thousand_dimensions_answers_budget():
-    i = sub_complex(standard_simplex(1).complex, [CellId(0, 0)])[1]
+    # the boundary of Delta^2 is no nerve, so the inner checks search
+    i = sub_complex(boundary_complex(2).complex, [CellId(0, 0)])[1]
     res = search_descent_extension(identity_map(i.source), i, 1100, 3000)
     assert (res.status, res.bound) == (BUDGET, 1100)
+
+
+def test_a_descent_over_nerves_past_a_thousand_dimensions_is_found():
+    """Every candidate over Delta^1 is a nerve, so none of the 1100-bound
+    inner checks builds a horn."""
+    i = sub_complex(standard_simplex(1).complex, [CellId(0, 0)])[1]
+    res = search_descent_extension(identity_map(i.source), i, 1100, 3000)
+    assert (res.status, res.bound) == (FOUND, 1100)
+    assert validate(res.extension) == []
+    assert res.inclusion.check() == res.base_map.check() == []
 
 
 def recursive_spenders(package):

@@ -22,6 +22,7 @@ from sskit.core import (
     CellId,
     Simplex,
     SimplicialMap,
+    cosk0_complex,
     horn_complex,
     identity_map,
     join,
@@ -722,7 +723,13 @@ def test_cli_call_after_a_bad_option_matches_a_first_call(tmp_path, capsys):
 
 
 def test_cli_options_of_one_call_do_not_reach_the_next(tmp_path, capsys):
-    ident = _identity_map_file(tmp_path)
+    # cosk0(3,2) is no nerve, so its inner check searches and runs out
+    _complex_file(tmp_path, "cosk0.txt", cosk0_complex(3, 2).complex)
+    ident = _write(
+        tmp_path,
+        "idcosk0.map",
+        serialize_map(identity_map(cosk0_complex(3, 2).complex), "cosk0.txt", "cosk0.txt"),
+    )
     argv = ["--format", "structured", "--node-budget", "5", "classify", ident]
     assert cli.main([*argv, "--classes", "inner"]) == 2
     assert json.loads(capsys.readouterr().out)["inner"] == "Budget"
@@ -732,6 +739,38 @@ def test_cli_options_of_one_call_do_not_reach_the_next(tmp_path, capsys):
     assert out.startswith("command: classify\n")
     for name in ("inner", "left", "right", "kan", "trivial_kan"):
         assert f"{name}: YesUpTo(3)\n" in out
+
+
+def test_cli_inner_classification_of_a_nerve_needs_no_budget(tmp_path, capsys):
+    ident = _identity_map_file(tmp_path)
+    argv = ["--format", "structured", "--node-budget", "5", "classify", ident]
+    assert cli.main([*argv, "--classes", "inner"]) == 2
+    assert json.loads(capsys.readouterr().out)["inner"] == "YesUpTo(3)"
+    # the installed entry point runs this in CI
+    assert cli.main(["--max-dim", "12", "classify", ident, "--classes", "inner"]) == 2
+    assert "inner: YesUpTo(12)\n" in capsys.readouterr().out
+
+
+def test_cli_loads_a_file_once_per_call(tmp_path, capsys, monkeypatch):
+    horn, full, inc = _gen_files(tmp_path)
+    parsed = []
+    parse = cli.parse_complex
+    monkeypatch.setattr(cli, "parse_complex", lambda text: parsed.append(text) or parse(text))
+    # both maps name horn.txt and full.txt
+    assert cli.main(["lift", "--along", inc, inc]) == 0
+    assert len(parsed) == 2
+    # the next call reads them again
+    assert cli.main(["lift", "--along", inc, inc]) == 0
+    assert len(parsed) == 4
+
+
+def test_cli_call_reads_a_file_changed_since_the_last_call(tmp_path, capsys):
+    horn, full, inc = _gen_files(tmp_path)
+    assert cli.main(["--format", "structured", "validate", full]) == 0
+    assert json.loads(capsys.readouterr().out)["cells"] == 7
+    _complex_file(tmp_path, "full.txt", horn_complex(2, 1).complex)
+    assert cli.main(["--format", "structured", "validate", full]) == 0
+    assert json.loads(capsys.readouterr().out)["cells"] == 5
 
 
 # -- malformed input files ------------------------------------------------------------

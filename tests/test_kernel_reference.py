@@ -10,7 +10,7 @@ exceptions and messages must be equal.
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sskit.core import (
     CellId,
@@ -255,12 +255,15 @@ def test_each_structural_violation_has_its_message():
 
 @SIXTY
 @given(SEEDS)
+@example(26344)  # X is one vertex: a "drop" leaves no image to mutate
 def test_malformed_maps_raise_the_reference_message(seed):
     rng = random.Random(seed)
     X, Y = random_complex(rng), random_complex(rng)
     images = {c: rng.choice(list(Y.simplices(c.dim))) for c in X.all_cells()}
     counts = Y.cell_counts()
     for _ in range(rng.randint(1, 3)):
+        if not images:
+            break
         c = rng.choice(sorted(images))
         img = images[c]
         how = rng.choice(["drop", "dim", "outside", "outside"])

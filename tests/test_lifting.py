@@ -17,6 +17,7 @@ from sskit.core import (
     SimplicialMap,
     boundary_complex,
     compose,
+    cosk0_complex,
     enumerate_maps,
     horn_complex,
     identity_map,
@@ -50,6 +51,9 @@ from conftest import (
 )
 
 PT = standard_simplex(0).complex
+# neither is a nerve, so the inner checks on them search
+COSK0 = cosk0_complex(3, 2).complex
+BOUNDARY2 = boundary_complex(2).complex
 
 
 def test_inner_horn_fills_in_its_own_simplex():
@@ -154,10 +158,17 @@ def test_the_lift_self_check_rejects_a_map_that_does_not_fill_the_square(triangl
 
 
 def test_budget_exhaustion_is_a_distinct_outcome():
-    p = terminal_map(standard_simplex(2).complex, PT)
+    p = terminal_map(COSK0, PT)
     v = has_rlp(p, family_keys("inner", 3), 3, Budget(5))
     assert v.status == BUDGET
     assert str(v) == "Budget"
+
+
+def test_inner_horns_between_nerves_need_no_budget():
+    p = terminal_map(standard_simplex(2).complex, PT)
+    budget = Budget(5)
+    v = has_rlp(p, family_keys("inner", 3), 3, budget)
+    assert (str(v), budget.used) == ("YesUpTo(3)", 0)
 
 
 def test_noncommuting_square_is_rejected():
@@ -190,19 +201,35 @@ def test_identity_has_every_lifting_property():
 
 @pytest.mark.parametrize("limit", [1000, Budget(1000)], ids=["int", "Budget"])
 def test_classify_map_spends_one_budget_across_its_classes(limit):
-    # the five classes take 571, 370, 375, 0 and 345 nodes (each horn is
+    # the five classes take 513, 339, 339, 0 and 318 nodes (each horn is
     # checked once per call): the first two fit in 1,000, and the third
     # one runs the shared budget out
-    rep = classify_map(identity_map(standard_simplex(2).complex), 3, limit)
+    rep = classify_map(identity_map(BOUNDARY2), 3, limit)
     assert [v.status for v in rep.classes.values()] == [YES, YES, BUDGET, BUDGET, BUDGET]
 
 
+@pytest.mark.parametrize("limit", [1000, Budget(1000)], ids=["int", "Budget"])
+def test_classify_map_of_a_nerve_spends_one_budget_across_its_classes(limit):
+    # the inner horns of Delta^2 take no nodes, and the other classes take
+    # 370, 375, 0 and 345: the trivial Kan class runs the budget out
+    rep = classify_map(identity_map(standard_simplex(2).complex), 3, limit)
+    assert [v.status for v in rep.classes.values()] == [YES, YES, YES, YES, BUDGET]
+
+
 def test_inner_classification_of_a_projection_spends_the_pinned_nodes():
+    P = product(BOUNDARY2, standard_simplex(1).complex)
+    budget = Budget(10**7)
+    rep = classify_map(P.proj1, 4, budget, classes=("inner",))
+    assert rep.classes["inner"] == lifting.RlpVerdict(YES, 4)
+    assert budget.used == 12_590
+
+
+def test_inner_classification_of_a_projection_of_nerves_spends_nothing():
     P = product(standard_simplex(2).complex, standard_simplex(1).complex)
     budget = Budget(10**7)
     rep = classify_map(P.proj1, 4, budget, classes=("inner",))
     assert rep.classes["inner"] == lifting.RlpVerdict(YES, 4)
-    assert budget.used == 15_446
+    assert budget.used == 0
 
 
 def _classify_per_class(p, bound):
@@ -255,17 +282,21 @@ def test_shared_verdicts_match_the_per_class_checks(make, seeds, max_dim):
                 assert (w.i, w.u.images, w.v.images) == (r.i, r.u.images, r.v.images)
 
 
-def test_each_generator_is_checked_once_per_call():
-    p = identity_map(standard_simplex(2).complex)
+@pytest.mark.parametrize("X, once, per_class", [
+    (BOUNDARY2, 1509, 3726),
+    (standard_simplex(2).complex, 1090, 1835),  # inner horns free on a nerve
+], ids=["boundary", "nerve"])
+def test_each_generator_is_checked_once_per_call(X, once, per_class):
+    p = identity_map(X)
 
     def used(classes):
         budget = Budget(DEFAULT_NODE_BUDGET)
         classify_map(p, 3, budget, classes)
         return budget.used
 
-    assert used(FIBRATION_CLASSES) == 1661  # 4,119 with a check per class
+    assert used(FIBRATION_CLASSES) == once
     assert used(("left", "right", "kan")) == used(("left", "right"))
-    assert _classify_per_class(p, 3)[1] == 4119
+    assert _classify_per_class(p, 3)[1] == per_class
 
 
 def test_family_keys_name_the_generating_family():
@@ -294,8 +325,11 @@ def test_a_second_classification_builds_no_generator(monkeypatch):
     assert builds == []
 
 
-def test_keys_above_the_bound_are_skipped_unbuilt(monkeypatch):
-    p = terminal_map(standard_simplex(1).complex, PT)
+@pytest.mark.parametrize("p, keys", [
+    (identity_map(BOUNDARY2), [(2, 1), (3, 1), (3, 2)]),
+    (terminal_map(standard_simplex(1).complex, PT), []),  # nerves: no inner key built
+], ids=["boundary", "nerve"])
+def test_keys_above_the_bound_are_skipped_unbuilt(p, keys, monkeypatch):
     want_budget = Budget(DEFAULT_NODE_BUDGET)
     want = has_rlp(p, family_keys("inner", 3), 3, want_budget)
     looked_up = []
@@ -304,7 +338,8 @@ def test_keys_above_the_bound_are_skipped_unbuilt(monkeypatch):
     budget = Budget(DEFAULT_NODE_BUDGET)
     got = has_rlp(p, family_keys("inner", 4), 3, budget)
     assert (str(got), got.bound, budget.used) == (str(want), 3, want_budget.used)
-    assert looked_up == [(2, 1), (3, 1), (3, 2)]
+    assert str(got) == "YesUpTo(3)"
+    assert looked_up == keys
 
 
 def test_family_keys_are_yielded_lazily():
@@ -322,20 +357,24 @@ def test_the_filler_d0_face_is_the_last_horn_cell_below_the_top():
         assert [c for c, s in inc.images.items() if s == d0] == [CellId(n - 1, n - 1)]
 
 
-def test_each_map_is_scanned_for_mono_once(monkeypatch):
+@pytest.mark.parametrize("X, calls_per_call", [
+    (BOUNDARY2, 118),
+    (standard_simplex(2).complex, 97),  # no inner square on a nerve
+], ids=["boundary", "nerve"])
+def test_each_map_is_scanned_for_mono_once(X, calls_per_call, monkeypatch):
     """Every square of has_rlp still checks its generator, and classify_map
     checks p, but each map's cells are scanned at its first check only."""
     calls, scans = [], []
     is_mono, scan = SimplicialMap.is_mono, SimplicialMap._scan_mono
     monkeypatch.setattr(SimplicialMap, "is_mono", lambda f: calls.append(f) or is_mono(f))
     monkeypatch.setattr(SimplicialMap, "_scan_mono", lambda f: scans.append(f) or scan(f))
-    p = identity_map(standard_simplex(2).complex)
+    p = identity_map(X)
     classify_map(p, 3)
     assert scans[0] is p
     assert len({id(f) for f in scans}) == len(scans) <= 14  # p and 13 generators
     del calls[:], scans[:]
     classify_map(p, 3)
-    assert (len(calls), scans) == (137, [])  # p and one per square, none scanned
+    assert (len(calls), scans) == (calls_per_call, [])  # p and one per square, none scanned
 
 
 def test_interval_over_point_is_inner_but_not_kan():
