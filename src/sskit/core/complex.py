@@ -8,9 +8,10 @@ from typing import Iterable, Iterator, Sequence
 from .simplex import (
     CellId,
     Simplex,
-    apply_degeneracy,
     degeneracy_words,
     degenerate,
+    degenerate_by,
+    face_word,
     word_is_valid,
 )
 
@@ -103,8 +104,8 @@ class SimplicialSet:
         """The i-th face of a simplex, in normal form.
 
         A nondegenerate simplex reads its stored face tuple.  A degenerate
-        one commutes d_i through its degeneracy word with the standard
-        identities, then applies the stored face data at the base; only
+        one takes the face identity of its word (`face_word`): d_i cancels
+        a degeneracy, or passes through to a stored face of the base; only
         these answers are cached.  The cache is read first: a cached key
         passed the range check when its answer was computed.
         """
@@ -121,24 +122,8 @@ class SimplicialSet:
         d = base.dim + len(word)
         if not 0 <= i <= d or d == 0:
             raise IndexError(f"face index {i} out of range for dim {d}")
-
-        word = list(word)
-        outer: list[int] = []  # degeneracies passed, outermost first
-        result: Simplex | None = None
-        while word:
-            j = word.pop()
-            if i == j or i == j + 1:
-                result = Simplex(base, tuple(word))
-                break
-            if i < j:
-                outer.append(j - 1)
-            else:  # i > j + 1
-                outer.append(j)
-                i -= 1
-        if result is None:
-            result = self._faces[base][i]
-        for a in reversed(outer):
-            result = Simplex(result.base, apply_degeneracy(result.word, a))
+        w, k = face_word(word, i)
+        result = Simplex(base, w) if k is None else degenerate_by(self._faces[base][k], w)
         self._face_cache[key] = result
         return result
 

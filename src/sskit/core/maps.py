@@ -9,13 +9,14 @@ all live here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .budget import Budget
 from .complex import ComplexBuilder, SimplicialSet
 from .generators import GeneratorComplex, standard_simplex, tuple_simplex
-from .simplex import CellId, Simplex, apply_degeneracy, constant_simplex, degenerate
+from .simplex import CellId, Simplex, constant_simplex, degenerate, degenerate_by, face_word
 
 
 def apply_images(images: dict[CellId, Simplex], s: Simplex) -> Simplex:
@@ -254,70 +255,89 @@ def pushout(i: SimplicialMap, f: SimplicialMap) -> Pushout:
 
 @dataclass
 class Product:
+    """X x Y by Eilenberg-Zilber index arithmetic: the n-cells are the pairs
+    (s_I x, s_J y) with disjoint words, a face of s_I x is read off the
+    stored faces of x by the face identity of I (`face_word`), and a pair
+    of faces is s_K of a cell, K the indices the words share
+    (`simplex_of_pair`).  The projections are built when first read."""
+
     x: SimplicialSet
     y: SimplicialSet
     cell_pair: dict[CellId, tuple[Simplex, Simplex]] = field(init=False)
     pair_cell: dict[tuple[Simplex, Simplex], CellId] = field(init=False)
     complex: SimplicialSet = field(init=False)
-    proj1: SimplicialMap = field(init=False)
-    proj2: SimplicialMap = field(init=False)
 
     def __post_init__(self) -> None:
-        """The n-cells are the pairs (s_I x, s_J y) with disjoint words I
-        and J (Eilenberg-Zilber), generated in sorted order: dim p of x,
-        x, I among the (n - p)-subsets of range(n), then q >= n - p, y, J
-        among the (n - q)-subsets of the indices not in I.  The faces of a
-        cell name cells of the dimension below."""
+        """The cells come in sorted order: dim p of x, x, I among the
+        (n - p)-subsets of range(n), then q >= n - p, y, J among the
+        (n - q)-subsets of the indices not in I."""
         X, Y = self.x, self.y
-        self.cell_pair, self.pair_cell = {}, {}
+        cell_pair, pair_cell = self.cell_pair, self.pair_cell = {}, {}
         xnames = {c: X.label(c) for c in X.all_cells()}
         ynames = {c: Y.label(c) for c in Y.all_cells()}
-        builder = ComplexBuilder()
+        builder, normal = ComplexBuilder(), self.simplex_of_pair
+        cells: dict[tuple[Simplex, Simplex], Simplex] = {}  # pair_cell, each cell a simplex
         for n in range(X.dim + Y.dim + 1):
-            faces = range(n + 1 if n else 0)  # a vertex has no faces
+            recipes, seconds = {}, {}  # face identities by word; s_J y, its label and faces
             for p in range(min(n, X.dim) + 1):
-                # per word I: each second factor v with its label and faces
-                seconds = []
+                firsts = []  # per word I: the second factors with words disjoint from it
                 for I in combinations(range(n), n - p):
                     free = [j for j in range(n) if j not in I]
                     vs = []
                     for q in range(n - p, min(n, Y.dim) + 1):
                         Js = list(combinations(free, n - q))
-                        for y in Y.cells(q):
-                            for J in Js:
-                                v = Simplex(y, J)
-                                vs.append((v, word_label(ynames[y], J),
-                                           [Y.face(v, i) for i in faces]))
-                    seconds.append((I, vs))
+                        for v in [Simplex(y, J) for y in Y.cells(q) for J in Js]:
+                            if v not in seconds:
+                                vlab = word_label(ynames[v.base], v.word)
+                                seconds[v] = (v, vlab, _word_faces(Y, v, recipes))
+                            vs.append(seconds[v])
+                    firsts.append((I, vs))
                 for x in X.cells(p):
-                    for I, vs in seconds:
+                    for I, vs in firsts:
                         u = Simplex(x, I)
                         ulab = word_label(xnames[x], I) + "|"
-                        ufaces = [X.face(u, i) for i in faces]
+                        ufaces = _word_faces(X, u, recipes)
                         for v, vlab, vfaces in vs:
-                            c = builder.add_cell(
-                                n, map(self.simplex_of_pair, ufaces, vfaces), ulab + vlab
-                            )
-                            self.cell_pair[c], self.pair_cell[(u, v)] = (u, v), c
+                            fs = [cells.get(f) or normal(*f) for f in zip(ufaces, vfaces)]
+                            c = builder.add_cell(n, fs, ulab + vlab)
+                            cell_pair[c] = pair = (u, v)
+                            pair_cell[pair] = c
+                            cells[pair] = Simplex(c)
         self.complex = builder.build()
-        self.proj1 = SimplicialMap(
-            self.complex, X, {c: p[0] for c, p in self.cell_pair.items()}
-        )
-        self.proj2 = SimplicialMap(
-            self.complex, Y, {c: p[1] for c, p in self.cell_pair.items()}
-        )
+
+    @cached_property
+    def proj1(self) -> SimplicialMap:
+        return SimplicialMap(self.complex, self.x, {c: p[0] for c, p in self.cell_pair.items()})
+
+    @cached_property
+    def proj2(self) -> SimplicialMap:
+        return SimplicialMap(self.complex, self.y, {c: p[1] for c, p in self.cell_pair.items()})
 
     def simplex_of_pair(self, u: Simplex, v: Simplex) -> Simplex:
-        """Normal form of the pair (u, v) as a simplex of the product."""
+        """Normal form of (u, v) in the product: s_K of the pair whose words
+        drop the indices K they share, shifting each index above one down.
+        A pair with disjoint words that names no cell raises KeyError."""
         c = self.pair_cell.get((u, v))
         if c is not None:
             return Simplex(c)
-        common = set(u.word) & set(v.word)
-        if not common:
-            raise KeyError((u, v))
-        j = max(common)
-        inner = self.simplex_of_pair(self.x.face(u, j), self.y.face(v, j))
-        return Simplex(inner.base, apply_degeneracy(inner.word, j))
+        K = sorted(set(u.word).intersection(v.word))
+
+        def drop(s: Simplex) -> Simplex:
+            return Simplex(s.base, tuple(j - sum(k < j for k in K) for j in s.word if j not in K))
+
+        return Simplex(self.pair_cell[(drop(u), drop(v))], tuple(K))
+
+
+def _word_faces(Z: SimplicialSet, s: Simplex, recipes: dict) -> Sequence[Simplex]:
+    """The faces of s, read off the stored faces of its base by the face
+    identity of its word; `recipes` keeps each word's identities."""
+    z, W = s
+    fs = Z.cell_faces(z)
+    if not W:
+        return fs
+    if W not in recipes:
+        recipes[W] = [face_word(W, i) for i in range(z.dim + len(W) + 1)]
+    return [Simplex(z, w) if k is None else degenerate_by(fs[k], w) for w, k in recipes[W]]
 
 
 def product(X: SimplicialSet, Y: SimplicialSet) -> Product:

@@ -75,6 +75,28 @@ def apply_degeneracy(word: tuple[int, ...], a: int) -> tuple[int, ...]:
     return tuple(w)
 
 
+def face_word(word: tuple[int, ...], i: int) -> tuple[tuple[int, ...], int | None]:
+    """The face identity: d_i s_word = s_w, given as (w, None), when d_i
+    cancels a degeneracy, and d_i s_word = s_w d_k, given as (w, k), when it
+    passes through to face k of the base.  The index e that goes is i, or
+    i - 1 if only that is in the word; w keeps the indices below e and
+    shifts those above it down, and k is e less the number below it."""
+    e = i if i in word or i - 1 not in word else i - 1
+    below = [j for j in word if j < e]
+    w = tuple(below + [j - 1 for j in word if j > e])
+    return w, (None if len(w) < len(word) else e - len(below))
+
+
+def degenerate_by(s: Simplex, word: tuple[int, ...]) -> Simplex:
+    """s_word applied on the outside of s, for a normal-form word."""
+    base, w = s
+    if not w:
+        return Simplex(base, word)
+    for a in word:
+        w = apply_degeneracy(w, a)
+    return Simplex(base, w)
+
+
 def degenerate(s: Simplex, a: int) -> Simplex:
     """Apply the degeneracy s_a (0 <= a <= dim(s)) to a simplex."""
     if not 0 <= a <= s.dim:

@@ -130,18 +130,23 @@ def _critical_pairs(r1: tuple[Word, Word], r2: tuple[Word, Word]) -> list[tuple[
     return pairs
 
 
+def _may_overlap(l1: Word, l2: Word) -> bool:
+    """Whether l2 can overlap the end of l1 or lie inside it: l2[0] occurs
+    in l1 after its first letter, or l2 is shorter and starts as l1 does."""
+    return l2[0] in l1[1:] or (len(l2) < len(l1) and l2[0] == l1[0])
+
+
 def complete(relations: list[tuple[Word, Word]], max_len: int) -> tuple[RuleTable, bool]:
     """Knuth-Bendix completion under the shortlex order.
 
     Each rule i is paired, when it comes up, with itself and each earlier
-    rule j that can give it a critical pair: (i, j) when l_j starts with a
-    letter of l_i, (j, i) when l_j contains l_i[0] (a left side that
-    overlaps the end of another, or lies inside it, starts with a letter
-    of it).  The letter indexes give these j, visited in increasing order,
-    (i, j) before (j, i), as a loop over all pairs that skips the rest
-    would.  Returns (rules, confluent) with sound rules; it stops, confluent
-    False, at more than `_MAX_RULES` rules beyond one per relation or at a
-    left side longer than `max_len`.  The two bounds keep the loop finite.
+    rule j that can give it a critical pair (`_may_overlap`): the letter
+    indexes give the j whose left side starts with a letter of l_i, for
+    (i, j), or contains l_i[0], for (j, i), visited in increasing order,
+    (i, j) before (j, i), as a loop over all pairs would.  Returns (rules,
+    confluent) with sound rules; it stops, confluent False, at more than
+    `_MAX_RULES` rules beyond one per relation or at a left side longer
+    than `max_len`.  The two bounds keep the loop finite.
     """
     rules = RuleTable()
     cap = len(relations) + _MAX_RULES
@@ -169,8 +174,8 @@ def complete(relations: list[tuple[Word, Word]], max_len: int) -> tuple[RuleTabl
         candidates.update(js[: bisect.bisect_right(js, i)])
         for j in sorted(candidates):
             old = rules.rules[j]
-            pairs = [(new, old)] if j < i and old[0][0] in l else []
-            if l[0] in old[0]:
+            pairs = [(new, old)] if j < i and _may_overlap(l, old[0]) else []
+            if _may_overlap(old[0], l):
                 pairs.append((old, new))
             for r1, r2 in pairs:
                 for a, b in _critical_pairs(r1, r2):

@@ -168,6 +168,12 @@ class RlpVerdict:
         return "Budget"
 
 
+def lifts_inner_horns(p: SimplicialMap) -> bool:
+    """Both ends of p are nerves, so every square over an inner horn lifts:
+    the unique filler above maps to the unique filler below."""
+    return p.source.is_nerve and p.target.is_nerve
+
+
 def has_rlp(
     p: SimplicialMap,
     keys: Iterable[Key],
@@ -179,9 +185,8 @@ def has_rlp(
     unbuilt.  The squares over i are the maps u: A -> X, each with every
     map v extending p o u along i.
 
-    Inner horns are skipped unbuilt, with no search, when both ends of p
-    are nerves (tested at the first one): the unique filler above maps to
-    the unique filler below, so every such square lifts."""
+    Inner horns are skipped unbuilt, with no search, when p lifts against
+    them all (`lifts_inner_horns`, tested at the first one)."""
     budget = Budget.of(node_budget)
     nerves = None
     for key in keys:
@@ -190,7 +195,7 @@ def has_rlp(
             continue
         if h is not None and 0 < h < n:
             if nerves is None:
-                nerves = p.source.is_nerve and p.target.is_nerve
+                nerves = lifts_inner_horns(p)
             if nerves:
                 continue
         i = key_inclusion(key)
@@ -229,7 +234,8 @@ def classify_map(
     and the Kan horns are the left and right ones), so each generator is
     checked at most once per call, the first time a class reaches it, and
     its verdict is shared by every class that contains it.  A class takes
-    the first verdict of its family that is not YES.
+    the first verdict of its family that is not YES; between nerves the
+    inner class is YES with no walk over its keys, as `has_rlp` says.
     """
     bound = max(p.source.dim, p.target.dim, 0) + 1 if max_dim is None else max_dim
     budget = Budget.of(node_budget)
@@ -241,6 +247,8 @@ def classify_map(
     verdicts: dict[Key, RlpVerdict] = {}
     for name in classes:
         report.classes[name] = RlpVerdict(YES, bound)
+        if name == "inner" and lifts_inner_horns(p):
+            continue
         for key in family_keys(name, bound):
             if key not in verdicts:
                 verdicts[key] = has_rlp(p, [key], bound, budget)

@@ -9,6 +9,7 @@ from sskit.core import (
     ComplexBuilder,
     Simplex,
     SimplicialMap,
+    apply_degeneracy,
     boundary_complex,
     from_vertex_tuples,
     horn_complex,
@@ -233,6 +234,31 @@ def random_looped_complex(rng):
             builder.add_cell(n, faces)
             X = builder.build()
     return X
+
+
+def reference_face(X, s, i):
+    """d_i of a simplex by commuting d_i through its degeneracy word one
+    degeneracy at a time, outermost first, without a cache."""
+    if not 0 <= i <= s.dim or s.dim == 0:
+        raise IndexError(f"face index {i} out of range for dim {s.dim}")
+    word = list(s.word)
+    outer = []
+    result = None
+    while word:
+        j = word.pop()
+        if i == j or i == j + 1:
+            result = Simplex(s.base, tuple(word))
+            break
+        if i < j:
+            outer.append(j - 1)
+        else:
+            outer.append(j)
+            i -= 1
+    if result is None:
+        result = X.cell_faces(s.base)[i]
+    for a in reversed(outer):
+        result = Simplex(result.base, apply_degeneracy(result.word, a))
+    return result
 
 
 def random_mono_pair(rng: random.Random, max_cells: int = 12):

@@ -6,6 +6,7 @@ cell counts, face tuples, labels, lookup tables and maps."""
 import ast
 import pathlib
 import random
+from functools import partial
 from itertools import product as iproduct
 
 import pytest
@@ -36,11 +37,16 @@ from sskit.core import (
     validate,
 )
 from sskit.core.generators import tuple_label
-from sskit.core.simplex import apply_degeneracy
+from sskit.core.simplex import apply_degeneracy, degenerate_by, face_word
 from sskit.fileformat import ParseError, _parse_token, _strip, parse_complex, serialize_complex
 from sskit.lifting import key_inclusion
 
-from conftest import build_horn_plus_vertex, random_generator_complex, random_tuple_family
+from conftest import (
+    build_horn_plus_vertex,
+    random_generator_complex,
+    random_tuple_family,
+    reference_face,
+)
 
 # -- the constructors with their own counters -------------------------------------
 
@@ -205,6 +211,17 @@ def ref_label(X, s):
     return lab if s.nondegenerate else "s" + ",".join(str(j) for j in s.word) + "@" + lab
 
 
+def ref_simplex_of_pair(X, Y, pair_cell, u, v):
+    """The normal form of (u, v) in X x Y, by taking the largest common
+    degeneracy out of both and recursing on the pair of faces below it."""
+    common = set(u.word) & set(v.word)
+    if not common:
+        return Simplex(pair_cell[(u, v)])
+    j = max(common)
+    inner = ref_simplex_of_pair(X, Y, pair_cell, reference_face(X, u, j), reference_face(Y, v, j))
+    return Simplex(inner.base, apply_degeneracy(inner.word, j))
+
+
 def ref_product(X, Y):
     """(complex, cell_pair, pair_cell, proj1 images, proj2 images)."""
     cell_pair = {}
@@ -215,22 +232,15 @@ def ref_product(X, Y):
         for idx, p in enumerate(pairs):
             cell_pair[CellId(n, idx)] = p
     pair_cell = {p: c for c, p in cell_pair.items()}
-
-    def simplex_of_pair(u, v):
-        common = set(u.word) & set(v.word)
-        if not common:
-            return Simplex(pair_cell[(u, v)])
-        j = max(common)
-        inner = simplex_of_pair(X.face(u, j), Y.face(v, j))
-        return Simplex(inner.base, apply_degeneracy(inner.word, j))
-
     counts = [0] * (X.dim + Y.dim + 1)
     faces, labels = {}, {}
     for c, (u, v) in cell_pair.items():
         counts[c.dim] += 1
         labels[c] = f"{ref_label(X, u)}|{ref_label(Y, v)}"
         if c.dim > 0:
-            faces[c] = tuple(simplex_of_pair(X.face(u, i), Y.face(v, i)) for i in range(c.dim + 1))
+            fu = [reference_face(X, u, i) for i in range(c.dim + 1)]
+            fv = [reference_face(Y, v, i) for i in range(c.dim + 1)]
+            faces[c] = tuple(ref_simplex_of_pair(X, Y, pair_cell, a, b) for a, b in zip(fu, fv))
     proj1 = {c: p[0] for c, p in cell_pair.items()}
     proj2 = {c: p[1] for c, p in cell_pair.items()}
     return SimplicialSet(counts, faces, labels), cell_pair, pair_cell, proj1, proj2
@@ -571,6 +581,77 @@ def test_product_matches_the_counting_constructor(seed):
     P = product(standard_simplex(1).complex, standard_simplex(1).complex)
     with pytest.raises(KeyError):
         P.simplex_of_pair(Simplex(CellId(0, 0), (0,)), Simplex(CellId(1, 7)))
+
+
+ODD_FACTORS = {
+    "simplex2": lambda: standard_simplex(2).complex,
+    "cosk0": lambda: cosk0_complex(3, 2).complex,
+    "j2": lambda: j_truncation(2).complex,
+    "loop": loop_with_triangle,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ODD_FACTORS))
+def test_the_face_identity_gives_the_faces_of_the_one_step_rule(name):
+    """Every face of every degenerate simplex up to dimension 4, by
+    `face_word` and by `SimplicialSet.face`, is the face that commuting
+    d_i through the word one degeneracy at a time gives."""
+    X = ODD_FACTORS[name]()
+    for n in range(1, 5):
+        for s in X.simplices(n):
+            if s.nondegenerate:
+                continue
+            fs = X.cell_faces(s.base)
+            for i in range(n + 1):
+                w, k = face_word(s.word, i)
+                got = Simplex(s.base, w) if k is None else degenerate_by(fs[k], w)
+                assert got == reference_face(X, s, i) == X.face(s, i), (s, i)
+
+
+@pytest.mark.parametrize("first", sorted(ODD_FACTORS))
+def test_simplex_of_pair_is_the_recursive_normal_form(first):
+    """Every pair of n-simplices, n <= 3, shared degeneracies included,
+    has the normal form the recursion on common degeneracies gives; every
+    pair of simplices of different dimensions names no simplex, and both
+    raise KeyError."""
+    X = ODD_FACTORS[first]()
+    for Y in (f() for f in ODD_FACTORS.values()):
+        P = product(X, Y)
+        firsts = {n: list(X.simplices(n)) for n in range(4)}
+        seconds = {n: list(Y.simplices(n)) for n in range(4)}
+        shared = 0
+        for n in range(4):
+            for u in firsts[n]:
+                for v in seconds[n]:
+                    shared += bool(set(u.word) & set(v.word))
+                    want = ref_simplex_of_pair(X, Y, P.pair_cell, u, v)
+                    assert P.simplex_of_pair(u, v) == want, (u, v)
+        assert shared > 0
+        for m, n in iproduct(range(4), repeat=2):
+            if m == n:
+                continue
+            for u, v in iproduct(firsts[m], seconds[n]):
+                for normal_form in (P.simplex_of_pair, partial(ref_simplex_of_pair, X, Y, P.pair_cell)):
+                    try:
+                        normal_form(u, v)
+                    except KeyError:
+                        continue
+                    raise AssertionError(f"{(u, v)} names a simplex")
+
+
+def test_product_projections_are_built_and_checked_when_first_read():
+    X, Y = cosk0_complex(3, 2).complex, loop_with_triangle()
+    P = product(X, Y)
+    assert "proj1" not in vars(P) and "proj2" not in vars(P)
+    _, _, _, proj1, proj2 = ref_product(X, Y)
+    assert (P.proj1.images, P.proj2.images) == (proj1, proj2)
+    assert P.proj1 is P.proj1 and P.proj2 is P.proj2
+    assert P.proj1.check() == [] and P.proj2.check() == []
+    # read through the checked constructor: a cell without an image fails
+    Q = product(X, Y)
+    del Q.cell_pair[CellId(0, 0)]
+    with pytest.raises(ValueError, match="no image for cell"):
+        Q.proj1
 
 
 def library_calls(names):

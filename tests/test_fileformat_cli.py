@@ -472,6 +472,30 @@ def test_cli_op_writes_products_and_joins(tmp_path, capsys):
     assert parse_complex(capsys.readouterr().out) == join(X, X).complex
 
 
+def test_cli_op_product_builds_no_map(tmp_path, monkeypatch):
+    """The projections of a product are built when first read, and
+    `op product` writes the complex only."""
+    built = []
+    init = SimplicialMap.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SimplicialMap, "__init__", counting_init)
+    d2 = _complex_file(tmp_path, "d2.txt", standard_simplex(2).complex)
+    c = _complex_file(tmp_path, "c.txt", cosk0_complex(3, 2).complex)
+    out = str(tmp_path / "p.txt")
+    assert cli.main(["op", "product", d2, c, "-o", out]) == 0
+    assert built == []
+    P = product(standard_simplex(2).complex, cosk0_complex(3, 2).complex)
+    with open(out, encoding="utf-8") as fh:
+        assert parse_complex(fh.read()) == P.complex
+    assert built == []
+    P.proj1
+    assert len(built) == 1
+
+
 @pytest.mark.parametrize("name, code", [("identity", 2), ("vertex", 1)])
 def test_cli_isofib_reports_the_library_verdict(name, code, tmp_path, capsys):
     f, path = _fibration_maps(tmp_path, name)

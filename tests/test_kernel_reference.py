@@ -17,7 +17,6 @@ from sskit.core import (
     Simplex,
     SimplicialMap,
     SimplicialSet,
-    apply_degeneracy,
     apply_images,
     degenerate,
     map_by_vertices,
@@ -25,34 +24,10 @@ from sskit.core import (
     word_is_valid,
 )
 
-from conftest import random_generator_complex, random_looped_complex
+from conftest import random_generator_complex, random_looped_complex, reference_face
 
 SEEDS = st.integers(0, 2**30)
 SIXTY = settings(max_examples=60, deadline=None)
-
-
-def reference_face(X, s, i):
-    """d_i of a simplex through the degeneracy word, without a cache."""
-    if not 0 <= i <= s.dim or s.dim == 0:
-        raise IndexError(f"face index {i} out of range for dim {s.dim}")
-    word = list(s.word)
-    outer = []
-    result = None
-    while word:
-        j = word.pop()
-        if i == j or i == j + 1:
-            result = Simplex(s.base, tuple(word))
-            break
-        if i < j:
-            outer.append(j - 1)
-        else:
-            outer.append(j)
-            i -= 1
-    if result is None:
-        result = X.cell_faces(s.base)[i]
-    for a in reversed(outer):
-        result = Simplex(result.base, apply_degeneracy(result.word, a))
-    return result
 
 
 def reference_apply_images(images, s):

@@ -20,13 +20,14 @@ from sskit.core import (
     cosk0_complex,
     enumerate_maps,
     horn_complex,
+    identity_map,
     j_truncation,
     join,
     product,
     spine_complex,
     standard_simplex,
 )
-from sskit.lifting import BUDGET, FIBRATION_CLASSES, NO, classify_map, key_inclusion
+from sskit.lifting import BUDGET, FIBRATION_CLASSES, NO, YES, classify_map, key_inclusion
 
 from conftest import (
     build_glued_spines,
@@ -169,3 +170,11 @@ def test_classification_between_nerves_gives_the_verdicts_of_the_search(seed):
             assert (g.witness.i, g.witness.u.images, g.witness.v.images) == (
                 w.witness.i, w.witness.u.images, w.witness.v.images)
 
+
+
+def test_the_inner_class_between_nerves_walks_no_key():
+    """A bound of a million names about 5 * 10**11 inner keys; between
+    nerves the class is answered without visiting one."""
+    rep = classify_map(identity_map(_simplex(2)), 10**6, classes=("inner",))
+    verdict = rep.classes["inner"]
+    assert (verdict.status, verdict.bound, rep.checked_dim) == (YES, 10**6, 10**6)
