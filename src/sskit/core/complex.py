@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 from .simplex import (
@@ -36,7 +37,7 @@ class SimplicialSet:
             counts.pop()
         self._counts: tuple[int, ...] = tuple(counts)
         self._cells: tuple[tuple[CellId, ...], ...] = tuple(
-            tuple(CellId(d, i) for i in range(n)) for d, n in enumerate(counts)
+            tuple(map(CellId, repeat(d, n), range(n))) for d, n in enumerate(counts)
         )
         self._all_cells: tuple[CellId, ...] = sum(self._cells, ())
         self._faces: dict[CellId, tuple[Simplex, ...]] = dict(faces)
@@ -231,6 +232,30 @@ class SimplicialSet:
         return tuple(order)
 
     @cached_property
+    def names(self) -> dict[CellId, str]:
+        """Unique whitespace-free names of the cells, as the file formats
+        write them: the label, or c<dim>_<index> for a cell whose label is
+        missing, empty or holds whitespace, with primes appended until it
+        is unused.  Built once per complex; callers must not change it."""
+        names: dict[CellId, str] = {}
+        used: set[str] = set()
+        labels = self.labels
+        for c in self._all_cells:
+            nm = labels.get(c)
+            if nm is None or nm.split() != [nm]:
+                nm = f"c{c.dim}_{c.index}"
+            while nm in used:
+                nm += "'"
+            used.add(nm)
+            names[c] = nm
+        return names
+
+    @cached_property
+    def cells_by_name(self) -> dict[str, CellId]:
+        """The inverse of `names`."""
+        return {nm: c for c, nm in self.names.items()}
+
+    @cached_property
     def is_nerve(self) -> bool:
         """Whether this is the nerve of a category: the finite Segal test.
 
@@ -265,14 +290,22 @@ class SimplicialSet:
     # -- internal ----------------------------------------------------------
 
     def _structural_check(self) -> None:
+        """Every cell of dimension d >= 1 has d + 1 faces of dimension
+        d - 1, on cells that exist, with words in normal form.  A
+        nondegenerate face on a cell of dimension d - 1 in range, the
+        common case, passes the first test; any other face takes each
+        check in turn, so a defect gets its own message."""
         counts = self._counts
         for d in range(1, len(counts)):
+            below = counts[d - 1]
             for c in self._cells[d]:
                 fs = self._faces.get(c)
                 if fs is None or len(fs) != d + 1:
                     raise ValueError(f"cell {c} lacks a full face tuple")
                 for f in fs:
                     (fd, fk), word = f
+                    if not word and fd == d - 1 and 0 <= fk < below:
+                        continue
                     if fd + len(word) != d - 1:
                         raise ValueError(f"face {f} of {c} has wrong dimension")
                     if not (0 <= fd < len(counts) and 0 <= fk < counts[fd]):
@@ -321,16 +354,22 @@ def validate(X: SimplicialSet) -> list[str]:
 
     Structural problems (missing cells, malformed words) are caught at
     construction time; this checks the simplicial identities
-    d_i d_j = d_{j-1} d_i (i < j) on every cell after normalization.
+    d_i d_j = d_{j-1} d_i (i < j) on every cell after normalization.  The
+    faces of a cell, and of a nondegenerate face, are its stored rows;
+    only a degenerate face goes through `face`.
     """
     violations: list[str] = []
+    rows, face = X._faces, X.face
     for d in range(2, X.dim + 1):
-        for c in X.cells(d):
-            s = Simplex(c)
+        for c in X._cells[d]:
+            fs = rows[c]
             for j in range(1, d + 1):
+                fj = fs[j]
+                row_j = None if fj.word else rows[fj.base]
                 for i in range(j):
-                    lhs = X.face(X.face(s, j), i)
-                    rhs = X.face(X.face(s, i), j - 1)
+                    fi = fs[i]
+                    lhs = face(fj, i) if row_j is None else row_j[i]
+                    rhs = face(fi, j - 1) if fi.word else rows[fi.base][j - 1]
                     if lhs != rhs:
                         violations.append(
                             f"cell {X.label(c)} (dim {d}): "

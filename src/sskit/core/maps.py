@@ -71,18 +71,24 @@ class SimplicialMap:
         return apply_images(self.images, s)
 
     def check(self) -> list[str]:
-        """Face-compatibility violations; empty means the map is simplicial."""
+        """Face-compatibility violations; empty means the map is simplicial.
+
+        The faces of a source cell, and of a nondegenerate image, are their
+        stored rows; only a degenerate image goes through `face`.
+        """
         out = []
-        for c in self.source.all_cells():
+        source, target, images = self.source, self.target, self.images
+        for c in source.all_cells():
             if c.dim == 0:
                 continue
-            s = Simplex(c)
-            for i in range(c.dim + 1):
-                want = self.apply(self.source.face(s, i))
-                got = self.target.face(self.images[c], i)
+            img = images[c]
+            img_faces = None if img.word else target.cell_faces(img.base)
+            for i, f in enumerate(source.cell_faces(c)):
+                want = apply_images(images, f)
+                got = target.face(img, i) if img_faces is None else img_faces[i]
                 if want != got:
                     out.append(
-                        f"cell {self.source.label(c)}, face {i}: "
+                        f"cell {source.label(c)}, face {i}: "
                         f"image face {got} != face image {want}"
                     )
         return out

@@ -15,6 +15,7 @@ plain int pairs.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import combinations
 from typing import Iterator, NamedTuple
 
@@ -81,10 +82,12 @@ def face_word(word: tuple[int, ...], i: int) -> tuple[tuple[int, ...], int | Non
     passes through to face k of the base.  The index e that goes is i, or
     i - 1 if only that is in the word; w keeps the indices below e and
     shifts those above it down, and k is e less the number below it."""
-    e = i if i in word or i - 1 not in word else i - 1
-    below = [j for j in word if j < e]
-    w = tuple(below + [j - 1 for j in word if j > e])
-    return w, (None if len(w) < len(word) else e - len(below))
+    n = bisect_left(word, i)  # the indices below i
+    if n < len(word) and word[n] == i:  # d_i s_i = id
+        return word[:n] + tuple([j - 1 for j in word[n + 1:]]), None
+    if n and word[n - 1] == i - 1:  # d_i s_{i-1} = id
+        return word[:n - 1] + tuple([j - 1 for j in word[n:]]), None
+    return word[:n] + tuple([j - 1 for j in word[n:]]), i - n
 
 
 def degenerate_by(s: Simplex, word: tuple[int, ...]) -> Simplex:

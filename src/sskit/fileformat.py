@@ -34,18 +34,9 @@ class ParseError(ValueError):
 
 
 def name_table(X: SimplicialSet) -> dict[CellId, str]:
-    """Unique whitespace-free file names for the cells, from the labels."""
-    names: dict[CellId, str] = {}
-    used: set[str] = set()
-    for c in X.all_cells():
-        nm = X.label(c)
-        if nm.split() != [nm]:  # empty, or containing whitespace
-            nm = f"c{c.dim}_{c.index}"
-        while nm in used:
-            nm += "'"
-        used.add(nm)
-        names[c] = nm
-    return names
+    """Unique whitespace-free file names for the cells, from the labels
+    (`SimplicialSet.names`, built once per complex)."""
+    return X.names
 
 
 def serialize_complex(X: SimplicialSet) -> str:
@@ -110,16 +101,16 @@ def parse_complex(text: str) -> SimplicialSet:
     declared: int | None = None
     builder = ComplexBuilder()
     byname: dict[str, CellId] = {}
+    # by dimension, the nondegenerate simplex of each named cell, so that
+    # a face naming a cell of the right dimension takes one lookup
+    named: list[dict[str, Simplex]] = []
 
-    for lineno, _, toks in _records(text):
-        if toks[0] == "dim":
-            if declared is not None or len(toks) != 2:
-                raise ParseError(lineno, "malformed or repeated dim header")
-            try:
-                declared = int(toks[1])
-            except ValueError:
-                raise ParseError(lineno, f"bad dimension {toks[1]!r}") from None
-        elif toks[0] == "cell":
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        toks = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        if not toks:
+            continue
+        head = toks[0]
+        if head == "cell":
             if declared is None:
                 raise ParseError(lineno, "cell record before the dim header")
             if len(toks) < 3:
@@ -133,27 +124,40 @@ def parse_complex(text: str) -> SimplicialSet:
                 raise ParseError(lineno, f"cell dimension {d} outside 0..{declared}")
             if name in byname:
                 raise ParseError(lineno, f"duplicate cell name {name!r}")
-            ftoks = toks[4:]
+            fs = []
             if d == 0:
                 if len(toks) != 3:
                     raise ParseError(lineno, "a vertex record takes no faces")
             elif len(toks) < 4 or toks[3] != "faces:":
                 raise ParseError(lineno, "expected 'faces:' after the dimension")
-            elif len(ftoks) != d + 1:
+            elif len(toks) != d + 5:
                 raise ParseError(
-                    lineno, f"cell of dimension {d} needs {d + 1} faces, got {len(ftoks)}"
+                    lineno, f"cell of dimension {d} needs {d + 1} faces, got {len(toks) - 4}"
                 )
-            fs = []
-            for tok in ftoks:
-                f = _parse_token(tok, byname, lineno)
-                if f.dim != d - 1:
-                    raise ParseError(
-                        lineno, f"face {tok!r} has dimension {f.dim}, expected {d - 1}"
-                    )
-                fs.append(f)
-            byname[name] = builder.add_cell(d, fs, name)
+            else:
+                below = named[d - 1] if d <= len(named) else {}
+                for tok in toks[4:]:
+                    f = below.get(tok)
+                    if f is None:  # a degenerate face, or a defect
+                        f = _parse_token(tok, byname, lineno)
+                        if f.dim != d - 1:
+                            raise ParseError(
+                                lineno, f"face {tok!r} has dimension {f.dim}, expected {d - 1}"
+                            )
+                    fs.append(f)
+            c = byname[name] = builder.add_cell(d, fs, name)
+            while len(named) <= d:
+                named.append({})
+            named[d][name] = Simplex(c)
+        elif head == "dim":
+            if declared is not None or len(toks) != 2:
+                raise ParseError(lineno, "malformed or repeated dim header")
+            try:
+                declared = int(toks[1])
+            except ValueError:
+                raise ParseError(lineno, f"bad dimension {toks[1]!r}") from None
         else:
-            raise ParseError(lineno, f"unknown record {toks[0]!r}")
+            raise ParseError(lineno, f"unknown record {head!r}")
 
     if declared is None:
         raise ParseError(1, "missing dim header")
@@ -178,21 +182,19 @@ def parse_map(
     tgt_byname: dict[str, CellId] = {}
     images: dict[CellId, Simplex] = {}
 
-    for lineno, _, toks in _records(text):
-        if toks[0] == "map":
-            if src is not None or len(toks) != 3:
-                raise ParseError(lineno, "malformed or repeated map header")
-            src, tgt = resolve(toks[1]), resolve(toks[2])
-            src_byname = {v: k for k, v in name_table(src).items()}
-            tgt_byname = {v: k for k, v in name_table(tgt).items()}
-        elif toks[0] == "image":
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        toks = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        if not toks:
+            continue
+        head = toks[0]
+        if head == "image":
             if src is None or tgt is None:
                 raise ParseError(lineno, "image record before the map header")
             if len(toks) != 3:
                 raise ParseError(lineno, "image record takes a cell and a token")
-            if toks[1] not in src_byname:
+            c = src_byname.get(toks[1])
+            if c is None:
                 raise ParseError(lineno, f"unknown source cell {toks[1]!r}")
-            c = src_byname[toks[1]]
             if c in images:
                 raise ParseError(lineno, f"repeated image for cell {toks[1]!r}")
             s = _parse_token(toks[2], tgt_byname, lineno)
@@ -202,8 +204,14 @@ def parse_map(
                     f"image of {toks[1]!r} has dimension {s.dim}, expected {c.dim}",
                 )
             images[c] = s
+        elif head == "map":
+            if src is not None or len(toks) != 3:
+                raise ParseError(lineno, "malformed or repeated map header")
+            src, tgt = resolve(toks[1]), resolve(toks[2])
+            src_byname = src.cells_by_name
+            tgt_byname = tgt.cells_by_name
         else:
-            raise ParseError(lineno, f"unknown record {toks[0]!r}")
+            raise ParseError(lineno, f"unknown record {head!r}")
 
     if src is None or tgt is None:
         raise ParseError(1, "missing map header")
@@ -221,7 +229,7 @@ def parse_certificate(text: str, B: SimplicialSet) -> AnodyneCertificate:
     """Parse a certificate whose steps name cells of B."""
     family = None
     steps = []
-    byname = {v: k for k, v in name_table(B).items()}
+    byname = B.cells_by_name
     for lineno, line, toks in _records(text):
         if toks[0] == "class" and len(toks) == 2:
             if family is not None:

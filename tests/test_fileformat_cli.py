@@ -1,5 +1,6 @@
 """Text formats and the command-line interface."""
 
+import functools
 import json
 import os
 import random
@@ -22,6 +23,7 @@ from sskit.core import (
     CellId,
     Simplex,
     SimplicialMap,
+    SimplicialSet,
     cosk0_complex,
     horn_complex,
     identity_map,
@@ -586,6 +588,27 @@ def test_cli_lift_against_a_given_right_leg(tmp_path, capsys):
     assert parse_map(report["lift"], lambda ref: standard_simplex(2).complex) == identity_map(
         standard_simplex(2).complex
     )
+
+
+def test_cli_lift_names_each_complex_once(tmp_path, capsys, monkeypatch):
+    """Both maps name the horn and the simplex, and the lift printed names
+    the simplex again; the name table of each complex is built once."""
+    _write(tmp_path, "horn.txt", serialize_complex(horn_complex(3, 1).complex))
+    _write(tmp_path, "full.txt", serialize_complex(standard_simplex(3).complex))
+    inc = _write(tmp_path, "inc.map", serialize_map(key_inclusion((3, 1)), "horn.txt", "full.txt"))
+    named = []
+    build = SimplicialSet.__dict__["names"].func
+
+    def counting(X):
+        named.append(X)
+        return build(X)
+
+    names = functools.cached_property(counting)
+    names.__set_name__(SimplicialSet, "names")
+    monkeypatch.setattr(SimplicialSet, "names", names)
+    assert cli.main(["lift", "--along", inc, inc]) == 0
+    assert capsys.readouterr().out.startswith("command: lift\nstatus: found\nlift:\n")
+    assert [X.total_cells() for X in named] == [13, 15]  # the horn, then the simplex
 
 
 @pytest.mark.parametrize("given, missing", [("--p", "--v"), ("--v", "--p")])
