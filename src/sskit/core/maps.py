@@ -9,8 +9,9 @@ all live here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import combinations
+from functools import cached_property, lru_cache
+from itertools import combinations, repeat
+from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .budget import Budget
@@ -193,7 +194,14 @@ class Attachment:
     inclusion: SimplicialMap  # generator A -> B
     map: SimplicialMap  # attaching map A -> S
     new_cells: list[CellId] = field(default_factory=list)  # cells of the result
-    total_map: SimplicialMap = field(init=False, repr=False)  # B -> result
+    # the result and the images of the cells of B, set by `attach_all`
+    _total: tuple[SimplicialSet, dict[CellId, Simplex]] = field(init=False, repr=False)
+
+    @cached_property
+    def total_map(self) -> SimplicialMap:
+        """B -> result, built and checked when first read."""
+        out, images = self._total
+        return SimplicialMap(self.inclusion.target, out, images)
 
 
 def attach_all(
@@ -233,7 +241,7 @@ def attach_all(
     out = builder.build()
     inc = SimplicialMap(S, out, {c: Simplex(c) for c in S.all_cells()})
     for att, g in zip(attachments, totals):
-        att.total_map = SimplicialMap(att.inclusion.target, out, g)
+        att._total = (out, g)
     return out, inc
 
 
@@ -261,55 +269,113 @@ def pushout(i: SimplicialMap, f: SimplicialMap) -> Pushout:
 
 @dataclass
 class Product:
-    """X x Y by Eilenberg-Zilber index arithmetic: the n-cells are the pairs
-    (s_I x, s_J y) with disjoint words, a face of s_I x is read off the
-    stored faces of x by the face identity of I (`face_word`), and a pair
-    of faces is s_K of a cell, K the indices the words share
-    (`simplex_of_pair`).  The projections are built when first read."""
+    """X x Y by Eilenberg-Zilber index arithmetic.  The n-cells are the
+    pairs (s_I x, s_J y) with disjoint words, in sorted order: dim p of x,
+    x, I among the (n - p)-subsets of range(n), then q >= n - p, y, J
+    among the (n - q)-subsets of the indices not in I.  The cells with
+    the words (I, J) form a block (first, width, stride), and
+    (s_I x, s_J y) is n-cell first + index(x) * width + index(y) * stride.
+    Face i of every cell of a block follows one recipe, read off the face
+    identities of I and J (`face_word`): the stored face of x and of y to
+    take, and the block one dimension down that the pair of faces lies
+    in.  The pair tables and the projections are built when first read."""
 
     x: SimplicialSet
     y: SimplicialSet
-    cell_pair: dict[CellId, tuple[Simplex, Simplex]] = field(init=False)
-    pair_cell: dict[tuple[Simplex, Simplex], CellId] = field(init=False)
     complex: SimplicialSet = field(init=False)
 
     def __post_init__(self) -> None:
-        """The cells come in sorted order: dim p of x, x, I among the
-        (n - p)-subsets of range(n), then q >= n - p, y, J among the
-        (n - q)-subsets of the indices not in I."""
         X, Y = self.x, self.y
-        cell_pair, pair_cell = self.cell_pair, self.pair_cell = {}, {}
-        xnames = {c: X.label(c) for c in X.all_cells()}
-        ynames = {c: Y.label(c) for c in Y.all_cells()}
+        nx, ny = X.cell_counts(), Y.cell_counts()
+        xdims = tuple(p for p, k in enumerate(nx) if k)
+        ydims = tuple(q for q, k in enumerate(ny) if k)
+        xcells, xrows, xlabels = _factor_rows(X)
+        ycells, yrows, ylabels = _factor_rows(Y)
+        # per dimension: the rows of `_shuffles`, the block of each pair
+        # of words with the bounds of its cells x and y, and the cells
+        self._layout: list[tuple] = []
+        self._blocks: list[dict[tuple[tuple[int, ...], tuple[int, ...]], tuple]] = []
+        self._simplices: list[list[Simplex]] = []
         builder, normal = ComplexBuilder(), self.simplex_of_pair
-        cells: dict[tuple[Simplex, Simplex], Simplex] = {}  # pair_cell, each cell a simplex
+        add_cell, below, face = builder.add_cell, {}, [].__getitem__
         for n in range(X.dim + Y.dim + 1):
-            recipes, seconds = {}, {}  # face identities by word; s_J y, its label and faces
-            for p in range(min(n, X.dim) + 1):
-                firsts = []  # per word I: the second factors with words disjoint from it
-                for I in combinations(range(n), n - p):
-                    free = [j for j in range(n) if j not in I]
-                    vs = []
-                    for q in range(n - p, min(n, Y.dim) + 1):
-                        Js = list(combinations(free, n - q))
-                        for v in [Simplex(y, J) for y in Y.cells(q) for J in Js]:
-                            if v not in seconds:
-                                vlab = word_label(ynames[v.base], v.word)
-                                seconds[v] = (v, vlab, _word_faces(Y, v, recipes))
-                            vs.append(seconds[v])
-                    firsts.append((I, vs))
-                for x in X.cells(p):
-                    for I, vs in firsts:
-                        u = Simplex(x, I)
-                        ulab = word_label(xnames[x], I) + "|"
-                        ufaces = _word_faces(X, u, recipes)
-                        for v, vlab, vfaces in vs:
-                            fs = [cells.get(f) or normal(*f) for f in zip(ufaces, vfaces)]
-                            c = builder.add_cell(n, fs, ulab + vlab)
-                            cell_pair[c] = pair = (u, v)
-                            pair_cell[pair] = c
-                            cells[pair] = Simplex(c)
+            layout = _shuffles(n, xdims, ydims)
+            blocks, first = {}, 0
+            for p, rows in layout:
+                width = len(rows) * sum(ny[q] * len(Js) for q, Js in rows[0][1])
+                for I, qs in rows:
+                    for q, Js in qs:
+                        for b, (J, _) in enumerate(Js):
+                            blocks[I, J] = (first + b, width, len(Js), nx[p], q, ny[q])
+                        first += ny[q] * len(Js)
+                first += (nx[p] - 1) * width
+            cells: list[CellId] = []
+            vlabels: dict[tuple[int, tuple[int, ...]], list[str]] = {}  # of s_J y, per q and J
+            for p, rows in layout:
+                # per I and q: the cells y, and per J: the x part of the
+                # face indices of each x and the y part of each y (None
+                # when a factor has a degenerate stored face in this
+                # dimension), the names s_J y and the face identities
+                plan = []
+                for I, qs in rows:
+                    per_q = []
+                    for q, Js in qs:
+                        per_J = []
+                        for J, faces in Js:
+                            xo = yo = None
+                            rec = _recipe(faces, below)
+                            if rec is not None and xrows[p] is not None and yrows[q] is not None:
+                                xo = _index_parts(xrows[p], rec[0])
+                                yo = _index_parts(yrows[q], rec[1])
+                            if (q, J) not in vlabels:
+                                vlabels[q, J] = list(map(word_label, ylabels[q], repeat(J)))
+                            per_J.append((xo, yo, vlabels[q, J], faces))
+                        per_q.append((ycells[q], per_J))
+                    plan.append((I, per_q))
+                for i, (xc, xlab) in enumerate(zip(xcells[p], xlabels[p])):
+                    for I, per_q in plan:
+                        ulab = word_label(xlab, I) + "|"
+                        for ys, per_J in per_q:
+                            for j, yc in enumerate(ys):
+                                for xo, yo, vlabs, faces in per_J:
+                                    if xo is None:  # a degenerate stored face
+                                        fs = [normal(*_face_pair(X, Y, xc, yc, f)) for f in faces]
+                                    else:
+                                        fs = map(face, map(add, xo[i], yo[j]))
+                                    cells.append(add_cell(n, fs, ulab + vlabs[j]))
+            self._layout.append(layout)
+            self._blocks.append(blocks)
+            # Simplex(c) for each cell, made without a Python-level call
+            self._simplices.append(
+                list(map(tuple.__new__, repeat(Simplex), zip(cells, repeat(()))))
+            )
+            below, face = blocks, self._simplices[-1].__getitem__
         self.complex = builder.build()
+
+    @cached_property
+    def cell_pair(self) -> dict[CellId, tuple[Simplex, Simplex]]:
+        """The pair (s_I x, s_J y) of each cell, in cell order."""
+        X, Y = self.x, self.y
+        ycells = [Y.cells(q) for q in range(Y.dim + 1)]
+        pairs: list[tuple[Simplex, Simplex]] = []
+        for layout in self._layout:
+            for p, rows in layout:
+                seconds = [
+                    (I, [Simplex(y, J) for q, Js in qs for y in ycells[q] for J, _ in Js])
+                    for I, qs in rows
+                ]
+                pairs += [
+                    (u, v)
+                    for x in X.cells(p)
+                    for I, vs in seconds
+                    for u in [Simplex(x, I)]
+                    for v in vs
+                ]
+        return dict(zip([s.base for cells in self._simplices for s in cells], pairs))
+
+    @cached_property
+    def pair_cell(self) -> dict[tuple[Simplex, Simplex], CellId]:
+        return {pair: c for c, pair in self.cell_pair.items()}
 
     @cached_property
     def proj1(self) -> SimplicialMap:
@@ -320,30 +386,121 @@ class Product:
         return SimplicialMap(self.complex, self.y, {c: p[1] for c, p in self.cell_pair.items()})
 
     def simplex_of_pair(self, u: Simplex, v: Simplex) -> Simplex:
-        """Normal form of (u, v) in the product: s_K of the pair whose words
-        drop the indices K they share, shifting each index above one down.
-        A pair with disjoint words that names no cell raises KeyError."""
-        c = self.pair_cell.get((u, v))
-        if c is not None:
-            return Simplex(c)
-        K = sorted(set(u.word).intersection(v.word))
+        """Normal form of (u, v) in the product: s_K of the cell of the
+        pair whose words drop the indices K they share, shifting each
+        index above one down.  A pair that names no cell raises KeyError."""
+        ((p, i), I), ((q, j), J) = u, v
+        n = p + len(I)
+        try:
+            # a block holds only disjoint words, of cells x of dim p and y of dim qb
+            first, width, stride, nxp, qb, nyq = self._blocks[n][I, J]
+        except (IndexError, KeyError):
+            return self._shared_normal_form(u, v)
+        if q != qb or not (0 <= i < nxp and 0 <= j < nyq):
+            raise KeyError((u, v))
+        return self._simplices[n][first + i * width + j * stride]
 
-        def drop(s: Simplex) -> Simplex:
-            return Simplex(s.base, tuple(j - sum(k < j for k in K) for j in s.word if j not in K))
+    def _shared_normal_form(self, u: Simplex, v: Simplex) -> Simplex:
+        """`simplex_of_pair` of a pair whose words share the indices K."""
+        (x, I), (y, J) = u, v
+        K = tuple([k for k in I if k in J])
+        if not K:
+            raise KeyError((u, v))
+        I = tuple([m - sum(k < m for k in K) for m in I if m not in K])
+        J = tuple([m - sum(k < m for k in K) for m in J if m not in K])
+        try:
+            s = self.simplex_of_pair(Simplex(x, I), Simplex(y, J))
+        except KeyError:
+            raise KeyError((u, v)) from None
+        return Simplex(s.base, K)
 
-        return Simplex(self.pair_cell[(drop(u), drop(v))], tuple(K))
+
+@lru_cache(maxsize=256)
+def _shuffles(n: int, xdims: tuple[int, ...], ydims: tuple[int, ...]) -> tuple:
+    """The pairs of disjoint words of dimension n in sorted order, for
+    factors with cells in the dimensions xdims and ydims: per p in xdims
+    with a pair, the rows (I, ((q, Js), ...)) for the (n - p)-subsets I of
+    range(n), with q in ydims from n - p to n, and Js the (n - q)-subsets
+    of the indices not in I, each with the face identities of the pair
+    (`_pair_faces`).  The same for all factors with cells in the same
+    dimensions, so kept; a tuple of tuples, so no caller can change it."""
+    layout = []
+    for p in xdims:
+        rows = []
+        for I in combinations(range(n), n - p) if p <= n else ():
+            free = [j for j in range(n) if j not in I]
+            rows.append((I, tuple(
+                (q, tuple((J, _pair_faces(I, J, n)) for J in combinations(free, n - q)))
+                for q in ydims
+                if n - p <= q <= n
+            )))
+        if rows and rows[0][1]:
+            layout.append((p, tuple(rows)))
+    return tuple(layout)
 
 
-def _word_faces(Z: SimplicialSet, s: Simplex, recipes: dict) -> Sequence[Simplex]:
-    """The faces of s, read off the stored faces of its base by the face
-    identity of its word; `recipes` keeps each word's identities."""
-    z, W = s
-    fs = Z.cell_faces(z)
-    if not W:
-        return fs
-    if W not in recipes:
-        recipes[W] = [face_word(W, i) for i in range(z.dim + len(W) + 1)]
-    return [Simplex(z, w) if k is None else degenerate_by(fs[k], w) for w, k in recipes[W]]
+def _pair_faces(I: tuple[int, ...], J: tuple[int, ...], n: int) -> tuple:
+    """Per face i of (s_I x, s_J y), by `face_word`: the pair of face words,
+    and for x and for y 0 when d_i cancels a degeneracy, k + 1 when it
+    passes through to stored face k; none for n = 0."""
+    out = []
+    for i in range(n + 1) if n else ():
+        (w1, k1), (w2, k2) = face_word(I, i), face_word(J, i)
+        out.append(((w1, w2), 0 if k1 is None else k1 + 1, 0 if k2 is None else k2 + 1))
+    return tuple(out)
+
+
+def _recipe(faces: tuple, below: dict) -> tuple[list, list] | None:
+    """Per face (`_pair_faces`), the parts of its index in the block one
+    dimension down that holds it: (first, width, kx) for x and
+    (0, stride, ky) for y.  Face words of disjoint words are disjoint, so
+    a face lies in no block only when a factor has no cell in the
+    dimension of a stored face it takes, and that stored face is
+    degenerate: then None."""
+    xs, ys = [], []
+    for words, kx, ky in faces:
+        block = below.get(words)
+        if block is None:
+            return None
+        first, width, stride = block[:3]
+        xs.append((first, width, kx))
+        ys.append((0, stride, ky))
+    return xs, ys
+
+
+def _index_parts(rows: list, parts: list) -> list[list[int]]:
+    """For each cell of a factor dimension, given by its row
+    (`_factor_rows`), the part first + m * scale of the index of each
+    face, for the parts (first, scale, k) of a recipe, m entry k of the
+    row."""
+    return [[f + r[k] * w for f, w, k in parts] for r in rows]
+
+
+def _factor_rows(Z: SimplicialSet) -> tuple[list, list, list]:
+    """Per dimension of a factor: its cells; for each cell the row of its
+    index and the indices of the bases of its stored faces, or None for
+    the whole dimension when a stored face of a cell is degenerate; and
+    the labels."""
+    cells = [Z.cells(d) for d in range(Z.dim + 1)]
+    rows: list[list | None] = []
+    bases = Z.face_bases
+    for d, cs in enumerate(cells):
+        fbs = [bases.get(c) for c in cs] if d else [()] * len(cs)
+        # a degenerate stored face sends the whole dimension to `simplex_of_pair`
+        rows.append(
+            None if None in fbs else [(i, *[f.index for f in fb]) for i, fb in enumerate(fbs)]
+        )
+    return cells, rows, [[Z.label(c) for c in cs] for cs in cells]
+
+
+def _face_pair(
+    X: SimplicialSet, Y: SimplicialSet, x: CellId, y: CellId, face: tuple
+) -> tuple[Simplex, Simplex]:
+    """The face of (s_I x, s_J y) that one entry of `_pair_faces` gives."""
+    (w1, w2), kx, ky = face
+    u = Simplex(x, w1) if not kx else degenerate_by(X.cell_faces(x)[kx - 1], w1)
+    v = Simplex(y, w2) if not ky else degenerate_by(Y.cell_faces(y)[ky - 1], w2)
+    return u, v
 
 
 def product(X: SimplicialSet, Y: SimplicialSet) -> Product:

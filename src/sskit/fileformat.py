@@ -5,10 +5,11 @@ nondegenerate cell in (dim, index) order, with `faces: <f0> ... <fk>`
 for dim >= 1.  A face token is a cell name, or `s<j1>,<j2>,...@<name>`
 for a degenerate face.  `#` starts a comment.  Map files name the two
 complex files and give one `image <cell> <token>` line per cell of the
-source.  Certificate files give a `class <family>` header and one
-`step <n> <horn index> <filler cell>` record per horn filling, naming
-cells of the target complex.  All parse failures carry the offending
-line number, 0 for a defect of the file as a whole.
+source, each image word in normal form.  Certificate files give a
+`class <family>` header and one `step <n> <horn index> <filler cell>`
+record per horn filling, naming cells of the target complex.  All parse
+failures carry the offending line number, 0 for a defect of the file as
+a whole.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from typing import Callable, Iterator
 
 from .certify import AnodyneCertificate
 from .core import (
-    CellId, ComplexBuilder, Simplex, SimplicialMap, SimplicialSet, validate, word_label,
+    CellId, ComplexBuilder, Simplex, SimplicialMap, SimplicialSet, validate, word_is_valid,
+    word_label,
 )
 
 _DEGENERATE = re.compile(r"s(\d+(?:,\d+)*)@(.+)")
@@ -40,13 +42,18 @@ def name_table(X: SimplicialSet) -> dict[CellId, str]:
 
 
 def serialize_complex(X: SimplicialSet) -> str:
+    """A nondegenerate face is written as its name; only a degenerate face
+    goes through `word_label`."""
     names = name_table(X)
     lines = [f"dim {X.dim}"]
     for c in X.all_cells():
         if c.dim == 0:
             lines.append(f"cell {names[c]} 0")
         else:
-            toks = " ".join(word_label(names[f.base], f.word) for f in X.cell_faces(c))
+            toks = " ".join([
+                word_label(names[f.base], f.word) if f.word else names[f.base]
+                for f in X.cell_faces(c)
+            ])
             lines.append(f"cell {names[c]} {c.dim} faces: {toks}")
     return "\n".join(lines) + "\n"
 
@@ -203,6 +210,8 @@ def parse_map(
                     lineno,
                     f"image of {toks[1]!r} has dimension {s.dim}, expected {c.dim}",
                 )
+            if s.word and not word_is_valid(s.word, s.base.dim):
+                raise ParseError(lineno, f"image {toks[2]!r} is not in normal form")
             images[c] = s
         elif head == "map":
             if src is not None or len(toks) != 3:

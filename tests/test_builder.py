@@ -458,6 +458,24 @@ def test_attach_all_matches_the_counting_constructor(seed):
         assert [att.total_map.images for att in atts] == totals
 
 
+def test_attachment_total_maps_are_built_and_checked_when_first_read():
+    S = spine_complex(3).complex
+    pairs = [(i, alpha) for i in (key_inclusion((2, 1)), key_inclusion((1, None)))
+             for alpha in list(enumerate_maps(i.source, S))[:2]]
+    atts = [Attachment(i, alpha) for i, alpha in pairs]
+    attach_all(S, atts)
+    assert all("total_map" not in vars(att) for att in atts)
+    _, _, totals = ref_attach_all(S, pairs)
+    assert [att.total_map.images for att in atts] == totals
+    assert all(att.total_map is att.total_map and att.total_map.check() == [] for att in atts)
+    # read through the checked constructor: a cell without an image fails
+    att = Attachment(*pairs[0])
+    attach_all(S, [att])
+    del att._total[1][CellId(0, 0)]
+    with pytest.raises(ValueError, match="no image for cell"):
+        att.total_map
+
+
 def _reordered(text, rng):
     """The same complex file with each cell record moved to a random place
     after every cell it names."""
@@ -554,6 +572,15 @@ def loop_with_triangle():
     return b.build()
 
 
+def sphere():
+    """Delta^2 with its boundary collapsed: one vertex, no edge, and a
+    triangle whose faces are all degenerate."""
+    b = ComplexBuilder()
+    v = b.add_cell(0, label="v")
+    b.add_cell(2, (Simplex(v, (0,)),) * 3, "t")
+    return b.build()
+
+
 def assert_same_product(X, Y):
     P = product(X, Y)
     R, cell_pair, pair_cell, proj1, proj2 = ref_product(X, Y)
@@ -571,7 +598,7 @@ def test_product_matches_the_counting_constructor(seed):
         for Y in Xs[:2] + Xs[-1:] + [standard_simplex(2).complex]:
             assert_same_product(X, Y)
     # degenerate stored faces and loops, in both argument orders
-    odd = [cosk0_complex(3, 2).complex, j_truncation(2).complex, loop_with_triangle()]
+    odd = [cosk0_complex(3, 2).complex, j_truncation(2).complex, loop_with_triangle(), sphere()]
     for Z in odd:
         for W in odd:
             assert_same_product(Z, W)
@@ -588,6 +615,7 @@ ODD_FACTORS = {
     "cosk0": lambda: cosk0_complex(3, 2).complex,
     "j2": lambda: j_truncation(2).complex,
     "loop": loop_with_triangle,
+    "sphere": sphere,
 }
 
 
@@ -652,6 +680,45 @@ def test_product_projections_are_built_and_checked_when_first_read():
     del Q.cell_pair[CellId(0, 0)]
     with pytest.raises(ValueError, match="no image for cell"):
         Q.proj1
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_the_block_formula_gives_the_cell_of_each_pair(seed):
+    """(s_I x, s_J y) is n-cell first + index(x) * width + index(y) * stride
+    of the block of (I, J), for every cell of the products of the odd
+    factors (degenerate stored faces and loops) and the seeded complexes,
+    in both orders; `simplex_of_pair` gives that cell."""
+    factors = [make() for make in ODD_FACTORS.values()] + seeded_complexes(seed, 2)
+    for X in factors:
+        for Y in factors:
+            P = product(X, Y)
+            for c, ((x, I), (y, J)) in P.cell_pair.items():
+                first, width, stride = P._blocks[c.dim][I, J][:3]
+                assert c.index == first + x.index * width + y.index * stride
+                assert P.simplex_of_pair(Simplex(x, I), Simplex(y, J)) == Simplex(c)
+
+
+def test_simplex_of_pair_reads_no_pair_table():
+    """`simplex_of_pair` answers by block arithmetic before any pair
+    table is read, and the tables are built when first read."""
+    X, Y = cosk0_complex(3, 2).complex, loop_with_triangle()
+    P = product(X, Y)
+    _, cell_pair, pair_cell, _, _ = ref_product(X, Y)
+    for c, (u, v) in cell_pair.items():
+        assert P.simplex_of_pair(u, v) == Simplex(c)
+    for n in range(4):
+        for u in X.simplices(n):
+            for v in Y.simplices(n):
+                assert P.simplex_of_pair(u, v) == ref_simplex_of_pair(X, Y, pair_cell, u, v)
+    # a cell one past the last of its dimension, on either side, is none
+    for u, v in cell_pair.values():
+        (x, I), (y, J) = u, v
+        for bad in (Simplex(CellId(x.dim, X.n_cells(x.dim)), I), v), (u, Simplex(CellId(y.dim, Y.n_cells(y.dim)), J)):
+            with pytest.raises(KeyError):
+                P.simplex_of_pair(*bad)
+    assert "cell_pair" not in vars(P) and "pair_cell" not in vars(P)
+    assert P.pair_cell == pair_cell
+    assert list(vars(P)["cell_pair"].items()) == list(cell_pair.items())
 
 
 def library_calls(names):

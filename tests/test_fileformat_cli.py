@@ -310,6 +310,16 @@ def test_cli_classify_is_never_a_complete_positive(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_classify_rejects_an_image_word_out_of_normal_form(tmp_path, capsys):
+    """s5 of a vertex has dimension 1 but is no simplex: an input error
+    naming its line, not a traceback from the face checks."""
+    _complex_file(tmp_path, "d1.txt", standard_simplex(1).complex)
+    bad = _write(tmp_path, "bad.map", "map d1.txt d1.txt\nimage 0 0\nimage 1 1\nimage 01 s5@0\n")
+    assert cli.main(["classify", bad]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: line 4: image 's5@0' is not in normal form\n"
+
+
 def test_cli_homcat_and_mapspace(tmp_path, capsys):
     horn, full, inc = _gen_files(tmp_path)
     assert cli.main(["homcat", full]) == 0
@@ -475,8 +485,8 @@ def test_cli_op_writes_products_and_joins(tmp_path, capsys):
 
 
 def test_cli_op_product_builds_no_map(tmp_path, monkeypatch):
-    """The projections of a product are built when first read, and
-    `op product` writes the complex only."""
+    """The projections and pair tables of a product are built when first
+    read, and `op product` writes the complex only."""
     built = []
     init = SimplicialMap.__init__
 
@@ -485,11 +495,16 @@ def test_cli_op_product_builds_no_map(tmp_path, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(SimplicialMap, "__init__", counting_init)
+    products = []
+    monkeypatch.setattr(cli, "product", lambda X, Y: products.append(product(X, Y)) or products[-1])
     d2 = _complex_file(tmp_path, "d2.txt", standard_simplex(2).complex)
     c = _complex_file(tmp_path, "c.txt", cosk0_complex(3, 2).complex)
     out = str(tmp_path / "p.txt")
     assert cli.main(["op", "product", d2, c, "-o", out]) == 0
     assert built == []
+    # nor a pair table
+    assert len(products) == 1
+    assert "cell_pair" not in vars(products[0]) and "pair_cell" not in vars(products[0])
     P = product(standard_simplex(2).complex, cosk0_complex(3, 2).complex)
     with open(out, encoding="utf-8") as fh:
         assert parse_complex(fh.read()) == P.complex

@@ -407,7 +407,17 @@ def test_parse_map_matches_the_reference(seed, kind):
     names = list(ref_name_table(f.target).values())
     text = mutate_map(serialize_map(f, "src.txt", "tgt.txt"), names, kind, rng)
     got = map_outcome(parse_map, text, complexes.__getitem__)
-    assert got == map_outcome(ref_parse_map, text, complexes.__getitem__)
+    want = map_outcome(ref_parse_map, text, complexes.__getitem__)
+    if got[0] == "ParseError" and got[1].endswith("is not in normal form"):
+        # an image word out of normal form, which the reference takes and
+        # fails on later: inside `face` (a KeyError or IndexError), or on
+        # the face checks of the whole map (line 0)
+        assert kind == "bad_word"
+        assert want[0] in ("KeyError", "IndexError") or (want[0], want[2]) == ("ParseError", 0)
+        line = text.splitlines()[got[2] - 1].split()
+        assert line[0] == "image" and f"image {line[2]!r} is" in got[1]
+    else:
+        assert got == want
 
 
 def random_faces(rng, counts, valid_share):
