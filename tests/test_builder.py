@@ -713,7 +713,9 @@ def test_simplex_of_pair_reads_no_pair_table():
     # a cell one past the last of its dimension, on either side, is none
     for u, v in cell_pair.values():
         (x, I), (y, J) = u, v
-        for bad in (Simplex(CellId(x.dim, X.n_cells(x.dim)), I), v), (u, Simplex(CellId(y.dim, Y.n_cells(y.dim)), J)):
+        past_x = Simplex(CellId(x.dim, X.n_cells(x.dim)), I)
+        past_y = Simplex(CellId(y.dim, Y.n_cells(y.dim)), J)
+        for bad in (past_x, v), (u, past_y):
             with pytest.raises(KeyError):
                 P.simplex_of_pair(*bad)
     assert "cell_pair" not in vars(P) and "pair_cell" not in vars(P)
