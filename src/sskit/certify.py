@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .core import BUDGET, NO, UNKNOWN, YES, Verdict
 from .core import (
     Budget,
     BudgetExceeded,
@@ -25,7 +26,7 @@ from .core import (
     compose,
 )
 from .homotopy import homotopy_category, pi0
-from .lifting import BUDGET, FOUND, HORN_RANGES, NONE
+from .lifting import HORN_RANGES
 
 Step = tuple[int, int, CellId]  # (dimension, horn index, filler cell)
 
@@ -86,13 +87,6 @@ def verify_certificate(cert: AnodyneCertificate, i: SimplicialMap) -> bool:
 
 
 # -- exhaustive search ---------------------------------------------------------
-
-
-@dataclass
-class CertificateSearchResult:
-    status: str  # FOUND | NONE | BUDGET
-    certificate: AnodyneCertificate | None = None
-    unmatched: CellId | None = None  # a NONE's witness from the matching check
 
 
 def _step_table(B, new: frozenset[CellId], family: str):
@@ -158,18 +152,19 @@ def search_certificate(
     i: SimplicialMap,
     family: str = "inner",
     node_budget: int | Budget = DEFAULT_NODE_BUDGET,
-) -> CertificateSearchResult:
-    """Depth-first search over attachment orders, lex-least step first.
+) -> Verdict:
+    """Depth-first search over attachment orders, lex-least step first;
+    YES has the certificate found as its witness.
 
     A certificate pairs each new cell with another: every filler with its
     freed face.  So before searching, the new cells must admit a perfect
     matching along the steps' (filler, freed face) pairs.  When none
-    exists the answer is NONE, with `unmatched` naming the cell that
-    augmenting paths could not match, and no node is spent.  A matching
-    is necessary, not sufficient (the certificates are its acyclic
-    cases), so the search still decides.  NONE is order-complete: failed
-    present-sets are memoized, so it is returned only once no order of
-    horn fillings can reach the target.
+    exists the answer is NO, witnessed by the cell that augmenting paths
+    could not match, and no node is spent.  A matching is necessary, not
+    sufficient (the certificates are its acyclic cases), so the search
+    still decides.  NO is order-complete: failed present-sets are
+    memoized, so it is returned only once no order of horn fillings can
+    reach the target.
     """
     if family not in HORN_RANGES:
         raise ValueError(f"unknown anodyne class {family!r}")
@@ -180,12 +175,12 @@ def search_certificate(
     allc = frozenset(B.all_cells())
     start = frozenset(i.images[a].base for a in i.source.all_cells())
     if (len(allc) - len(start)) % 2:
-        return CertificateSearchResult(NONE)  # steps add two cells each
+        return Verdict(NO)  # steps add two cells each
     new = allc - start
     table = _step_table(B, new, family)
     unmatched = _unmatched_cell(new, (created for _, created, _ in table))
     if unmatched is not None:
-        return CertificateSearchResult(NONE, unmatched=unmatched)
+        return Verdict(NO, witness=unmatched)
     dead: set[frozenset[CellId]] = set()
 
     def moves(present: frozenset[CellId]):
@@ -211,27 +206,22 @@ def search_certificate(
                 path.append((child, moves(child)))
                 steps.append(move[0])
     except BudgetExceeded:
-        return CertificateSearchResult(BUDGET)
+        return Verdict(BUDGET)
     if not path:
-        return CertificateSearchResult(NONE)
+        return Verdict(NO)
     cert = AnodyneCertificate(family, steps)
     if not verify_certificate(cert, i):
         raise AssertionError("search produced a non-verifying certificate")
-    return CertificateSearchResult(FOUND, cert)
+    return Verdict(YES, witness=cert)
 
 
 # -- classifier for vertex-bijective inclusions ---------------------------------
 
-INNER_ANODYNE = "inner-anodyne"
-NOT_INNER_ANODYNE = "not-inner-anodyne"
-UNKNOWN = "unknown"
-
 
 @dataclass
-class ClassifierVerdict:
-    value: str  # INNER_ANODYNE | NOT_INNER_ANODYNE | UNKNOWN
+class ClassifierReport:
+    verdict: Verdict  # YES with a certificate, NO, or UNKNOWN
     reason: str | None = None  # "not-vertex-bijective" | "equivalence-refuted"
-    certificate: AnodyneCertificate | None = None
     diagnostics: list[str] = field(default_factory=list)
 
 
@@ -271,7 +261,7 @@ def classify_inclusion(
     i: SimplicialMap,
     node_budget: int | Budget = DEFAULT_NODE_BUDGET,
     word_budget: int = DEFAULT_WORD_BUDGET,
-) -> ClassifierVerdict:
+) -> ClassifierReport:
     """Semi-decide whether a mono inclusion is inner anodyne.
 
     Pipeline: vertex bijectivity (hard refutation), cellular certificate
@@ -281,22 +271,22 @@ def classify_inclusion(
     if not i.is_mono():
         raise ValueError("classifier takes a mono inclusion")
     if not i.is_vertex_bijective():
-        return ClassifierVerdict(NOT_INNER_ANODYNE, "not-vertex-bijective")
+        return ClassifierReport(Verdict(NO), "not-vertex-bijective")
     sr = search_certificate(i, "inner", node_budget)
-    if sr.status == FOUND:
-        return ClassifierVerdict(INNER_ANODYNE, certificate=sr.certificate)
-    if sr.unmatched is not None:
-        diags = [f"no horn matching: {i.target.label(sr.unmatched)}"]
-    elif sr.status == NONE:
+    if sr.value == YES:
+        return ClassifierReport(sr)
+    if sr.witness is not None:
+        diags = [f"no horn matching: {i.target.label(sr.witness)}"]
+    elif sr.value == NO:
         diags = ["exhausted-cellular-search"]
     else:
         diags = ["certificate search hit the node budget"]
     reason = _equivalence_refutation(i, word_budget)
     if reason is not None:
-        return ClassifierVerdict(
-            NOT_INNER_ANODYNE, "equivalence-refuted", diagnostics=diags + [reason]
+        return ClassifierReport(
+            Verdict(NO, witness=reason), "equivalence-refuted", diags + [reason]
         )
-    return ClassifierVerdict(UNKNOWN, diagnostics=diags)
+    return ClassifierReport(Verdict(UNKNOWN), diagnostics=diags)
 
 
 # -- two-out-of-three consistency -------------------------------------------------
@@ -304,14 +294,22 @@ def classify_inclusion(
 
 @dataclass
 class TwoOutOfThreeReport:
-    u: ClassifierVerdict
-    v: ClassifierVerdict
-    vu: ClassifierVerdict
+    u: ClassifierReport
+    v: ClassifierReport
+    vu: ClassifierReport
     alarm: bool
 
     @property
     def pattern(self) -> tuple[str, str, str]:
-        return (self.u.value, self.v.value, self.vu.value)
+        return (self.u.verdict.value, self.v.verdict.value, self.vu.verdict.value)
+
+    @property
+    def verdict(self) -> Verdict:
+        """NO when the alarm is raised, YES when the three are consistent
+        and decided, UNKNOWN otherwise."""
+        if self.alarm:
+            return Verdict(NO, witness=self.pattern)
+        return Verdict(UNKNOWN if UNKNOWN in self.pattern else YES)
 
 
 def check_two_out_of_three(
@@ -331,6 +329,6 @@ def check_two_out_of_three(
         classify_inclusion(f, budget, word_budget)
         for f in (u, v, compose(u, v))
     ]
-    values = [r.value for r in verdicts]
-    alarm = values.count(INNER_ANODYNE) == 2 and values.count(NOT_INNER_ANODYNE) == 1
+    values = [r.verdict.value for r in verdicts]
+    alarm = values.count(YES) == 2 and values.count(NO) == 1
     return TwoOutOfThreeReport(*verdicts, alarm)

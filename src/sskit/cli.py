@@ -1,8 +1,10 @@
 """Command-line entry point.
 
-Exit codes: 0 = positive and complete at the given bound, 1 = refuted
-with a witness, 2 = unknown / bounded / budget, or an internal fault
-reported with verdict "error", 3 = input error.
+A command that checks something returns its `Verdict`, and `exit_code`
+is the one rule for every command: 0 = yes with no bound, 1 = no (with a
+witness), 2 = anything else (a yes up to a bound, unknown, budget), or an
+internal fault reported with verdict "error"; 3 = input error.  A command
+that only builds something has no verdict and exits 0.
 Structured output (`--format structured`) is a single JSON object with a
 `format_version` field.
 """
@@ -17,6 +19,7 @@ import os
 import sys
 
 from . import certify, factorize, homotopy, lifting
+from .core import BUDGET, NO, UNKNOWN, YES, Verdict
 from .core import (
     DEFAULT_NODE_BUDGET,
     DEFAULT_WORD_BUDGET,
@@ -42,7 +45,19 @@ from .fileformat import (
 
 FORMAT_VERSION = 1
 
-OK, REFUTED, UNKNOWN, INPUT_ERROR = 0, 1, 2, 3
+INPUT_ERROR = 3
+
+# how each printed vocabulary spells a verdict's value ({} is its bound)
+_FOUND = {YES: "found", NO: "none", BUDGET: "budget"}
+_RLP = {YES: "YesUpTo({})", NO: "No(witness)", BUDGET: "Budget"}
+_ANODYNE = {YES: "inner-anodyne", NO: "not-inner-anodyne", UNKNOWN: "unknown"}
+
+
+def exit_code(verdict: Verdict) -> int:
+    """0 only for a yes that holds with no bound, 1 for a no, 2 otherwise."""
+    if verdict.value == NO:
+        return 1
+    return 0 if verdict.value == YES and verdict.bound is None else 2
 
 
 # the complexes one `main` call has loaded, by absolute path
@@ -90,17 +105,12 @@ def _write_or_print(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _status_code(status: str) -> int:
-    return {"found": OK, "yes": OK, "none": REFUTED, "no": REFUTED}.get(status, UNKNOWN)
-
-
 # -- verb handlers ----------------------------------------------------------------
 
 
 def _cmd_validate(args):
     X = _load_complex(args.file)
     _emit({"command": "validate", "verdict": "ok", "cells": X.total_cells()}, args)
-    return OK
 
 
 def _cmd_gen(args):
@@ -114,7 +124,6 @@ def _cmd_gen(args):
     except ValueError as e:
         raise ValueError(f"gen {kind}: bad parameters {ps} ({e})") from None
     _write_or_print(serialize_complex(G.complex), args.output)
-    return OK
 
 
 def _cmd_op(args):
@@ -125,7 +134,6 @@ def _cmd_op(args):
     else:
         Z = join(X, Y).complex
     _write_or_print(serialize_complex(Z), args.output)
-    return OK
 
 
 def _cmd_lift(args):
@@ -141,21 +149,21 @@ def _cmd_lift(args):
         v = terminal_map(i.target, pt)
     P = lifting.LiftingProblem(i, p, u, v)
     r = lifting.solve_lift(P, args.node_budget)
-    report = {"command": "lift", "status": r.status}
-    if r.status == lifting.FOUND:
-        report["lift"] = serialize_map(r.lift, "<target-of-i>", "<source-of-p>")
-    elif r.status == lifting.NONE:
+    report = {"command": "lift", "status": _FOUND[r.value]}
+    if r.value == YES:
+        report["lift"] = serialize_map(r.witness, "<target-of-i>", "<source-of-p>")
+    elif r.value == NO:
         report["witness_u"] = serialize_map(u, "<source-of-i>", "<source-of-p>")
         report["witness_v"] = serialize_map(v, "<target-of-i>", "<target-of-p>")
     _emit(report, args)
-    return _status_code(r.status)
+    return r
 
 
 def _cmd_classify(args):
     p = _load_map(args.map)
     classes = tuple(args.classes.split(",")) if args.classes else lifting.FIBRATION_CLASSES
     rep = lifting.classify_map(p, args.max_dim, args.node_budget, classes)
-    verdicts = {k: str(v) for k, v in rep.classes.items()}
+    verdicts = {k: _RLP[v.value].format(v.bound) for k, v in rep.classes.items()}
     _emit(
         {
             "command": "classify",
@@ -166,10 +174,7 @@ def _cmd_classify(args):
         },
         args,
     )
-    statuses = [v.status for v in rep.classes.values()]
-    if lifting.NO in statuses:
-        return REFUTED
-    return UNKNOWN  # bounded yes (or budget) is never a complete positive
+    return rep.verdict
 
 
 def _cmd_homcat(args):
@@ -188,7 +193,7 @@ def _cmd_homcat(args):
         "exact": h.exact,
     }
     _emit(report, args)
-    return OK if h.exact else UNKNOWN
+    return Verdict(YES if h.exact else UNKNOWN)
 
 
 def _cmd_equiv_edge(args):
@@ -198,22 +203,21 @@ def _cmd_equiv_edge(args):
         raise ValueError(f"no edge named {args.edge!r}")
     v = homotopy.homotopy_category(X, args.word_budget).is_equivalence(Simplex(e))
     _emit({"command": "equiv-edge", "verdict": v.value}, args)
-    return _status_code(v.value)
+    return v
 
 
 def _cmd_isofib(args):
     p = _load_map(args.map)
-    rep = homotopy.check_isofibration(p, args.word_budget)
-    report = {"command": "isofib", "verdict": rep.verdict}
-    if rep.witness:
-        f, x = rep.witness
+    v = homotopy.check_isofibration(p, args.word_budget)
+    report = {"command": "isofib", "verdict": v.value}
+    if v.witness:
+        f, x = v.witness
         report["witness"] = {
             "base_edge": name_table(p.target)[f],
             "stranded_vertex": name_table(p.source)[x],
         }
     _emit(report, args)
-    # equivalence detection is word-budget bounded, so yes is bounded
-    return UNKNOWN if rep.verdict == "yes" else _status_code(rep.verdict)
+    return v
 
 
 def _cmd_catfib(args):
@@ -221,34 +225,34 @@ def _cmd_catfib(args):
     rep = homotopy.check_categorical_fibration(
         p, args.max_dim, args.node_budget, args.word_budget
     )
+    v = rep.verdict
     _emit(
         {
             "command": "catfib",
-            "verdict": rep.verdict,
-            "inner": str(rep.inner),
-            "isofibration": rep.isofibration.verdict,
-            "bound": rep.bound,
+            "verdict": v.value,
+            "inner": _RLP[rep.inner.value].format(rep.inner.bound),
+            "isofibration": rep.isofibration.value,
+            "bound": v.bound,
         },
         args,
     )
-    return UNKNOWN if rep.verdict == "yes" else _status_code(rep.verdict)
+    return v
 
 
 def _cmd_dk_check(args):
     f = _load_map(args.map)
     rep = homotopy.dwyer_kan_check(f, args.dims, args.word_budget)
+    ff = rep.fully_faithful
     report = {
         "command": "dk-check",
-        "essentially_surjective": rep.essentially_surjective,
-        "fully_faithful": rep.fully_faithful,
+        "essentially_surjective": rep.essentially_surjective.value,
+        "fully_faithful": ff.value,
     }
-    if rep.failing_pair:
+    if ff.witness:
         names = name_table(f.source)
-        report["failing_pair"] = [names[c] for c in rep.failing_pair]
+        report["failing_pair"] = [names[c] for c in ff.witness]
     _emit(report, args)
-    if "no" in (rep.essentially_surjective, rep.fully_faithful):
-        return REFUTED
-    return UNKNOWN  # a yes is bounded, so never a complete positive
+    return rep.verdict
 
 
 def _cmd_mapspace(args):
@@ -267,7 +271,6 @@ def _cmd_mapspace(args):
         },
         args,
     )
-    return OK
 
 
 def _cmd_certify(args):
@@ -277,15 +280,15 @@ def _cmd_certify(args):
             cert = parse_certificate(fh.read(), i.target)
         ok = certify.verify_certificate(cert, i)
         _emit({"command": "certify", "verified": ok}, args)
-        return OK if ok else REFUTED
+        return Verdict(YES if ok else NO)
     r = certify.search_certificate(i, args.family, args.node_budget)
-    report = {"command": "certify", "class": args.family, "status": r.status}
-    if r.certificate is not None:
-        report["certificate"] = serialize_certificate(r.certificate, i.target)
-    if r.unmatched is not None:
-        report["unmatched"] = name_table(i.target)[r.unmatched]
+    report = {"command": "certify", "class": args.family, "status": _FOUND[r.value]}
+    if r.value == YES:
+        report["certificate"] = serialize_certificate(r.witness, i.target)
+    elif r.witness is not None:
+        report["unmatched"] = name_table(i.target)[r.witness]
     _emit(report, args)
-    return _status_code(r.status)
+    return r
 
 
 def _cmd_two_of_three(args):
@@ -295,18 +298,14 @@ def _cmd_two_of_three(args):
     _emit(
         {
             "command": "two-of-three",
-            "u": rep.u.value,
-            "v": rep.v.value,
-            "vu": rep.vu.value,
+            "u": _ANODYNE[rep.u.verdict.value],
+            "v": _ANODYNE[rep.v.verdict.value],
+            "vu": _ANODYNE[rep.vu.verdict.value],
             "alarm": rep.alarm,
         },
         args,
     )
-    if rep.alarm:
-        return REFUTED
-    if certify.UNKNOWN in rep.pattern:
-        return UNKNOWN
-    return OK
+    return rep.verdict
 
 
 def _cmd_prefibrantize(args):
@@ -324,13 +323,11 @@ def _cmd_prefibrantize(args):
     else:
         report["result"] = serialize_complex(trace.result)
     _emit(report, args)
-    return OK
 
 
 def _cmd_saturate(args):
     X = _load_complex(args.file)
     res = factorize.saturate_prefibrant(X, args.up_to, args.node_budget)
-    ok = not res.p2_violations and res.hom_levels_equal
     _emit(
         {
             "command": "saturate",
@@ -344,7 +341,7 @@ def _cmd_saturate(args):
     )
     if args.output:
         _write_or_print(serialize_complex(res.truncation), args.output)
-    return OK if ok else REFUTED
+    return Verdict(NO if res.p2_violations or not res.hom_levels_equal else YES)
 
 
 def _cmd_complete(args):
@@ -360,7 +357,6 @@ def _cmd_complete(args):
     _emit({"command": "complete", "stages": sizes, "bound": bound}, args)
     if args.output:
         _write_or_print(serialize_complex(cur), args.output)
-    return OK
 
 
 def _cmd_descend_triangle(args):
@@ -377,7 +373,6 @@ def _cmd_descend_triangle(args):
         },
         args,
     )
-    return OK
 
 
 def _cmd_pathspace(args):
@@ -393,7 +388,6 @@ def _cmd_pathspace(args):
     )
     if args.output:
         _write_or_print(serialize_complex(res.space), args.output)
-    return OK
 
 
 # -- argument parsing ---------------------------------------------------------------
@@ -525,15 +519,16 @@ def main(argv: list[str] | None = None) -> int:
         bounds = (args.max_dim, getattr(args, "up_to", None), getattr(args, "dims", None))
         if any(b is not None and b < 0 for b in bounds):
             raise ValueError("bounds must not be negative")
-        return args.fn(args)
+        verdict = args.fn(args)
     except (ValueError, OSError) as e:  # ParseError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return INPUT_ERROR
     except (AssertionError, RuntimeError) as e:  # an internal fault, never a verdict
         _emit({"command": args.command, "verdict": "error", "reason": str(e)}, args)
-        return UNKNOWN
+        verdict = Verdict(UNKNOWN, witness=str(e))
     finally:
         _loaded.clear()
+    return 0 if verdict is None else exit_code(verdict)
 
 
 if __name__ == "__main__":

@@ -3,6 +3,7 @@
 from types import ModuleType as _ModuleType
 
 from .budget import Budget, BudgetExceeded, DEFAULT_NODE_BUDGET, DEFAULT_WORD_BUDGET
+from .budget import BUDGET, NO, UNKNOWN, YES, Verdict, all_of
 from .complex import ComplexBuilder, SimplicialSet, validate
 from .generators import (
     GENERATORS,

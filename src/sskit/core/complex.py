@@ -80,7 +80,8 @@ class SimplicialSet:
         return () if c.dim == 0 and self.has_cell(c) else self._faces[c]
 
     def label(self, c: CellId) -> str:
-        return self.labels.get(c, f"c{c.dim}_{c.index}")
+        lab = self.labels.get(c)
+        return f"c{c.dim}_{c.index}" if lab is None else lab
 
     def cell_by_label(self, name: str) -> CellId | None:
         for c, lab in self.labels.items():

@@ -9,9 +9,10 @@ are SliceSpaces; function complexes are FunctionComplexTruncations.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Sequence
 
-from .budget import Budget, DEFAULT_WORD_BUDGET
+from .budget import YES, Budget, DEFAULT_WORD_BUDGET
 from .complex import ComplexBuilder, SimplicialSet
 from .generators import GeneratorComplex, standard_simplex
 from .maps import (
@@ -126,7 +127,8 @@ def hom_left(X: SimplicialSet, x: CellId, y: CellId, up_to: int) -> SliceSpace:
 
 class FunctionComplexTruncation(LevelwiseSpace):
     """Level n holds simplicial maps K x Delta^n -> C from the exponent K,
-    where products[n] = product(K, Delta^n)."""
+    where products[n] = product(K, Delta^n); `connect` builds the maps
+    between the products (`_enumerate_levels`)."""
 
     def __init__(
         self,
@@ -134,6 +136,7 @@ class FunctionComplexTruncation(LevelwiseSpace):
         deltas: list[GeneratorComplex],
         products: list[Product],
         levels: list[list[SimplicialMap]],
+        connect: Callable[[int, tuple[int, ...]], SimplicialMap],
     ) -> None:
         self.base = base  # C
         self.deltas = deltas
@@ -141,17 +144,11 @@ class FunctionComplexTruncation(LevelwiseSpace):
         # id x d_i : K x Delta^n -> K x Delta^{n+1} at [n][i], and
         # id x s_j : K x Delta^{n+1} -> K x Delta^n at [n][j]
         self._face_connectors = [
-            [
-                _connecting(deltas, products, n + 1, [v if v < i else v + 1 for v in range(n + 1)])
-                for i in range(n + 2)
-            ]
+            [connect(n + 1, tuple(v if v < i else v + 1 for v in range(n + 1))) for i in range(n + 2)]
             for n in range(len(deltas) - 1)
         ]
         self._degeneracy_connectors = [
-            [
-                _connecting(deltas, products, n, [v if v <= j else v - 1 for v in range(n + 2)])
-                for j in range(n + 1)
-            ]
+            [connect(n, tuple(v if v <= j else v - 1 for v in range(n + 2))) for j in range(n + 1)]
             for n in range(len(deltas) - 1)
         ]
         super().__init__(levels, self.face_map, self.deg_map)
@@ -181,7 +178,7 @@ class FunctionComplexTruncation(LevelwiseSpace):
 
 
 def _connecting(
-    deltas: list[GeneratorComplex], products: list[Product], n: int, images: list[int]
+    deltas: list[GeneratorComplex], products: list[Product], n: int, images: tuple[int, ...]
 ) -> SimplicialMap:
     """id x d : K x Delta^m -> K x Delta^n, where m = len(images) - 1 and
     d sends vertex v to vertex images[v]."""
@@ -192,16 +189,17 @@ def _connecting(
     return product_functor(products[m], products[n], identity_map(products[m].x), d)
 
 
-def _enumerate_levels(
-    C: SimplicialSet, K: SimplicialSet, up_to: int, budget: Budget | None
-) -> tuple[list[GeneratorComplex], list[Product], list[list[SimplicialMap]]]:
-    """Delta^n, K x Delta^n and every map K x Delta^n -> C, for n <= up_to."""
+def _enumerate_levels(C: SimplicialSet, K: SimplicialSet, up_to: int, budget: Budget | None):
+    """Delta^n, K x Delta^n and every map K x Delta^n -> C, for n <= up_to,
+    and `_connecting` on them, which builds each map once when first asked
+    for it and keeps it as long as the function complex is being built."""
     if up_to < 0:
         raise ValueError("truncation bound must be >= 0")
     deltas = [standard_simplex(n) for n in range(up_to + 1)]
     products = [product(K, d.complex) for d in deltas]
     levels = [list(enumerate_maps(P.complex, C, budget=budget)) for P in products]
-    return deltas, products, levels
+    connect = functools.cache(lambda n, images: _connecting(deltas, products, n, images))
+    return deltas, products, levels, connect
 
 
 def function_complex(
@@ -226,20 +224,20 @@ def restricted_function_complex(
     K -> C whose image edges are all equivalence edges of C."""
     from ..homotopy import homotopy_category  # deferred: avoids module cycle
 
-    deltas, products, all_levels = _enumerate_levels(C, K, up_to, budget)
+    deltas, products, all_levels, connect = _enumerate_levels(C, K, up_to, budget)
     hc = homotopy_category(C, word_budget)
 
     def vertex_ok(u: SimplicialMap) -> bool:
         return all(
-            hc.is_equivalence(u.images[e]).value == "yes"
+            hc.is_equivalence(u.images[e]).value == YES
             for e in products[0].complex.cells(1)
         )
 
     ok = {u for u in all_levels[0] if vertex_ok(u)}
     levels = [[u for u in all_levels[0] if u in ok]]
     for n in range(1, up_to + 1):
-        vertices = [_connecting(deltas, products, n, [j]) for j in range(n + 1)]
+        vertices = [connect(n, (j,)) for j in range(n + 1)]
         levels.append(
             [u for u in all_levels[n] if all(compose(w, u) in ok for w in vertices)]
         )
-    return FunctionComplexTruncation(C, deltas, products, levels)
+    return FunctionComplexTruncation(C, deltas, products, levels, connect)

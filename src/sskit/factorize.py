@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .certify import AnodyneCertificate
+from .core import BUDGET, NO, YES, Verdict
 from .core import (
     Attachment,
     Budget,
@@ -44,16 +45,7 @@ from .core import (
     sub_complex,
     validate,
 )
-from .lifting import (
-    BUDGET,
-    FOUND,
-    NONE,
-    YES,
-    Key,
-    classify_map,
-    family_keys,
-    key_inclusion,
-)
+from .lifting import Key, classify_map, family_keys, key_inclusion
 
 # -- small-object stages (one pushout per stage) -------------------------------
 
@@ -99,14 +91,14 @@ def soa_stage(
 
 @dataclass
 class PreFibrantReport:
-    # "yes" | "no" | "budget" for each dimension the check entered; key 2
-    # holds the 2-horns at index 1, keys n >= 3 the constant-d_0 horns
-    verdicts: dict[int, str]
-    witness: SimplicialMap | None = None  # the horn behind a "no"
+    # YES, NO or BUDGET for each dimension the check entered; key 2 holds
+    # the 2-horns at index 1, keys n >= 3 the constant-d_0 horns
+    verdicts: dict[int, Verdict]
+    witness: SimplicialMap | None = None  # the horn behind a NO
 
     @property
     def ok(self) -> bool:
-        return all(v == "yes" for v in self.verdicts.values())
+        return all(v.value == YES for v in self.verdicts.values())
 
 
 def _needs_filler(key: Key, alpha: SimplicialMap, budget: Budget) -> bool:
@@ -141,13 +133,13 @@ def is_prefibrant(
     try:
         for key in family_keys("inner", max(bound, 2)):
             n = key[0]
-            report.verdicts[n] = "yes"
+            report.verdicts[n] = Verdict(YES)
             for alpha in enumerate_maps(key_inclusion(key).source, S, budget=budget):
                 if _needs_filler(key, alpha, budget):
-                    report.verdicts[n], report.witness = "no", alpha
+                    report.verdicts[n], report.witness = Verdict(NO), alpha
                     return report
     except BudgetExceeded:
-        report.verdicts[n] = "budget"
+        report.verdicts[n] = Verdict(BUDGET)
     return report
 
 
@@ -214,7 +206,7 @@ def saturate_prefibrant(
     BudgetExceeded, as the attachments do: it refutes nothing."""
     budget = Budget.of(node_budget)
     pre = is_prefibrant(S, up_to_dim, budget)
-    if "budget" in pre.verdicts.values():
+    if Verdict(BUDGET) in pre.verdicts.values():
         raise BudgetExceeded("the pre-fibrancy check ran out of budget")
     if not pre.ok:
         raise ValueError("saturation requires a pre-fibrant input up to the bound")
@@ -403,8 +395,7 @@ def mapping_path_space(
 
 @dataclass
 class DescentSearchResult:
-    status: str  # FOUND | NONE | BUDGET
-    bound: int  # top dimension of the new cells
+    verdict: Verdict  # up to the top dimension of the new cells
     extension: SimplicialSet | None = None
     inclusion: SimplicialMap | None = None
     base_map: SimplicialMap | None = None
@@ -423,7 +414,7 @@ def search_descent_extension(
     inclusion i pulling back to the given complex over its domain.
 
     New cells sit over simplices whose base lies outside the image of i;
-    at most two new cells are tried per dimension.  NONE is a bounded
+    at most two new cells are tried per dimension.  NO is a bounded
     refutation (the caps are part of the verdict); BUDGET is a distinct
     outcome.  The inner-fibration check of each candidate spends the same
     budget as the search.
@@ -466,11 +457,10 @@ def search_descent_extension(
         qm = SimplicialMap(Y, B, q)
         if qm.check():
             raise AssertionError("descent candidate has a non-simplicial base map")
-        rep = classify_map(qm, bound, budget, classes=("inner",))
-        status = rep.classes["inner"].status
-        if status == BUDGET:
+        value = classify_map(qm, bound, budget, classes=("inner",)).classes["inner"].value
+        if value == BUDGET:
             raise BudgetExceeded(f"node budget {budget.limit} exceeded")
-        if status != YES:
+        if value != YES:
             return None
         inc = SimplicialMap(X, Y, {c: Simplex(c) for c in X.all_cells()})
         return Y, inc, qm
@@ -525,7 +515,7 @@ def search_descent_extension(
                 new[d].append(cand)
                 found = climb(d)
     except BudgetExceeded:
-        return DescentSearchResult(BUDGET, bound)
+        return DescentSearchResult(Verdict(BUDGET, bound))
     if found is None:
-        return DescentSearchResult(NONE, bound)
-    return DescentSearchResult(FOUND, bound, *found)
+        return DescentSearchResult(Verdict(NO, bound))
+    return DescentSearchResult(Verdict(YES, bound), *found)

@@ -16,7 +16,7 @@ the order of a loop over all pairs.  It has two bounds and no pass limit:
 more than `_MAX_RULES` rules beyond one per relation, and a left side
 longer than twice the word budget, the longest word a presentation
 normalises (an inverse check joins two hom words).  Hitting either makes
-the presentation inexact: answers turn "unknown", never into a wrong "no".
+the presentation inexact: answers turn UNKNOWN, never into a wrong NO.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 
+from .core import NO, UNKNOWN, YES, Verdict, all_of
 from .core import (
     DEFAULT_NODE_BUDGET,
     DEFAULT_WORD_BUDGET,
@@ -35,7 +36,7 @@ from .core import (
     hom_left,
     sub_complex,
 )
-from .lifting import FOUND, NO, RlpVerdict, YES, classify_map
+from .lifting import classify_map
 
 Word = tuple[CellId, ...]
 
@@ -185,12 +186,6 @@ def complete(relations: list[tuple[Word, Word]], max_len: int) -> tuple[RuleTabl
 
 
 @dataclass
-class EquivalenceVerdict:
-    value: str  # "yes" | "no" | "unknown"
-    witness: Word | None = None
-
-
-@dataclass
 class CategoryPresentation:
     objects: list[CellId]
     edges: dict[CellId, tuple[CellId, CellId]]  # generator -> (src, tgt)
@@ -220,17 +215,18 @@ class CategoryPresentation:
             self.inverse_of(w, x, y) is not None for w in self.hom_set(x, y)
         )
 
-    def is_equivalence(self, e: Simplex) -> EquivalenceVerdict:
-        """Is the class of an edge invertible?"""
+    def is_equivalence(self, e: Simplex) -> Verdict:
+        """Is the class of an edge invertible?  YES has an inverse word
+        as its witness."""
         if e.dim != 1:
             raise ValueError("equivalence test takes an edge")
         if not e.nondegenerate:
-            return EquivalenceVerdict("yes", ())
+            return Verdict(YES, witness=())
         src, tgt = self.edges[e.base]
         g = self.inverse_of((e.base,), src, tgt)
         if g is not None:
-            return EquivalenceVerdict("yes", g)
-        return EquivalenceVerdict("no" if self.exact else "unknown")
+            return Verdict(YES, witness=g)
+        return Verdict(NO if self.exact else UNKNOWN)
 
 
 def _edge_endpoints(S: SimplicialSet, e: CellId) -> tuple[CellId, CellId]:
@@ -304,23 +300,19 @@ def pi0(space) -> list[frozenset[CellId]]:
 # -- isofibrations and categorical fibrations ----------------------------------
 
 
-@dataclass
-class IsofibrationReport:
-    verdict: str  # "yes" | "no" | "unknown"
-    witness: tuple[CellId, CellId] | None = None  # (base edge, stranded vertex)
-
-
 def check_isofibration(
     p: SimplicialMap, word_budget: int = DEFAULT_WORD_BUDGET
-) -> IsofibrationReport:
+) -> Verdict:
     """Every equivalence edge of the base lifts, with prescribed source,
-    to an equivalence edge of the total complex."""
+    to an equivalence edge of the total complex.  Equivalences are found
+    within the word budget, so YES holds up to it; NO is witnessed by a
+    (base edge, stranded vertex) pair."""
     X, S = p.source, p.target
     hx, hs = homotopy_category(X, word_budget), homotopy_category(S, word_budget)
     unknown = False
     for f in S.cells(1):
         vf = hs.is_equivalence(Simplex(f))
-        if vf.value == "no":
+        if vf.value == NO:
             continue
         f_src = _edge_endpoints(S, f)[0]
         for x in X.cells(0):
@@ -334,25 +326,29 @@ def check_isofibration(
                 if _edge_endpoints(X, u)[0] != x:
                     continue
                 vu = hx.is_equivalence(Simplex(u))
-                if vu.value == "yes":
+                if vu.value == YES:
                     lifted = True
                     break
-                if vu.value == "unknown":
+                if vu.value == UNKNOWN:
                     lift_unknown = True
             if lifted:
                 continue
-            if vf.value == "yes" and not lift_unknown:
-                return IsofibrationReport("no", (f, x))
+            if vf.value == YES and not lift_unknown:
+                return Verdict(NO, witness=(f, x))
             unknown = True
-    return IsofibrationReport("unknown" if unknown else "yes")
+    return Verdict(UNKNOWN if unknown else YES, word_budget)
 
 
 @dataclass
 class CategoricalFibrationReport:
-    inner: RlpVerdict
-    isofibration: IsofibrationReport
-    verdict: str  # "yes" (bounded) | "no" | "unknown"
-    bound: int
+    inner: Verdict
+    isofibration: Verdict
+
+    @property
+    def verdict(self) -> Verdict:
+        """Both conditions at once, up to the dimension the inner one
+        was checked to."""
+        return all_of((self.inner, self.isofibration), self.inner.bound)
 
 
 def check_categorical_fibration(
@@ -362,15 +358,7 @@ def check_categorical_fibration(
     word_budget: int = DEFAULT_WORD_BUDGET,
 ) -> CategoricalFibrationReport:
     rep = classify_map(p, max_dim, node_budget, classes=("inner",))
-    inner = rep.classes["inner"]
-    iso = check_isofibration(p, word_budget)
-    if inner.status == NO or iso.verdict == "no":
-        verdict = "no"
-    elif inner.status == YES and iso.verdict == "yes":
-        verdict = "yes"
-    else:
-        verdict = "unknown"
-    return CategoricalFibrationReport(inner, iso, verdict, rep.checked_dim)
+    return CategoricalFibrationReport(rep.classes["inner"], check_isofibration(p, word_budget))
 
 
 # -- Dwyer-Kan conditions -------------------------------------------------------
@@ -378,9 +366,15 @@ def check_categorical_fibration(
 
 @dataclass
 class DwyerKanReport:
-    essentially_surjective: str
-    fully_faithful: str
-    failing_pair: tuple[CellId, CellId] | None = None
+    essentially_surjective: Verdict
+    fully_faithful: Verdict  # witnessed by the first failing pair of objects
+
+    @property
+    def verdict(self) -> Verdict:
+        """Both conditions at once, up to the mapping-space truncation."""
+        return all_of(
+            (self.essentially_surjective, self.fully_faithful), self.fully_faithful.bound
+        )
 
 
 def collapses_to_point(X: SimplicialSet) -> bool:
@@ -393,7 +387,7 @@ def collapses_to_point(X: SimplicialSet) -> bool:
         return False
     _, v = sub_complex(X, [CellId(0, 0)])
     steps = (X.total_cells() - 1) // 2
-    return search_certificate(v, "kan", steps + 1).status == FOUND
+    return search_certificate(v, "kan", steps + 1).value == YES
 
 
 def dwyer_kan_check(
@@ -402,18 +396,18 @@ def dwyer_kan_check(
     word_budget: int = DEFAULT_WORD_BUDGET,
 ) -> DwyerKanReport:
     """Essential surjectivity on homotopy categories, and a three-valued
-    fully-faithfulness check on left mapping spaces."""
+    fully-faithfulness check on left mapping spaces truncated at `dims`."""
     C, D = f.source, f.target
     hd = homotopy_category(D, word_budget)
     image_objs = {f.images[c].base for c in C.cells(0)}
-    ess = "yes"
+    ess = Verdict(YES)
     for d in D.cells(0):
         if any(hd.iso_exists(a, d) for a in image_objs):
             continue
-        ess = "no" if hd.exact else "unknown"
+        ess = Verdict(NO if hd.exact else UNKNOWN)
         break
 
-    ff = "yes"
+    ff = YES
     failing = None
     for c in C.cells(0):
         for c2 in C.cells(0):
@@ -426,12 +420,12 @@ def dwyer_kan_check(
             if level_bij:
                 continue
             if not _pi0_bijection(f, hc, hdm):
-                return DwyerKanReport(ess, "no", (c, c2))
+                return DwyerKanReport(ess, Verdict(NO, dims, (c, c2)))
             if collapses_to_point(hc.space) and collapses_to_point(hdm.space):
                 continue
-            ff = "unknown"
+            ff = UNKNOWN
             failing = failing or (c, c2)
-    return DwyerKanReport(ess, ff, failing)
+    return DwyerKanReport(ess, Verdict(ff, dims, failing))
 
 
 def _level_bijection(f: SimplicialMap, src_level, tgt_level) -> bool:

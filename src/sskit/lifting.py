@@ -2,9 +2,9 @@
 
 A lifting problem is a commuting square u/v over a mono inclusion i and a
 map p; the solver backtracks over images of the missing cells, each
-right after its faces (`SimplicialSet.faces_first`).  NONE is only ever
-reported after exhausting the finite search space; running out of node
-budget is a distinct outcome.
+right after its faces (`SimplicialSet.faces_first`).  NO is only ever
+answered after exhausting the finite search space; running out of node
+budget is the distinct answer BUDGET.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
+from .core import BUDGET, NO, YES, Verdict, all_of
 from .core import (
     Budget,
     BudgetExceeded,
@@ -27,13 +28,6 @@ from .core import (
     spine_complex,
     standard_simplex,
 )
-
-FOUND = "found"
-NONE = "none"
-BUDGET = "budget"
-
-YES = "yes"
-NO = "no"
 
 FIBRATION_CLASSES = ("inner", "left", "right", "kan", "trivial_kan")
 
@@ -80,16 +74,11 @@ class LiftingProblem:
         return out
 
 
-@dataclass
-class LiftResult:
-    status: str  # FOUND | NONE | BUDGET
-    lift: SimplicialMap | None = None
-
-
 def solve_lift(
     P: LiftingProblem, node_budget: int | Budget = DEFAULT_NODE_BUDGET
-) -> LiftResult:
-    """First lift of the square, in deterministic search order."""
+) -> Verdict:
+    """YES with the first lift of the square, in deterministic search
+    order, as its witness; NO when the square has no lift."""
     bad = P.check()
     if bad:
         raise ValueError("; ".join(bad))
@@ -106,10 +95,10 @@ def solve_lift(
             lower = all(P.p.apply(s) == P.v.images[b] for b, s in lift.images.items())
             if not (lower and fixed.items() <= lift.images.items()):
                 raise AssertionError("solver produced an invalid lift")
-            return LiftResult(FOUND, lift)
+            return Verdict(YES, witness=lift)
     except BudgetExceeded:
-        return LiftResult(BUDGET)
-    return LiftResult(NONE)
+        return Verdict(BUDGET)
+    return Verdict(NO)
 
 
 # -- generating families ------------------------------------------------------
@@ -154,20 +143,6 @@ _table_simplex = functools.cache(standard_simplex)
 # -- right-lifting-property checks --------------------------------------------
 
 
-@dataclass
-class RlpVerdict:
-    status: str  # YES | NO | BUDGET
-    bound: int
-    witness: LiftingProblem | None = None
-
-    def __str__(self) -> str:
-        if self.status == YES:
-            return f"YesUpTo({self.bound})"
-        if self.status == NO:
-            return "No(witness)"
-        return "Budget"
-
-
 def lifts_inner_horns(p: SimplicialMap) -> bool:
     """Both ends of p are nerves, so every square over an inner horn lifts:
     the unique filler above maps to the unique filler below."""
@@ -179,11 +154,12 @@ def has_rlp(
     keys: Iterable[Key],
     max_dim: int,
     node_budget: int | Budget = DEFAULT_NODE_BUDGET,
-) -> RlpVerdict:
+) -> Verdict:
     """Right lifting property of p against every instantiated square over
     the generators named by the keys, skipping those above the bound
-    unbuilt.  The squares over i are the maps u: A -> X, each with every
-    map v extending p o u along i.
+    unbuilt: YES up to the bound, or NO with a square that has no lift.
+    The squares over i are the maps u: A -> X, each with every map v
+    extending p o u along i.
 
     Inner horns are skipped unbuilt, with no search, when p lifts against
     them all (`lifts_inner_horns`, tested at the first one)."""
@@ -205,21 +181,24 @@ def has_rlp(
                 for v in enumerate_maps(i.target, p.target, fixed, budget=budget):
                     P = LiftingProblem(i, p, u, v)
                     r = solve_lift(P, budget)
-                    if r.status == NONE:
-                        return RlpVerdict(NO, max_dim, P)
-                    if r.status == BUDGET:
-                        return RlpVerdict(BUDGET, max_dim)
+                    if r.value != YES:
+                        return Verdict(r.value, max_dim, P if r.value == NO else None)
         except BudgetExceeded:
-            return RlpVerdict(BUDGET, max_dim)
-    return RlpVerdict(YES, max_dim)
+            return Verdict(BUDGET, max_dim)
+    return Verdict(YES, max_dim)
 
 
 @dataclass
 class FibrationReport:
-    classes: dict[str, RlpVerdict] = field(default_factory=dict)
+    classes: dict[str, Verdict] = field(default_factory=dict)
     mono: bool = False
     vertex_bijective: bool = False
     checked_dim: int = 0
+
+    @property
+    def verdict(self) -> Verdict:
+        """Every class at once, up to the checked dimension."""
+        return all_of(self.classes.values(), self.checked_dim)
 
 
 def classify_map(
@@ -244,15 +223,15 @@ def classify_map(
         vertex_bijective=p.is_vertex_bijective(),
         checked_dim=bound,
     )
-    verdicts: dict[Key, RlpVerdict] = {}
+    verdicts: dict[Key, Verdict] = {}
     for name in classes:
-        report.classes[name] = RlpVerdict(YES, bound)
+        report.classes[name] = Verdict(YES, bound)
         if name == "inner" and lifts_inner_horns(p):
             continue
         for key in family_keys(name, bound):
             if key not in verdicts:
                 verdicts[key] = has_rlp(p, [key], bound, budget)
-            if verdicts[key].status != YES:
+            if verdicts[key].value != YES:
                 report.classes[name] = verdicts[key]
                 break
     return report

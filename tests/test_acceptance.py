@@ -12,13 +12,14 @@ import time
 import pytest
 
 from sskit.certify import (
-    INNER_ANODYNE,
     check_two_out_of_three,
     classify_inclusion,
     search_certificate,
     verify_certificate,
 )
 from sskit.core import (
+    NO,
+    YES,
     Budget,
     CellId,
     Simplex,
@@ -45,9 +46,6 @@ from sskit.factorize import (
 )
 from sskit.homotopy import check_categorical_fibration, homotopy_category, pi0
 from sskit.lifting import (
-    FOUND,
-    NONE,
-    YES,
     classify_map,
     family_keys,
     generator_inclusion,
@@ -98,9 +96,9 @@ def test_criterion_01_generators_products_joins_validate():
 def test_criterion_02_spine_certificates(n, steps):
     t0 = time.monotonic()
     r = search_certificate(spine_inclusion(n))
-    assert r.status == FOUND
-    assert len(r.certificate.steps) == steps
-    assert verify_certificate(r.certificate, spine_inclusion(n))
+    assert r.value == YES
+    assert len(r.witness.steps) == steps
+    assert verify_certificate(r.witness, spine_inclusion(n))
     assert time.monotonic() - t0 < 30.0
 
 
@@ -116,11 +114,11 @@ def test_criterion_03_square_in_tetrahedron_is_left_right_but_not_cellular_inner
     t0 = time.monotonic()
     i = _square_in_tetrahedron()
     assert i.is_mono() and i.is_vertex_bijective()
-    assert search_certificate(i, "inner").status == NONE
+    assert search_certificate(i, "inner").value == NO
     for family in ("left", "right"):
         r = search_certificate(i, family)
-        assert r.status == FOUND
-        assert verify_certificate(r.certificate, i)
+        assert r.value == YES
+        assert verify_certificate(r.witness, i)
     assert time.monotonic() - t0 < 10.0
 
 
@@ -131,13 +129,13 @@ def test_criterion_04_glued_spines_fill_spines_but_not_the_inner_horn(glued_spin
     for n in range(1, 5):
         inc = spine_inclusion(n)
         for alpha in enumerate_maps(inc.source, S):
-            assert solve_lift(extension_problem(alpha, inc)).status == FOUND
+            assert solve_lift(extension_problem(alpha, inc)).value == YES
     u = compose(
         generator_inclusion(horn_complex(3, 1), boundary_complex(3)),
         glued_spines.from_codomain,
     )
     r = solve_lift(extension_problem(u, key_inclusion((3, 1))))
-    assert r.status == NONE
+    assert r.value == NO
     assert u.check() == []  # the witness is a replayable horn map
     assert time.monotonic() - t0 < 10.0
 
@@ -225,7 +223,7 @@ def test_criterion_07_descent_over_the_open_triangle():
         build_horn_plus_vertex(),
     ]
     for p in fibrations:
-        assert classify_map(p, classes=("inner",)).classes["inner"].status == YES
+        assert classify_map(p, classes=("inner",)).classes["inner"].value == YES
         res = descend_over_triangle(p, stages=2)
         assert over_horn_is_source(p, res)
         assert len(res.stages) == 3
@@ -234,14 +232,14 @@ def test_criterion_07_descent_over_the_open_triangle():
 
 def test_criterion_08_categorical_fibration_classifier(walking_iso):
     d1 = standard_simplex(1).complex
-    assert check_categorical_fibration(identity_map(d1)).verdict == "yes"
+    assert check_categorical_fibration(identity_map(d1)).verdict.value == "yes"
     P = product(d1, d1)
-    assert check_categorical_fibration(P.proj1, 2).verdict == "yes"
+    assert check_categorical_fibration(P.proj1, 2).verdict.value == "yes"
     S, x, _ = walking_iso
     pt = standard_simplex(0).complex
     inc = SimplicialMap(pt, S, {CellId(0, 0): Simplex(x)})
     rep = check_categorical_fibration(inc)
-    assert rep.verdict == "no"
+    assert rep.verdict.value == "no"
     # the witness replays: the stranded vertex has no equivalence lift
     base_edge, stranded = rep.isofibration.witness
     assert stranded == CellId(0, 0)
@@ -270,6 +268,6 @@ def test_criterion_10_equivalence_restricted_evaluation_is_trivial_kan():
     ev = fc.restrict_to_vertex(CellId(0, 0))
     assert ev.check() == []
     v = has_rlp(ev, family_keys("trivial_kan", 2), 2)
-    assert v.status == YES
-    assert str(v) == "YesUpTo(2)"
+    assert v.value == YES
+    assert v.bound == 2
     assert time.monotonic() - t0 < 60.0

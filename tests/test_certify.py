@@ -8,6 +8,9 @@ import pytest
 
 from sskit import cli
 from sskit.core import (
+    BUDGET,
+    NO,
+    YES,
     Budget,
     BudgetExceeded,
     CellId,
@@ -19,9 +22,6 @@ from sskit.core import (
     sub_complex,
 )
 from sskit.certify import (
-    INNER_ANODYNE,
-    NOT_INNER_ANODYNE,
-    UNKNOWN,
     AnodyneCertificate,
     _legal_step,
     _step_table,
@@ -34,10 +34,7 @@ from sskit.certify import (
 from sskit.fileformat import name_table, serialize_complex, serialize_map
 from sskit.factorize import prefibrantize, saturate_prefibrant
 from sskit.lifting import (
-    BUDGET,
-    FOUND,
     HORN_RANGES,
-    NONE,
     generator_inclusion,
     key_inclusion,
     spine_inclusion,
@@ -77,36 +74,41 @@ def test_out_of_range_horn_index_is_a_content_failure():
     assert verify_certificate(AnodyneCertificate("left", [(2, 0, top)]), i0)
 
 
+def _unmatched(r):
+    """The cell that the matching check of a NO left unmatched, if any."""
+    return r.witness if r.value == NO else None
+
+
 def test_search_finds_spine_certificates():
     for n, steps in ((2, 1), (3, 4)):
         r = search_certificate(spine_inclusion(n))
-        assert r.status == FOUND
-        assert len(r.certificate.steps) == steps
-        assert verify_certificate(r.certificate, spine_inclusion(n))
+        assert r.value == YES
+        assert len(r.witness.steps) == steps
+        assert verify_certificate(r.witness, spine_inclusion(n))
 
 
 def test_identity_has_the_empty_certificate():
     r = search_certificate(identity_map(standard_simplex(2).complex))
-    assert r.status == FOUND
-    assert r.certificate.steps == []
+    assert r.value == YES
+    assert r.witness.steps == []
 
 
 def test_parity_shortcut_refutes_odd_cell_deficits():
     # the boundary inclusion adds a single cell: no sequence of
     # two-cell steps can account for it
     r = search_certificate(key_inclusion((2, None)), "kan")
-    assert r.status == NONE
+    assert r.value == NO
 
 
 def test_search_respects_the_node_budget():
     r = search_certificate(spine_inclusion(4), node_budget=Budget(3))
-    assert r.status == BUDGET
+    assert r.value == BUDGET
 
 
 def test_inner_certificates_verify_under_every_wider_class():
     r = search_certificate(spine_inclusion(3))
     for family in ("left", "right", "kan"):
-        cert = dataclasses.replace(r.certificate, family=family)
+        cert = dataclasses.replace(r.witness, family=family)
         assert verify_certificate(cert, spine_inclusion(3))
 
 
@@ -138,22 +140,22 @@ def test_saturation_steps_verify_as_a_certificate():
 
 def test_classifier_confirms_an_inner_horn():
     v = classify_inclusion(key_inclusion((3, 2)))
-    assert v.value == INNER_ANODYNE
-    assert verify_certificate(v.certificate, key_inclusion((3, 2)))
+    assert v.verdict.value == YES
+    assert verify_certificate(v.verdict.witness, key_inclusion((3, 2)))
 
 
 def test_classifier_refutes_the_interval_boundary():
     # vertex-bijective, so the refutation has to come from the
     # homotopy-category invariants
     v = classify_inclusion(key_inclusion((1, None)))
-    assert v.value == NOT_INNER_ANODYNE
+    assert v.verdict.value == NO
     assert v.reason == "equivalence-refuted"
 
 
 def test_classifier_refutes_on_vertex_count():
     i = generator_inclusion(standard_simplex(0), standard_simplex(1))
     v = classify_inclusion(i)
-    assert v.value == NOT_INNER_ANODYNE
+    assert v.verdict.value == NO
     assert v.reason == "not-vertex-bijective"
 
 
@@ -161,7 +163,7 @@ def test_two_out_of_three_on_a_factored_horn():
     u = generator_inclusion(spine_complex(3), horn_complex(3, 1))
     v = generator_inclusion(horn_complex(3, 1), standard_simplex(3))
     rep = check_two_out_of_three(u, v)
-    assert rep.pattern == (INNER_ANODYNE,) * 3
+    assert rep.pattern == (YES,) * 3
     assert not rep.alarm
 
 
@@ -179,9 +181,9 @@ def test_random_mono_pairs_never_alarm():
             continue
         rep = check_two_out_of_three(*pair)
         assert not rep.alarm
-        for verdict, inc in zip((rep.u, rep.v), pair):
-            if verdict.value == INNER_ANODYNE:
-                assert verify_certificate(verdict.certificate, inc)
+        for report, inc in zip((rep.u, rep.v), pair):
+            if report.verdict.value == YES:
+                assert verify_certificate(report.verdict.witness, inc)
         checked += 1
 
 
@@ -196,7 +198,7 @@ def reference_search(i, family, budget):
     allc = frozenset(B.all_cells())
     start = frozenset(i.images[a].base for a in i.source.all_cells())
     if (len(allc) - len(start)) % 2:
-        return NONE, None
+        return NO, None
     dead = set()
 
     def moves(present):
@@ -225,7 +227,7 @@ def reference_search(i, family, budget):
         found = dfs(start, [])
     except BudgetExceeded:
         return BUDGET, None
-    return (NONE, None) if found is None else (FOUND, found)
+    return (NO, None) if found is None else (YES, found)
 
 
 def spine_into_simplex(n, rng, blocked):
@@ -256,9 +258,9 @@ def test_a_matching_without_an_order_is_left_to_the_search():
     i, U, L = loops_and_two_triangles()
     budget = Budget(100)
     r = search_certificate(i, "kan", budget)
-    assert r.status == NONE and r.unmatched is None
+    assert r.value == NO and _unmatched(r) is None
     assert budget.used > 0
-    assert reference_search(i, "kan", Budget(100)) == (NONE, None)
+    assert reference_search(i, "kan", Budget(100)) == (NO, None)
 
 
 def test_two_fillers_of_one_face_leave_a_cell_unmatched():
@@ -266,8 +268,8 @@ def test_two_fillers_of_one_face_leave_a_cell_unmatched():
     i, U, L = loops_and_two_triangles()
     budget = Budget(100)
     r = search_certificate(i, "inner", budget)
-    assert r.status == NONE
-    assert r.unmatched == L
+    assert r.value == NO
+    assert _unmatched(r) == L
     assert budget.used == 0
     v = classify_inclusion(i)
     assert v.diagnostics[0] == "no horn matching: L"
@@ -282,15 +284,15 @@ def test_a_face_the_filler_also_needs_is_never_freed():
     T = b.add_cell(2, (Simplex(a), Simplex(e), Simplex(e)), "T")
     _, i = sub_complex(b.build(), [x, y, a])
     r = search_certificate(i, "inner")
-    assert r.status == NONE and r.unmatched == T
+    assert r.value == NO and _unmatched(r) == T
 
 
 def test_the_blocked_spine_of_delta5_names_the_new_vertex(tmp_path, capsys):
     i, G = spine_into_simplex(5, random.Random(0), blocked=True)
     budget = Budget(3000)
     r = search_certificate(i, "inner", budget)
-    assert r.status == NONE
-    assert r.unmatched == G.lookup[(6,)]
+    assert r.value == NO
+    assert _unmatched(r) == G.lookup[(6,)]
     assert budget.used <= 1
     sp, amb = tmp_path / "spine.txt", tmp_path / "amb.txt"
     sp.write_text(serialize_complex(i.source))
@@ -327,21 +329,21 @@ def test_search_agrees_with_the_reference_search():
     for i, family in _pinned_inclusions():
         r = search_certificate(i, family, budget)
         want, steps = reference_search(i, family, Budget(budget))
-        outcomes.add((r.status, r.unmatched is not None, want))
-        if r.unmatched is None:
-            assert r.status == want
+        outcomes.add((r.value, _unmatched(r) is not None, want))
+        if _unmatched(r) is None:
+            assert r.value == want
         else:
-            assert r.status == NONE and want in (NONE, BUDGET)
-        if r.status == FOUND:
-            assert r.certificate.steps == steps
+            assert r.value == NO and want in (NO, BUDGET)
+        if r.value == YES:
+            assert r.witness.steps == steps
             new = frozenset(i.target.all_cells()) - {i.images[a].base for a in i.source.all_cells()}
             B = i.target
-            pairs = [(top, B.face(Simplex(top), hi).base) for _, hi, top in r.certificate.steps]
+            pairs = [(top, B.face(Simplex(top), hi).base) for _, hi, top in r.witness.steps]
             assert {c for p in pairs for c in p} == new
             assert _unmatched_cell(new, pairs) is None
     # the sample reaches a certificate, a matching refutation, and a
     # reference search that runs out where the matching refutes
-    assert {(FOUND, False, FOUND), (NONE, True, BUDGET)} <= outcomes
+    assert {(YES, False, YES), (NO, True, BUDGET)} <= outcomes
 
 
 # -- the search on explicit stacks --------------------------------------------------
@@ -377,12 +379,12 @@ def recursive_search(i, family, budget):
     allc = frozenset(B.all_cells())
     start = frozenset(i.images[a].base for a in i.source.all_cells())
     if (len(allc) - len(start)) % 2:
-        return NONE, None, None
+        return NO, None, None
     new = allc - start
     table = _step_table(B, new, family)
     unmatched = recursive_unmatched_cell(new, (created for _, created, _ in table))
     if unmatched is not None:
-        return NONE, unmatched, None
+        return NO, unmatched, None
     dead = set()
 
     def moves(present):
@@ -407,7 +409,7 @@ def recursive_search(i, family, budget):
         found = dfs(start, [])
     except BudgetExceeded:
         return BUDGET, None, None
-    return (NONE, None, None) if found is None else (FOUND, None, found)
+    return (NO, None, None) if found is None else (YES, None, found)
 
 
 def _seeded_inclusions(seed, count):
@@ -429,21 +431,21 @@ def test_search_agrees_with_the_recursive_search(family):
         for limit in (3, 20000):
             budget, ref_budget = Budget(limit), Budget(limit)
             r = search_certificate(i, family, budget)
-            steps = r.certificate.steps if r.certificate else None
-            assert (r.status, r.unmatched, steps) == recursive_search(i, family, ref_budget)
+            steps = r.witness.steps if r.value == YES else None
+            assert (r.value, _unmatched(r), steps) == recursive_search(i, family, ref_budget)
             assert budget.used == ref_budget.used
-            outcomes.add((r.status, r.unmatched is not None))
-    assert {(FOUND, False), (NONE, True), (BUDGET, False)} <= outcomes
+            outcomes.add((r.value, _unmatched(r) is not None))
+    assert {(YES, False), (NO, True), (BUDGET, False)} <= outcomes
 
 
 def test_spine_inclusions_past_a_thousand_steps_are_found():
     i = spine_inclusion(10)
     budget = Budget(10**6)
     r = search_certificate(i, "inner", budget)
-    assert r.status == FOUND
-    assert len(r.certificate.steps) == 1013
+    assert r.value == YES
+    assert len(r.witness.steps) == 1013
     assert budget.used == 1014  # one descent, no backtracking
-    assert verify_certificate(r.certificate, i)
+    assert verify_certificate(r.witness, i)
 
 
 def test_a_long_augmenting_path_gets_an_answer():
@@ -457,5 +459,5 @@ def test_a_long_augmenting_path_gets_an_answer():
         cx.add_cell(1, (Simplex(V[k]), Simplex(V[k - 1])))
     _, i = sub_complex(cx.build(), [V[0]])
     r = search_certificate(i, "kan")
-    assert r.status == FOUND
-    assert len(r.certificate.steps) == n
+    assert r.value == YES
+    assert len(r.witness.steps) == n

@@ -42,11 +42,12 @@ from sskit.core import (
     validate,
     word_is_valid,
 )
+from sskit.core import spaces
 from sskit.factorize import mapping_path_space
 from sskit.fileformat import serialize_complex
 from sskit.lifting import generator_inclusion
 
-from conftest import random_generator_complex, random_looped_complex
+from conftest import build_walking_iso, random_generator_complex, random_looped_complex
 
 
 # -- degeneracy words ----------------------------------------------------------
@@ -533,6 +534,38 @@ def test_function_complex_evaluation_lands_in_the_base():
     ev = fc.restrict_to_vertex(CellId(0, 0))
     assert ev.check() == []
     assert ev.target == d1
+
+
+@pytest.mark.parametrize("up_to, levels, cells, built", [
+    (1, [6, 34], (6, 28), 3),
+    (2, [6, 34, 110], (6, 28, 48), 11),
+])
+def test_a_function_complex_builds_each_connecting_map_once(up_to, levels, cells, built, monkeypatch):
+    """The vertex maps K x Delta^0 -> K x Delta^1 that restrict the levels
+    are also its face maps; the levels are those pinned before each map
+    was built once (5 and 13 builds then)."""
+    calls = []
+    connecting = spaces._connecting
+
+    def counting(deltas, products, n, images):
+        calls.append((n, images))
+        return connecting(deltas, products, n, images)
+
+    monkeypatch.setattr(spaces, "_connecting", counting)
+    fc = restricted_function_complex(build_walking_iso()[0], standard_simplex(1).complex, up_to)
+    assert ([len(lv) for lv in fc.levels], fc.space.cell_counts()) == (levels, cells)
+    assert len(calls) == len(set(calls)) == built
+    calls.clear()
+    mapping_path_space(identity_map(standard_simplex(1).complex), 1)
+    assert len(calls) == len(set(calls)) == 3
+
+
+def test_a_cell_label_is_returned_as_given_and_a_missing_one_is_made_up():
+    b = ComplexBuilder()
+    b.add_cell(0, label="")
+    b.add_cell(0)
+    X = b.build()
+    assert [X.label(v) for v in X.cells(0)] == ["", "c0_1"]
 
 
 _TRIANGLE_TEXT = """dim 2

@@ -9,6 +9,7 @@ from itertools import combinations, product
 import pytest
 
 import sskit
+from sskit.core import BUDGET, NO, YES, Verdict
 from sskit.core import (
     Budget,
     BudgetExceeded,
@@ -46,10 +47,6 @@ from sskit.factorize import (
 )
 from sskit.fileformat import serialize_complex
 from sskit.lifting import (
-    BUDGET,
-    FOUND,
-    NONE,
-    YES,
     classify_map,
     generator_inclusion,
     key_inclusion,
@@ -96,7 +93,7 @@ def test_spine_is_not_prefibrant_and_the_witness_is_the_open_horn():
     for max_dim in (3, 1):
         rep = is_prefibrant(spine_complex(2).complex, max_dim)
         assert not rep.ok
-        assert rep.verdicts == {2: "no"}
+        assert rep.verdicts == {2: Verdict(NO)}
         assert rep.witness is not None
 
 
@@ -123,8 +120,8 @@ def test_factorizations_record_their_bound():
     assert descend_over_triangle(p).bound == 3
     assert descend_over_triangle(p, max_dim=0).bound == 0
     i = generator_inclusion(horn_complex(2, 1), standard_simplex(2))
-    assert search_descent_extension(p, i).bound == 3  # the target's dimension plus one
-    assert search_descent_extension(p, i, max_dim=1).bound == 1
+    assert search_descent_extension(p, i).verdict.bound == 3  # the target's dimension plus one
+    assert search_descent_extension(p, i, max_dim=1).verdict.bound == 1
 
 
 def test_saturation_of_the_triangle():
@@ -151,7 +148,7 @@ def test_a_starved_saturation_pre_check_is_a_budget_overrun_not_a_refutation():
     # cosk0(3, 2) is pre-fibrant, and its pre-check answers "budget" at 5 nodes
     with pytest.raises(BudgetExceeded):
         saturate_prefibrant(cosk0_complex(3, 2).complex, 3, 5)
-    assert is_prefibrant(cosk0_complex(3, 2).complex, 3, 5).verdicts == {2: "budget"}
+    assert is_prefibrant(cosk0_complex(3, 2).complex, 3, 5).verdicts == {2: Verdict(BUDGET)}
 
 
 def test_saturation_on_random_prefibrant_truncations():
@@ -212,7 +209,7 @@ def test_descent_extension_search_finds_the_minimal_filler():
     lam = horn_complex(2, 1)
     i = generator_inclusion(lam, standard_simplex(2))
     res = search_descent_extension(identity_map(lam.complex), i)
-    assert res.status == FOUND
+    assert res.verdict.value == YES
     assert res.extension.cell_counts() == (3, 3, 1)
     assert res.inclusion.is_mono()
     assert res.base_map.check() == []
@@ -222,7 +219,7 @@ def test_descent_extension_search_over_the_spine():
     sp = spine_complex(2)
     i = generator_inclusion(sp, standard_simplex(2))
     res = search_descent_extension(identity_map(sp.complex), i)
-    assert res.status == FOUND
+    assert res.verdict.value == YES
     assert res.extension.cell_counts() == (3, 3, 1)
 
 
@@ -256,7 +253,7 @@ def test_descent_search_spends_no_more_than_its_budget(limit, target, needed, mo
     res = search_descent_extension(identity_map(sp.complex), i, node_budget=limit)
     assert sum(spent) <= limit + 1
     # the unbounded search finds its extension after the needed nodes
-    assert res.status == (FOUND if limit >= needed else BUDGET)
+    assert res.verdict.value == (YES if limit >= needed else BUDGET)
 
 
 # The node counts below pin the faces-first search order; the results were
@@ -277,11 +274,11 @@ def _images(f):
 @pytest.mark.parametrize(
     "name, used, lambda21, constant, witness",
     [
-        ("simplex2", 2204, "yes", {3: "yes", 4: "yes"}, None),
-        ("spine2", 24, "no", {}, "[<0.0>, <0.1>, <0.2>, <1.0>, <1.1>]"),
-        ("simplex3", 5538, "yes", {3: "yes", 4: "yes"}, None),
-        ("cosk0_3_2", 9906, "yes", {3: "yes", 4: "yes"}, None),
-        ("simplex3_1skeleton", 33, "no", {}, "[<0.0>, <0.1>, <0.2>, <1.0>, <1.3>]"),
+        ("simplex2", 2204, Verdict(YES), {3: Verdict(YES), 4: Verdict(YES)}, None),
+        ("spine2", 24, Verdict(NO), {}, "[<0.0>, <0.1>, <0.2>, <1.0>, <1.1>]"),
+        ("simplex3", 5538, Verdict(YES), {3: Verdict(YES), 4: Verdict(YES)}, None),
+        ("cosk0_3_2", 9906, Verdict(YES), {3: Verdict(YES), 4: Verdict(YES)}, None),
+        ("simplex3_1skeleton", 33, Verdict(NO), {}, "[<0.0>, <0.1>, <0.2>, <1.0>, <1.3>]"),
     ],
 )
 def test_is_prefibrant_results_and_node_counts_are_pinned(
@@ -349,7 +346,7 @@ def test_descent_result_and_node_count_are_pinned():
 @pytest.mark.parametrize("limit", range(1, 12))
 def test_a_starved_prefibrancy_check_answers_budget(limit):
     rep = is_prefibrant(standard_simplex(2).complex, node_budget=limit)
-    assert rep.verdicts == {2: "budget"}
+    assert rep.verdicts == {2: Verdict(BUDGET)}
     assert rep.witness is None
 
 
@@ -405,7 +402,7 @@ def recursive_descent_search(p, i, max_dim, budget):
             return None
         qm = SimplicialMap(Y, B, q)
         rep = classify_map(qm, bound, budget, classes=("inner",))
-        status = rep.classes["inner"].status
+        status = rep.classes["inner"].value
         if status == BUDGET:
             raise BudgetExceeded("budget")
         return (Y, qm) if status == YES else None
@@ -457,9 +454,9 @@ def recursive_descent_search(p, i, max_dim, budget):
     except BudgetExceeded:
         return BUDGET, None, None
     if found is None:
-        return NONE, None, None
+        return NO, None, None
     Y, qm = found
-    return FOUND, serialize_complex(Y), _images(qm)
+    return YES, serialize_complex(Y), _images(qm)
 
 
 def _descent_inclusions():
@@ -488,7 +485,7 @@ def _descent_inputs(seed):
 
 
 @pytest.mark.parametrize(
-    "max_dim, statuses", [(None, {FOUND, BUDGET}), (1, {FOUND}), (2, {FOUND, NONE, BUDGET})]
+    "max_dim, statuses", [(None, {YES, BUDGET}), (1, {YES}), (2, {YES, NO, BUDGET})]
 )
 def test_descent_search_agrees_with_the_recursive_search(max_dim, statuses):
     # with max_dim 1 no inner horn is checked, so the first candidate is found
@@ -497,12 +494,12 @@ def test_descent_search_agrees_with_the_recursive_search(max_dim, statuses):
         for limit in (50, 400, 1393, 1394, 5000, 40000):
             budget, ref_budget = Budget(limit), Budget(limit)
             res = search_descent_extension(p, i, max_dim, budget)
-            got = (res.status, None, None)
-            if res.status == FOUND:
-                got = (FOUND, serialize_complex(res.extension), _images(res.base_map))
+            got = (res.verdict.value, None, None)
+            if res.verdict.value == YES:
+                got = (YES, serialize_complex(res.extension), _images(res.base_map))
             assert got == recursive_descent_search(p, i, max_dim, ref_budget)
             assert budget.used == ref_budget.used
-            seen.add(res.status)
+            seen.add(res.verdict.value)
     assert seen == statuses
 
 
@@ -510,7 +507,7 @@ def test_a_descent_search_past_a_thousand_dimensions_answers_budget():
     # the boundary of Delta^2 is no nerve, so the inner checks search
     i = sub_complex(boundary_complex(2).complex, [CellId(0, 0)])[1]
     res = search_descent_extension(identity_map(i.source), i, 1100, 3000)
-    assert (res.status, res.bound) == (BUDGET, 1100)
+    assert (res.verdict.value, res.verdict.bound) == (BUDGET, 1100)
 
 
 def test_a_descent_over_nerves_past_a_thousand_dimensions_is_found():
@@ -518,7 +515,7 @@ def test_a_descent_over_nerves_past_a_thousand_dimensions_is_found():
     inner checks builds a horn."""
     i = sub_complex(standard_simplex(1).complex, [CellId(0, 0)])[1]
     res = search_descent_extension(identity_map(i.source), i, 1100, 3000)
-    assert (res.status, res.bound) == (FOUND, 1100)
+    assert (res.verdict.value, res.verdict.bound) == (YES, 1100)
     assert validate(res.extension) == []
     assert res.inclusion.check() == res.base_map.check() == []
 

@@ -11,19 +11,20 @@ from hypothesis import given, settings, strategies as st
 
 from sskit import certify, cli, factorize, lifting
 from sskit.certify import (
-    INNER_ANODYNE,
-    NOT_INNER_ANODYNE,
-    ClassifierVerdict,
+    ClassifierReport,
     TwoOutOfThreeReport,
     search_certificate,
     verify_certificate,
 )
 from sskit.core import (
+    NO,
+    YES,
     GENERATORS,
     CellId,
     Simplex,
     SimplicialMap,
     SimplicialSet,
+    Verdict,
     cosk0_complex,
     horn_complex,
     identity_map,
@@ -88,7 +89,7 @@ def test_map_round_trip():
 @pytest.mark.parametrize("n, family", [(2, "inner"), (3, "inner"), (3, "left"), (4, "kan")])
 def test_certificate_round_trip(n, family):
     i = spine_inclusion(n)
-    cert = search_certificate(i, family).certificate
+    cert = search_certificate(i, family).witness
     text = serialize_certificate(cert, i.target)
     back = parse_certificate(text, i.target)
     assert (back.family, back.steps) == (cert.family, cert.steps)
@@ -97,7 +98,7 @@ def test_certificate_round_trip(n, family):
 
 def test_certificate_text_names_cells_of_the_target():
     i = spine_inclusion(3)
-    cert = search_certificate(i).certificate
+    cert = search_certificate(i).witness
     assert serialize_certificate(cert, i.target) == (
         "class inner\nstep 2 1 012\nstep 2 1 023\nstep 2 1 123\nstep 3 2 0123\n"
     )
@@ -413,10 +414,10 @@ def test_cli_catfib_reports_the_library_verdicts(name, code, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == {
         "format_version": 1,
         "command": "catfib",
-        "verdict": rep.verdict,
-        "inner": str(rep.inner),
-        "isofibration": rep.isofibration.verdict,
-        "bound": rep.bound,
+        "verdict": rep.verdict.value,
+        "inner": cli._RLP[rep.inner.value].format(rep.inner.bound),
+        "isofibration": rep.isofibration.value,
+        "bound": rep.verdict.bound,
     }
 
 
@@ -428,11 +429,11 @@ def test_cli_dk_check_reports_the_library_verdicts(name, code, tmp_path, capsys)
     expected = {
         "format_version": 1,
         "command": "dk-check",
-        "essentially_surjective": rep.essentially_surjective,
-        "fully_faithful": rep.fully_faithful,
+        "essentially_surjective": rep.essentially_surjective.value,
+        "fully_faithful": rep.fully_faithful.value,
     }
-    if rep.failing_pair:
-        expected["failing_pair"] = [name_table(f.source)[c] for c in rep.failing_pair]
+    if rep.fully_faithful.witness:
+        expected["failing_pair"] = [name_table(f.source)[c] for c in rep.fully_faithful.witness]
     assert cli.main(["--format", "structured", "dk-check", path]) == code
     assert json.loads(capsys.readouterr().out) == expected
 
@@ -459,8 +460,8 @@ def test_cli_two_of_three_exit_codes(tmp_path, capsys):
 def test_cli_two_of_three_alarm_exits_refuted(tmp_path, capsys, monkeypatch):
     # no pair of inclusions raises the alarm, so the report is stubbed
     _, _, inc = _gen_files(tmp_path)
-    yes = ClassifierVerdict(INNER_ANODYNE)
-    alarm = TwoOutOfThreeReport(yes, yes, ClassifierVerdict(NOT_INNER_ANODYNE), True)
+    yes = ClassifierReport(Verdict(YES))
+    alarm = TwoOutOfThreeReport(yes, yes, ClassifierReport(Verdict(NO)), True)
     monkeypatch.setattr(certify, "check_two_out_of_three", lambda *args: alarm)
     assert cli.main(["--format", "structured", "two-of-three", inc, inc]) == 1
     assert json.loads(capsys.readouterr().out)["alarm"] is True
@@ -519,7 +520,7 @@ def test_cli_isofib_reports_the_library_verdict(name, code, tmp_path, capsys):
     rep = check_isofibration(f)
     assert cli.main(["--format", "structured", "isofib", path]) == code
     report = json.loads(capsys.readouterr().out)
-    assert report["verdict"] == rep.verdict
+    assert report["verdict"] == rep.value
     if rep.witness:
         assert set(report["witness"]) == {"base_edge", "stranded_vertex"}
 

@@ -435,7 +435,7 @@ def test_a_long_spine_collapses():
 
 def test_identity_is_an_isofibration(walking_iso):
     S, _, _ = walking_iso
-    assert check_isofibration(identity_map(S)).verdict == "yes"
+    assert check_isofibration(identity_map(S)).value == "yes"
 
 
 def test_vertex_inclusion_strands_an_equivalence(walking_iso):
@@ -443,7 +443,7 @@ def test_vertex_inclusion_strands_an_equivalence(walking_iso):
     pt = standard_simplex(0).complex
     inc = SimplicialMap(pt, S, {CellId(0, 0): Simplex(x)})
     rep = check_isofibration(inc)
-    assert rep.verdict == "no"
+    assert rep.value == "no"
     assert rep.witness is not None
     base_edge, stranded = rep.witness
     assert stranded == CellId(0, 0)
@@ -453,18 +453,18 @@ def test_categorical_fibration_combines_both_checks(walking_iso):
     S, x, _ = walking_iso
     d1 = standard_simplex(1).complex
     P = product(d1, d1)
-    assert check_categorical_fibration(identity_map(d1)).verdict == "yes"
-    assert check_categorical_fibration(P.proj1, 2).verdict == "yes"
+    assert check_categorical_fibration(identity_map(d1)).verdict.value == "yes"
+    assert check_categorical_fibration(P.proj1, 2).verdict.value == "yes"
     pt = standard_simplex(0).complex
     inc = SimplicialMap(pt, S, {CellId(0, 0): Simplex(x)})
-    assert check_categorical_fibration(inc).verdict == "no"
+    assert check_categorical_fibration(inc).verdict.value == "no"
 
 
 def test_dwyer_kan_check_accepts_identities():
     d2 = standard_simplex(2).complex
     rep = dwyer_kan_check(identity_map(d2))
-    assert rep.essentially_surjective == "yes"
-    assert rep.fully_faithful == "yes"
+    assert rep.essentially_surjective.value == "yes"
+    assert rep.fully_faithful.value == "yes"
 
 
 @pytest.mark.parametrize("m, n", [(1, 2), (2, 1)], ids=["missed", "merged"])
@@ -472,9 +472,9 @@ def test_dwyer_kan_check_refutes_on_components_of_mapping_spaces(m, n):
     # the hom-spaces from the first vertex to the second are discrete, one
     # point per edge; the map misses a point or merges two
     rep = dwyer_kan_check(parallel_edges_map(m, n))
-    assert rep.essentially_surjective == "yes"
-    assert rep.fully_faithful == "no"
-    assert rep.failing_pair == (CellId(0, 0), CellId(0, 1))
+    assert rep.essentially_surjective.value == "yes"
+    assert rep.fully_faithful.value == "no"
+    assert rep.fully_faithful.witness == (CellId(0, 0), CellId(0, 1))
 
 
 def test_dwyer_kan_check_flags_a_missing_object():
@@ -482,7 +482,7 @@ def test_dwyer_kan_check_flags_a_missing_object():
     d1 = standard_simplex(1).complex
     inc = SimplicialMap(pt, d1, {CellId(0, 0): Simplex(CellId(0, 0))})
     rep = dwyer_kan_check(inc)
-    assert rep.essentially_surjective == "no"
+    assert rep.essentially_surjective.value == "no"
 
 
 def parallel_edges_with_homotopies(k):
@@ -517,9 +517,9 @@ def test_dwyer_kan_check_accepts_hom_spaces_that_collapse(monkeypatch):
     rep = dwyer_kan_check(parallel_edges_with_homotopies(1))
     # a point, and an interval from e to e'
     assert calls == [((1,), True), ((2, 1), True)]
-    assert rep.essentially_surjective == "yes"
-    assert rep.fully_faithful == "yes"
-    assert rep.failing_pair is None
+    assert rep.essentially_surjective.value == "yes"
+    assert rep.fully_faithful.value == "yes"
+    assert rep.fully_faithful.witness is None
 
 
 def test_dwyer_kan_check_is_unknown_on_a_hom_space_circle(monkeypatch):
@@ -527,6 +527,6 @@ def test_dwyer_kan_check_is_unknown_on_a_hom_space_circle(monkeypatch):
     rep = dwyer_kan_check(parallel_edges_with_homotopies(2))
     # a point, and two edges from e to e'
     assert calls == [((1,), True), ((2, 2), False)]
-    assert rep.essentially_surjective == "yes"
-    assert rep.fully_faithful == "unknown"
-    assert rep.failing_pair == (CellId(0, 0), CellId(0, 1))
+    assert rep.essentially_surjective.value == "yes"
+    assert rep.fully_faithful.value == "unknown"
+    assert rep.fully_faithful.witness == (CellId(0, 0), CellId(0, 1))

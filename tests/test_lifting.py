@@ -6,9 +6,12 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sskit import lifting
+from sskit import cli, lifting
 from sskit.core import generators
 from sskit.core import (
+    BUDGET,
+    NO,
+    YES,
     DEFAULT_NODE_BUDGET,
     Budget,
     BudgetExceeded,
@@ -25,14 +28,10 @@ from sskit.core import (
     product,
     standard_simplex,
     terminal_map,
+    Verdict,
 )
 from sskit.lifting import (
-    BUDGET,
     FIBRATION_CLASSES,
-    FOUND,
-    NO,
-    NONE,
-    YES,
     LiftingProblem,
     classify_map,
     family_keys,
@@ -51,6 +50,12 @@ from conftest import (
 )
 
 PT = standard_simplex(0).complex
+
+
+def _spelled(v):
+    """A fibration-class verdict as `sskit classify` prints it."""
+    return cli._RLP[v.value].format(v.bound)
+
 # neither is a nerve, so the inner checks on them search
 COSK0 = cosk0_complex(3, 2).complex
 BOUNDARY2 = boundary_complex(2).complex
@@ -61,13 +66,13 @@ def test_inner_horn_fills_in_its_own_simplex():
     u = i  # fill the horn inside Delta^2 itself
     p = identity_map(i.target)
     r = solve_lift(LiftingProblem(i, p, u, p))
-    assert r.status == FOUND
-    assert compose(i, r.lift) == u
+    assert r.value == YES
+    assert compose(i, r.witness) == u
 
 
 def test_spine_extends_through_the_full_simplex():
     r = solve_lift(extension_problem(spine_inclusion(3), spine_inclusion(3)))
-    assert r.status == FOUND
+    assert r.value == YES
 
 
 def test_no_lift_when_the_target_lacks_the_filler():
@@ -75,7 +80,7 @@ def test_no_lift_when_the_target_lacks_the_filler():
     # interior has nowhere to go
     i = key_inclusion((2, None))
     r = solve_lift(extension_problem(identity_map(i.source), i))
-    assert r.status == NONE
+    assert r.value == NO
 
 
 def _extensions(f, i, budget):
@@ -91,10 +96,10 @@ def _first_extension(f, i, budget):
     """Status and map of the first reference extension."""
     try:
         for g in _extensions(f, i, budget):
-            return FOUND, g
+            return YES, g
     except BudgetExceeded:
         return BUDGET, None
-    return NONE, None
+    return NO, None
 
 
 def _extension_cases():
@@ -128,11 +133,11 @@ def test_an_extension_is_a_lift_over_the_point_node_for_node(limit):
         ext_budget, lift_budget = Budget(limit), Budget(limit)
         status, g = _first_extension(f, i, ext_budget)
         r = solve_lift(extension_problem(f, i), lift_budget)
-        assert (r.status, r.lift) == (status, g)
+        assert (r.value, r.witness) == (status, g)
         assert lift_budget.used == ext_budget.used
         statuses.add(status)
     # both refutations spend fewer nodes than the smallest limit
-    assert statuses == ({FOUND, NONE} if limit == DEFAULT_NODE_BUDGET else {FOUND, NONE, BUDGET})
+    assert statuses == ({YES, NO} if limit == DEFAULT_NODE_BUDGET else {YES, NO, BUDGET})
 
 
 def _vertex_map(vmap):
@@ -151,7 +156,7 @@ def test_the_lift_self_check_rejects_a_map_that_does_not_fill_the_square(triangl
     else:
         ident = identity_map(i.target)
         P, bad = LiftingProblem(i, ident, i, ident), _vertex_map({0: 0, 1: 0})
-    assert solve_lift(P).status == FOUND
+    assert solve_lift(P).value == YES
     monkeypatch.setattr(lifting, "enumerate_maps", lambda *args: iter([bad]))
     with pytest.raises(AssertionError, match="^solver produced an invalid lift$"):
         solve_lift(P)
@@ -160,15 +165,15 @@ def test_the_lift_self_check_rejects_a_map_that_does_not_fill_the_square(triangl
 def test_budget_exhaustion_is_a_distinct_outcome():
     p = terminal_map(COSK0, PT)
     v = has_rlp(p, family_keys("inner", 3), 3, Budget(5))
-    assert v.status == BUDGET
-    assert str(v) == "Budget"
+    assert v.value == BUDGET
+    assert _spelled(v) == "Budget"
 
 
 def test_inner_horns_between_nerves_need_no_budget():
     p = terminal_map(standard_simplex(2).complex, PT)
     budget = Budget(5)
     v = has_rlp(p, family_keys("inner", 3), 3, budget)
-    assert (str(v), budget.used) == ("YesUpTo(3)", 0)
+    assert (_spelled(v), budget.used) == ("YesUpTo(3)", 0)
 
 
 def test_noncommuting_square_is_rejected():
@@ -195,7 +200,7 @@ def test_generating_families_have_the_right_shapes():
 
 def test_identity_has_every_lifting_property():
     rep = classify_map(identity_map(standard_simplex(2).complex), 3)
-    assert all(v.status == YES for v in rep.classes.values())
+    assert all(v.value == YES for v in rep.classes.values())
     assert rep.mono and rep.vertex_bijective
 
 
@@ -205,7 +210,7 @@ def test_classify_map_spends_one_budget_across_its_classes(limit):
     # checked once per call): the first two fit in 1,000, and the third
     # one runs the shared budget out
     rep = classify_map(identity_map(BOUNDARY2), 3, limit)
-    assert [v.status for v in rep.classes.values()] == [YES, YES, BUDGET, BUDGET, BUDGET]
+    assert [v.value for v in rep.classes.values()] == [YES, YES, BUDGET, BUDGET, BUDGET]
 
 
 @pytest.mark.parametrize("limit", [1000, Budget(1000)], ids=["int", "Budget"])
@@ -213,14 +218,14 @@ def test_classify_map_of_a_nerve_spends_one_budget_across_its_classes(limit):
     # the inner horns of Delta^2 take no nodes, and the other classes take
     # 370, 375, 0 and 345: the trivial Kan class runs the budget out
     rep = classify_map(identity_map(standard_simplex(2).complex), 3, limit)
-    assert [v.status for v in rep.classes.values()] == [YES, YES, YES, YES, BUDGET]
+    assert [v.value for v in rep.classes.values()] == [YES, YES, YES, YES, BUDGET]
 
 
 def test_inner_classification_of_a_projection_spends_the_pinned_nodes():
     P = product(BOUNDARY2, standard_simplex(1).complex)
     budget = Budget(10**7)
     rep = classify_map(P.proj1, 4, budget, classes=("inner",))
-    assert rep.classes["inner"] == lifting.RlpVerdict(YES, 4)
+    assert rep.classes["inner"] == Verdict(YES, 4)
     assert budget.used == 12_590
 
 
@@ -228,7 +233,7 @@ def test_inner_classification_of_a_projection_of_nerves_spends_nothing():
     P = product(standard_simplex(2).complex, standard_simplex(1).complex)
     budget = Budget(10**7)
     rep = classify_map(P.proj1, 4, budget, classes=("inner",))
-    assert rep.classes["inner"] == lifting.RlpVerdict(YES, 4)
+    assert rep.classes["inner"] == Verdict(YES, 4)
     assert budget.used == 0
 
 
@@ -276,8 +281,8 @@ def test_shared_verdicts_match_the_per_class_checks(make, seeds, max_dim):
         assert budget.used <= used
         for name in FIBRATION_CLASSES:
             got, ref = rep.classes[name], want[name]
-            assert got.status == ref.status, (seed, name)
-            if ref.status == NO:
+            assert got.value == ref.value, (seed, name)
+            if ref.value == NO:
                 w, r = got.witness, ref.witness
                 assert (w.i, w.u.images, w.v.images) == (r.i, r.u.images, r.v.images)
 
@@ -337,8 +342,8 @@ def test_keys_above_the_bound_are_skipped_unbuilt(p, keys, monkeypatch):
     monkeypatch.setattr(lifting, "key_inclusion", lambda k: looked_up.append(k) or table(k))
     budget = Budget(DEFAULT_NODE_BUDGET)
     got = has_rlp(p, family_keys("inner", 4), 3, budget)
-    assert (str(got), got.bound, budget.used) == (str(want), 3, want_budget.used)
-    assert str(got) == "YesUpTo(3)"
+    assert (_spelled(got), got.bound, budget.used) == (_spelled(want), 3, want_budget.used)
+    assert _spelled(got) == "YesUpTo(3)"
     assert looked_up == keys
 
 
@@ -380,24 +385,24 @@ def test_each_map_is_scanned_for_mono_once(X, calls_per_call, monkeypatch):
 def test_interval_over_point_is_inner_but_not_kan():
     p = terminal_map(standard_simplex(1).complex, PT)
     rep = classify_map(p)
-    assert rep.classes["inner"].status == YES
-    assert rep.classes["kan"].status == NO
-    assert rep.classes["trivial_kan"].status == NO
+    assert rep.classes["inner"].value == YES
+    assert rep.classes["kan"].value == NO
+    assert rep.classes["trivial_kan"].value == NO
 
 
 def test_rlp_refutation_witness_replays_to_none():
     p = terminal_map(standard_simplex(1).complex, PT)
     v = has_rlp(p, family_keys("kan", 2), 2)
-    assert v.status == NO
-    assert str(v) == "No(witness)"
-    assert solve_lift(v.witness).status == NONE
+    assert v.value == NO
+    assert _spelled(v) == "No(witness)"
+    assert solve_lift(v.witness).value == NO
 
 
 def test_product_projection_is_an_inner_fibration():
     d1 = standard_simplex(1).complex
     P = product(d1, d1)
     rep = classify_map(P.proj1, 2, classes=("inner",))
-    assert rep.classes["inner"].status == YES
+    assert rep.classes["inner"].value == YES
 
 
 @settings(max_examples=25, deadline=None)

@@ -27,7 +27,8 @@ from sskit.core import (
     spine_complex,
     standard_simplex,
 )
-from sskit.lifting import BUDGET, FIBRATION_CLASSES, NO, YES, classify_map, key_inclusion
+from sskit.core import BUDGET, NO, YES
+from sskit.lifting import FIBRATION_CLASSES, classify_map, key_inclusion
 
 from conftest import (
     build_glued_spines,
@@ -165,8 +166,8 @@ def test_classification_between_nerves_gives_the_verdicts_of_the_search(seed):
     for name in FIBRATION_CLASSES:
         g, w = got.classes[name], want.classes[name]
         # the only move allowed: a search that ran out is decided
-        assert g.status == w.status or w.status == BUDGET, (name, g, w)
-        if w.status == NO:
+        assert g.value == w.value or w.value == BUDGET, (name, g, w)
+        if w.value == NO:
             assert (g.witness.i, g.witness.u.images, g.witness.v.images) == (
                 w.witness.i, w.witness.u.images, w.witness.v.images)
 
@@ -177,4 +178,4 @@ def test_the_inner_class_between_nerves_walks_no_key():
     nerves the class is answered without visiting one."""
     rep = classify_map(identity_map(_simplex(2)), 10**6, classes=("inner",))
     verdict = rep.classes["inner"]
-    assert (verdict.status, verdict.bound, rep.checked_dim) == (YES, 10**6, 10**6)
+    assert (verdict.value, verdict.bound, rep.checked_dim) == (YES, 10**6, 10**6)
