@@ -14,9 +14,7 @@ from sskit.core import (
     UNKNOWN,
     YES,
     BudgetExceeded,
-    CellId,
     Simplex,
-    SimplicialMap,
     Verdict,
     all_of,
     cosk0_complex,
@@ -53,16 +51,10 @@ def test_all_of_is_the_first_no_else_yes_when_all_are_yes_else_unknown():
     assert all_of([yes, yes]) == Verdict(YES)
 
 
-def _walking_iso_maps():
-    S, x, _ = build_walking_iso()
-    pt = standard_simplex(0).complex
-    return identity_map(S), SimplicialMap(pt, S, {CellId(0, 0): Simplex(x)})
-
-
 def test_the_yes_of_classify_isofib_catfib_and_dk_check_carries_its_bound():
     """These checks search up to a dimension or a word budget, so their yes
     exits 2; the identity of the walking isomorphism passes each."""
-    p, _ = _walking_iso_maps()
+    p = identity_map(build_walking_iso()[0])
     rep = classify_map(p, 3)
     assert [v.bound for v in rep.classes.values()] == [3] * 5
     assert (rep.verdict.value, rep.verdict.bound) == (YES, 3)
@@ -78,7 +70,7 @@ def test_the_unbounded_yeses_exit_0():
     """A lift, a certificate, an inverse edge and a consistent two-out-of-
     three pattern hold whatever the bounds."""
     i = key_inclusion((2, 1))
-    S, x, _ = build_walking_iso()
+    S = build_walking_iso()[0]
     u = generator_inclusion(spine_complex(3), horn_complex(3, 1))
     v = generator_inclusion(horn_complex(3, 1), standard_simplex(3))
     for verdict in (
