@@ -36,8 +36,10 @@ class SimplicialSet:
         while counts and counts[-1] == 0:
             counts.pop()
         self._counts: tuple[int, ...] = tuple(counts)
+        # CellId(d, i) for each cell, made without a Python-level call
         self._cells: tuple[tuple[CellId, ...], ...] = tuple(
-            tuple(map(CellId, repeat(d, n), range(n))) for d, n in enumerate(counts)
+            tuple(map(tuple.__new__, repeat(CellId), zip(repeat(d, n), range(n))))
+            for d, n in enumerate(counts)
         )
         self._all_cells: tuple[CellId, ...] = sum(self._cells, ())
         self._faces: dict[CellId, tuple[Simplex, ...]] = dict(faces)
@@ -236,19 +238,18 @@ class SimplicialSet:
     def names(self) -> dict[CellId, str]:
         """Unique whitespace-free names of the cells, as the file formats
         write them: the label, or c<dim>_<index> for a cell whose label is
-        missing, empty or holds whitespace, with primes appended until it
-        is unused.  Built once per complex; callers must not change it."""
+        missing, empty or holds whitespace, primed until unused in cell
+        order (`UniqueNames`).  One pass over the cells, each name probed
+        once unless it repeats.  Built once per complex; callers must not
+        change it."""
         names: dict[CellId, str] = {}
-        used: set[str] = set()
+        take = UniqueNames().take
         labels = self.labels
         for c in self._all_cells:
             nm = labels.get(c)
             if nm is None or nm.split() != [nm]:
                 nm = f"c{c.dim}_{c.index}"
-            while nm in used:
-                nm += "'"
-            used.add(nm)
-            names[c] = nm
+            names[c] = take(nm)
         return names
 
     @cached_property
@@ -313,6 +314,38 @@ class SimplicialSet:
                         raise ValueError(f"face {f} of {c} targets a missing cell")
                     if word and not word_is_valid(word, fd):
                         raise ValueError(f"face {f} of {c} is not in normal form")
+
+
+class UniqueNames:
+    """Hands out names unused so far: a requested name, with primes
+    appended until it is not among the names taken or handed out.
+
+    A repeated name does not probe its primed forms again from the
+    start.  `_primes[name]` is a count m such that the name with 0 .. m-1
+    primes is already taken, so the search resumes at m primes; since
+    taken names are never released, it finds the same name as the search
+    from zero primes would.  A request costs one probe, plus one for each
+    primed form it meets that was taken in another way: given at the
+    start, or handed out for a different name.
+    """
+
+    def __init__(self, taken: Iterable[str] = ()) -> None:
+        self._used: set[str] = set(taken)
+        self._primes: dict[str, int] = {}
+
+    def take(self, name: str) -> str:
+        used = self._used
+        if name not in used:
+            used.add(name)
+            return name
+        m = self._primes.get(name, 1)
+        lab = name + "'" * m
+        while lab in used:
+            lab += "'"
+            m += 1
+        used.add(lab)
+        self._primes[name] = m + 1
+        return lab
 
 
 class ComplexBuilder:

@@ -15,7 +15,7 @@ from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .budget import Budget
-from .complex import ComplexBuilder, SimplicialSet
+from .complex import ComplexBuilder, SimplicialSet, UniqueNames
 from .generators import GeneratorComplex, standard_simplex, tuple_simplex
 from .simplex import CellId, Simplex, constant_simplex, degenerate, degenerate_by, face_word
 
@@ -211,31 +211,34 @@ def attach_all(
 
     The cells of each generator outside the image of its inclusion become
     new cells in (dim, index) order, labelled by the generator's label,
-    primed until unique.
+    primed until unused among the labels of S and of the cells attached
+    before it (`UniqueNames`).  Each distinct inclusion object is read
+    once per call (`_attachment_plan`), so an attachment only reads the
+    images of its attaching map.  The cost is linear in the cells of S
+    and of the generators attached, plus the length of the primed labels.
     """
     builder = ComplexBuilder()
+    add_cell = builder.add_cell
     for c in S.all_cells():
-        builder.add_cell(c.dim, S.cell_faces(c), S.labels.get(c))
-    used = set(S.labels.values())
+        add_cell(c.dim, S.cell_faces(c), S.labels.get(c))
+    take = UniqueNames(S.labels.values()).take
+    plans: dict[int, list[_PlanRow]] = {}
     totals: list[dict[CellId, Simplex]] = []
 
     for att in attachments:
-        i, alpha = att.inclusion, att.map
-        B = i.target
-        hit = {i.images[a].base: a for a in i.source.all_cells()}
+        i = att.inclusion
+        plan = plans.get(id(i))
+        if plan is None:
+            plan = plans[id(i)] = _attachment_plan(i)
+        images, new = att.map.images, att.new_cells
         g: dict[CellId, Simplex] = {}
-        for b in B.all_cells():
-            if b in hit:
-                g[b] = alpha.images[hit[b]]
+        for b, a, fs, lab in plan:
+            if a is not None:
+                g[b] = images[a]
                 continue
-            lab = B.label(b)
-            while lab in used:
-                lab += "'"
-            used.add(lab)
-            fs = B.cell_faces(b)
-            nc = builder.add_cell(b.dim, (apply_images(g, s) for s in fs), lab)
+            nc = add_cell(b.dim, [apply_images(g, s) for s in fs], take(lab))
             g[b] = Simplex(nc)
-            att.new_cells.append(nc)
+            new.append(nc)
         totals.append(g)
 
     out = builder.build()
@@ -243,6 +246,19 @@ def attach_all(
     for att, g in zip(attachments, totals):
         att._total = (out, g)
     return out, inc
+
+
+# a cell of B, the cell of A sent onto it or None, its stored faces, its label
+_PlanRow = tuple[CellId, CellId | None, tuple[Simplex, ...], str]
+
+
+def _attachment_plan(i: SimplicialMap) -> list[_PlanRow]:
+    """The cells of B, for an inclusion i: A -> B, in (dim, index) order,
+    each with the cell of A that i sends onto it (None if there is none),
+    its stored faces and its label."""
+    B = i.target
+    hit = {i.images[a].base: a for a in i.source.all_cells()}
+    return [(b, hit.get(b), B.cell_faces(b), B.label(b)) for b in B.all_cells()]
 
 
 @dataclass

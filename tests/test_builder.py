@@ -4,6 +4,7 @@ its own per-dimension counter; on seeded inputs both must give the same
 cell counts, face tuples, labels, lookup tables and maps."""
 
 import ast
+import copy
 import pathlib
 import random
 from functools import partial
@@ -18,6 +19,7 @@ from sskit.core import (
     ComplexBuilder,
     LevelwiseSpace,
     Simplex,
+    SimplicialMap,
     SimplicialSet,
     apply_images,
     attach_all,
@@ -437,6 +439,26 @@ def test_join_matches_the_counting_constructor(seed):
                 assert J.inc_x.check() == [] and J.inc_y.check() == []
 
 
+def _relabelled(X, labels):
+    """X with the labels of some cells replaced."""
+    return SimplicialSet(
+        X.cell_counts(), {c: X.cell_faces(c) for c in X.all_cells() if c.dim > 0}, {**X.labels, **labels}
+    )
+
+
+def assert_attach_all_matches(S, pairs):
+    """attach_all and the reference give the same complex, labels, new
+    cells and total maps; returns the attached complex."""
+    atts = [Attachment(i, alpha) for i, alpha in pairs]
+    out, inc = attach_all(S, atts)
+    R, news, totals = ref_attach_all(S, pairs)
+    assert_same_complex(out, R)
+    assert inc.images == {c: Simplex(c) for c in S.all_cells()}
+    assert [att.new_cells for att in atts] == news
+    assert [att.total_map.images for att in atts] == totals
+    return out
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_attach_all_matches_the_counting_constructor(seed):
     rng = random.Random(seed)
@@ -449,13 +471,7 @@ def test_attach_all_matches_the_counting_constructor(seed):
             maps = list(enumerate_maps(i.source, S))
             pairs += [(i, alpha) for alpha in rng.sample(maps, min(2, len(maps)))]
         rng.shuffle(pairs)
-        atts = [Attachment(i, alpha) for i, alpha in pairs]
-        out, inc = attach_all(S, atts)
-        R, news, totals = ref_attach_all(S, pairs)
-        assert_same_complex(out, R)
-        assert inc.images == {c: Simplex(c) for c in S.all_cells()}
-        assert [att.new_cells for att in atts] == news
-        assert [att.total_map.images for att in atts] == totals
+        assert_attach_all_matches(S, pairs)
 
 
 def test_attachment_total_maps_are_built_and_checked_when_first_read():
@@ -474,6 +490,81 @@ def test_attachment_total_maps_are_built_and_checked_when_first_read():
     del att._total[1][CellId(0, 0)]
     with pytest.raises(ValueError, match="no image for cell"):
         att.total_map
+
+
+def test_attach_all_matches_over_hundreds_of_same_label_attachments():
+    """Every outer and inner 2-horn of cosk0(5, 2), then 400 inner
+    2-horns of the result: each attachment asks for the labels of the
+    cells of Delta^2 again."""
+    S = cosk0_complex(5, 2).complex
+    pairs = [(i, alpha) for i in (key_inclusion((2, 1)), key_inclusion((2, 0)))
+             for alpha in enumerate_maps(i.source, S)]
+    assert len(pairs) == 250
+    T = assert_attach_all_matches(S, pairs)
+    i = key_inclusion((2, 1))
+    pairs = [(i, alpha) for alpha, _ in zip(enumerate_maps(i.source, T), range(400))]
+    U = assert_attach_all_matches(T, pairs)
+    # the edge 02 of S, then one per inner horn: 125 in the first stage
+    # and 400 in the second
+    assert {lab for lab in U.labels.values() if lab.rstrip("'") == "02"} == {
+        "02" + "'" * m for m in range(526)
+    }
+
+
+def test_attach_all_skips_the_primed_labels_already_taken():
+    """Labels of S that carry primes, with gaps, are skipped; the gaps
+    are filled in order."""
+    X = cosk0_complex(3, 2).complex
+    edges = X.cells(1)
+    S = _relabelled(X, {edges[0]: "02", edges[1]: "02'", edges[2]: "02'''",
+                        X.cells(2)[0]: "012''", X.cells(0)[0]: "012"})
+    i = key_inclusion((2, 1))
+    pairs = [(i, alpha) for alpha in enumerate_maps(i.source, S)]
+    out = assert_attach_all_matches(S, pairs)
+    first = [out.labels[c] for c in out.cells(1)[S.n_cells(1):][:3]]
+    assert first == ["02''", "02''''", "02'''''"]
+
+
+def test_attach_all_reads_equal_inclusions_each_on_its_own():
+    """Two equal inclusion objects, and a third equal one with its own
+    complexes, attached in turns in one call."""
+    S = spine_complex(3).complex
+    i = key_inclusion((2, 1))
+    copies = [i, SimplicialMap(i.source, i.target, i.images), copy.deepcopy(i)]
+    assert copies[0] == copies[1] == copies[2]
+    pairs = [(copies[k % 3], alpha) for k, alpha in enumerate(enumerate_maps(i.source, S))]
+    assert len(pairs) > 6
+    assert_attach_all_matches(S, pairs)
+
+
+def ref_names(X):
+    """SimplicialSet.names as a loop that probes every primed form."""
+    names, used = {}, set()
+    for c in X.all_cells():
+        nm = X.labels.get(c)
+        if nm is None or nm.split() != [nm]:
+            nm = f"c{c.dim}_{c.index}"
+        while nm in used:
+            nm += "'"
+        used.add(nm)
+        names[c] = nm
+    return names
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_names_match_the_probing_loop(seed):
+    """Many cells with one label, primed labels with gaps, positional names
+    that collide with labels, and labels a file cannot hold."""
+    rng = random.Random(seed)
+    X = cosk0_complex(4, 2).complex
+    pool = ["a", "a", "a'", "a'''", "a''''''", "c1_3", "c1_3'", "", "b c", None, "b"]
+    labels = {c: rng.choice(pool) for c in X.all_cells()}
+    S = SimplicialSet(
+        X.cell_counts(), {c: X.cell_faces(c) for c in X.all_cells() if c.dim > 0},
+        {c: lab for c, lab in labels.items() if lab is not None},
+    )
+    assert S.names == ref_names(S)
+    assert len(set(S.names.values())) == S.total_cells()
 
 
 def _reordered(text, rng):

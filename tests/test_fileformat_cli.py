@@ -1,6 +1,7 @@
 """Text formats and the command-line interface."""
 
 import functools
+import hashlib
 import json
 import os
 import random
@@ -575,6 +576,19 @@ def test_cli_complete_and_saturate_write_their_complexes(tmp_path, capsys):
     capsys.readouterr()
     with open(out, encoding="utf-8") as fh:
         assert parse_complex(fh.read()) == saturate_prefibrant(standard_simplex(2).complex, 3).truncation
+
+
+def test_cli_complete_two_stages_writes_the_pinned_bytes(tmp_path, capsys):
+    """Two stages of inner-horn attachments on Delta^2 up to dimension 3,
+    which label thousands of cells with primes: the stage sizes, and the
+    hash of the written complex as the probing label loop made it."""
+    d2, out = str(tmp_path / "d2.txt"), str(tmp_path / "c.txt")
+    assert cli.main(["gen", "simplex", "2", "-o", d2]) == 0
+    assert cli.main(["--format", "structured", "--stages", "2", "complete", d2, "-o", out]) == 0
+    assert json.loads(capsys.readouterr().out)["stages"] == [7, 87, 6613]
+    with open(out, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    assert digest == "fab2220667cb9074d4047e4c81a5a7f0458a12fc999d9c14c0222798462f3d96"
 
 
 def test_cli_pathspace_reports_and_writes_the_space(tmp_path, capsys):
