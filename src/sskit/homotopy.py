@@ -9,14 +9,18 @@ confluent termination with the irreducible-word enumeration exhausted
 inside the word budget.
 
 The rules live in a `RuleTable` that indexes their left sides, as words
-and by their letters.  Rewriting is leftmost, with the lowest rule
-position among the rules matching there, in one left-to-right pass.
-Completion visits only the rule pairs that the letter indexes admit, in
-the order of a loop over all pairs.  It has two bounds and no pass limit:
-more than `_MAX_RULES` rules beyond one per relation, and a left side
-longer than twice the word budget, the longest word a presentation
-normalises (an inverse check joins two hom words).  Hitting either makes
-the presentation inexact: answers turn UNKNOWN, never into a wrong NO.
+and by their first letter and the letters after it.  Rewriting is
+leftmost, with the lowest rule position among the rules matching there,
+in one left-to-right pass; a word no longer than the shortest left side
+takes at most one lookup per step.  Completion visits exactly the rule
+pairs that can give a critical pair by their letters, drawn from the
+letter indexes in the order of a loop over all pairs, and normalises
+through the table itself, not the module-level `normal_form`.  It has
+two bounds and no pass limit: more than `_MAX_RULES` rules beyond one
+per relation, and a left side longer than twice the word budget, the
+longest word a presentation normalises (an inverse check joins two hom
+words).  Hitting either makes the presentation inexact: answers turn
+UNKNOWN, never into a wrong NO.
 """
 
 from __future__ import annotations
@@ -43,18 +47,16 @@ Word = tuple[CellId, ...]
 _MAX_RULES = 300
 
 
-def _key(w: Word) -> tuple:
-    return (len(w), w)
-
-
 class RuleTable:
     """Rewriting rules in the order they were added, left sides indexed.
 
     Left sides are distinct (each new one is irreducible under the rules
     before it), so `position` maps a left side to its rule; `lengths` holds
     the distinct left-side lengths in increasing order.  `starts[a]` and
-    `contains[a]` list, in increasing order, the positions of the rules
-    whose left side starts with the letter a and contains it.
+    `after[a]` list, in increasing order, the positions of the rules whose
+    left side starts with the letter a and holds it after its first letter;
+    `_partners` reads the pairs completion visits from these two indexes.
+    `normal_form` rewrites with the table, as the module function does.
     """
 
     def __init__(self) -> None:
@@ -62,7 +64,7 @@ class RuleTable:
         self.position: dict[Word, int] = {}
         self.lengths: list[int] = []
         self.starts: dict[CellId, list[int]] = {}
-        self.contains: dict[CellId, list[int]] = {}
+        self.after: dict[CellId, list[int]] = {}
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -77,86 +79,115 @@ class RuleTable:
         if len(l) not in self.lengths:
             bisect.insort(self.lengths, len(l))
         self.starts.setdefault(l[0], []).append(p)
-        for a in set(l):
-            self.contains.setdefault(a, []).append(p)
+        for a in set(l[1:]):
+            self.after.setdefault(a, []).append(p)
 
     def has_suffix_rule(self, w: Word) -> bool:
         """Is some left side a suffix of w?"""
         return any(w[len(w) - n :] in self.position for n in self.lengths if n <= len(w))
+
+    def normal_form(self, w: Word) -> Word:
+        """The normal form of w; see the module function `normal_form`."""
+        lengths = self.lengths
+        if not lengths or len(w) < lengths[0]:
+            return w
+        if len(w) == lengths[0]:
+            p = self.position.get(w)
+            return w if p is None else self.normal_form(self.rules[p][1])
+        position = self.position
+        back = lengths[-1] - 1
+        i = 0
+        while i < len(w):
+            hit = None
+            for n in lengths:
+                if i + n > len(w):
+                    break
+                p = position.get(w[i : i + n])
+                if p is not None and (hit is None or p < hit):
+                    hit = p
+            if hit is None:
+                i += 1
+                continue
+            l, r = self.rules[hit]
+            w = w[:i] + r + w[i + len(l) :]
+            i = max(0, i - back)
+        return w
 
 
 def normal_form(w: Word, rules: RuleTable) -> Word:
     """Reduce a word to normal form.
 
     Rewrites at the leftmost position where a left side matches, with the
-    lowest-positioned rule among those matching there.  Only windows of
-    the indexed left-side lengths are looked up, shortest first, up to the
-    end of the word, and after a rewrite at i the scan resumes at
-    i - maxlen + 1: windows ending before i did not change, and none of
-    them matched.  Rewrites lower shortlex order.
+    lowest-positioned rule among those matching there.  A word shorter
+    than every left side is already normal, and one of the shortest
+    left-side length is one lookup (a hit goes on with its right side).
+    Longer words look up only windows of the indexed left-side lengths,
+    shortest first, up to the end of the word, and after a rewrite at i
+    the scan resumes at i - maxlen + 1: windows ending before i did not
+    change, and none of them matched.  Rewrites lower shortlex order.
     """
-    position, lengths = rules.position, rules.lengths
-    back = lengths[-1] - 1 if lengths else 0
-    i = 0
-    while i < len(w):
-        hit = None
-        for n in lengths:
-            if i + n > len(w):
-                break
-            p = position.get(w[i : i + n])
-            if p is not None and (hit is None or p < hit):
-                hit = p
-        if hit is None:
-            i += 1
-            continue
-        l, r = rules.rules[hit]
-        w = w[:i] + r + w[i + len(l) :]
-        i = max(0, i - back)
-    return w
+    return rules.normal_form(w)
 
 
-def _critical_pairs(r1: tuple[Word, Word], r2: tuple[Word, Word]) -> list[tuple[Word, Word]]:
+def _critical_pairs(r1: tuple[Word, Word], r2: tuple[Word, Word]):
     l1, o1 = r1
     l2, o2 = r2
-    pairs = []
     # overlap: proper suffix of l1 equals proper prefix of l2
     for k in range(1, min(len(l1), len(l2))):
         if l1[len(l1) - k :] == l2[:k]:
-            pairs.append((o1 + l2[k:], l1[: len(l1) - k] + o2))
+            yield o1 + l2[k:], l1[: len(l1) - k] + o2
     # containment: l2 occurs strictly inside l1
     if len(l2) < len(l1):
         for i in range(len(l1) - len(l2) + 1):
             if l1[i : i + len(l2)] == l2:
-                pairs.append((o1, l1[:i] + o2 + l1[i + len(l2) :]))
-    return pairs
+                yield o1, l1[:i] + o2 + l1[i + len(l2) :]
 
 
-def _may_overlap(l1: Word, l2: Word) -> bool:
-    """Whether l2 can overlap the end of l1 or lie inside it: l2[0] occurs
-    in l1 after its first letter, or l2 is shorter and starts as l1 does."""
-    return l2[0] in l1[1:] or (len(l2) < len(l1) and l2[0] == l1[0])
+def _partners(rules: RuleTable, i: int) -> tuple[set[int], set[int]]:
+    """The earlier rules j that can give rule i a critical pair (i, j), and
+    the rules j <= i that can give one as (j, i).  For l2 to overlap the
+    end of l1 or lie inside it, l2[0] must occur in l1 after its first
+    letter, or l2 must be shorter and start as l1 does."""
+    table, starts = rules.rules, rules.starts
+    l = table[i][0]
+    front: set[int] = set()
+    for a in set(l[1:]):
+        js = starts.get(a, [])
+        front.update(js[: bisect.bisect_left(js, i)])
+    js = rules.after.get(l[0], [])
+    back = set(js[: bisect.bisect_right(js, i)])
+    for j in starts[l[0]]:
+        if j >= i:
+            break
+        n = len(table[j][0])
+        if n < len(l):
+            front.add(j)
+        elif n > len(l):
+            back.add(j)
+    return front, back
 
 
 def complete(relations: list[tuple[Word, Word]], max_len: int) -> tuple[RuleTable, bool]:
     """Knuth-Bendix completion under the shortlex order.
 
     Each rule i is paired, when it comes up, with itself and each earlier
-    rule j that can give it a critical pair (`_may_overlap`): the letter
-    indexes give the j whose left side starts with a letter of l_i, for
-    (i, j), or contains l_i[0], for (j, i), visited in increasing order,
-    (i, j) before (j, i), as a loop over all pairs would.  Returns (rules,
-    confluent) with sound rules; it stops, confluent False, at more than
-    `_MAX_RULES` rules beyond one per relation or at a left side longer
-    than `max_len`.  The two bounds keep the loop finite.
+    rule j that can give it a critical pair (`_partners`, drawn from the
+    indexes by first letter and by the letters after the first), visited
+    in increasing order of j, (i, j) before (j, i), as a loop over all
+    pairs would.  Returns (rules, confluent) with sound rules; it stops,
+    confluent False, at more than `_MAX_RULES` rules beyond one per
+    relation or at a left side longer than `max_len`.  The two bounds keep
+    the loop finite.
     """
     rules = RuleTable()
     cap = len(relations) + _MAX_RULES
+    nf = rules.normal_form
 
     def add(a: Word, b: Word) -> bool:
-        a, b = normal_form(a, rules), normal_form(b, rules)
+        a, b = nf(a), nf(b)
         if a == b:
             return True
-        if _key(a) < _key(b):
+        if (len(a), a) < (len(b), b):
             a, b = b, a
         rules.add(a, b)
         return len(rules) <= cap and len(a) <= max_len
@@ -165,23 +196,14 @@ def complete(relations: list[tuple[Word, Word]], max_len: int) -> tuple[RuleTabl
         if not add(a, b):
             return rules, False
     # the loop also reaches the rules added inside it
-    for i, new in enumerate(rules):
-        l = new[0]
-        candidates = set()
-        for a in set(l):
-            js = rules.starts.get(a, [])
-            candidates.update(js[: bisect.bisect_left(js, i)])
-        js = rules.contains[l[0]]
-        candidates.update(js[: bisect.bisect_right(js, i)])
-        for j in sorted(candidates):
+    for i, new in enumerate(rules.rules):
+        front, back = _partners(rules, i)
+        for j in sorted(front | back):
             old = rules.rules[j]
-            pairs = [(new, old)] if j < i and _may_overlap(l, old[0]) else []
-            if _may_overlap(old[0], l):
-                pairs.append((old, new))
-            for r1, r2 in pairs:
-                for a, b in _critical_pairs(r1, r2):
-                    if not add(a, b):
-                        return rules, False
+            if j in front and not all(add(a, b) for a, b in _critical_pairs(new, old)):
+                return rules, False
+            if j in back and not all(add(a, b) for a, b in _critical_pairs(old, new)):
+                return rules, False
     return rules, True
 
 

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sskit.core import (
     CellId,
@@ -241,31 +241,83 @@ def reference_complete(relations, max_len, max_rules):
     return rules, True
 
 
-def test_the_rule_pairs_completion_skips_give_no_critical_pair():
-    """Every pair of left sides up to length 4 over three letters that
-    `_may_overlap` turns down has no overlap and no containment."""
+def _table(*lefts):
+    rules = homotopy.RuleTable()
+    for l in lefts:
+        rules.add(l, ())
+    return rules
+
+
+def test_the_partner_indexes_draw_every_pair_with_a_critical_pair():
+    """Over every pair of left sides up to length 4 over three letters, the
+    indexes draw (l1, l2), as (i, j) with l1 the newer rule and as (j, i)
+    with l2 the newer one, exactly when l2[0] occurs in l1 after its first
+    letter or l2 is shorter and starts as l1 does.  A pair they never draw
+    has no critical pair, and every pair that has one is drawn."""
     letters = [CellId(1, k) for k in range(3)]
     words = [w for n in range(1, 5) for w in itertools.product(letters, repeat=n)]
-    skipped = [(l1, l2) for l1 in words for l2 in words if not homotopy._may_overlap(l1, l2)]
-    assert len(skipped) > len(words) ** 2 // 4
-    for l1, l2 in skipped:
-        assert list(reference_critical_pairs((l1, ()), (l2, ()))) == [], (l1, l2)
+    skipped = 0
+    for l1 in words:
+        for l2 in words:
+            if l1 == l2:
+                as_new = as_old = 0 in homotopy._partners(_table(l1), 0)[1]
+            else:
+                as_new = 0 in homotopy._partners(_table(l2, l1), 1)[0]
+                as_old = 0 in homotopy._partners(_table(l1, l2), 1)[1]
+            may = l2[0] in l1[1:] or (len(l2) < len(l1) and l2[0] == l1[0])
+            assert as_new == as_old == may, (l1, l2)
+            if not as_new:
+                skipped += 1
+                assert list(reference_critical_pairs((l1, ()), (l2, ()))) == [], (l1, l2)
+    assert skipped > len(words) ** 2 // 4
 
 
 @st.composite
-def relation_lists(draw):
+def relation_lists(draw, max_letters=6, max_relations=8):
     letters = [CellId(1, k) for k in range(draw(st.integers(2, 4)))]
-    words = st.lists(st.sampled_from(letters), max_size=4).map(tuple)
-    return draw(st.lists(st.tuples(words, words), min_size=1, max_size=4))
+    words = st.lists(st.sampled_from(letters), max_size=max_letters).map(tuple)
+    return draw(st.lists(st.tuples(words, words), min_size=1, max_size=max_relations))
+
+
+_A, _B = CellId(1, 0), CellId(1, 1)
 
 
 @settings(max_examples=200, deadline=None)
 @given(relation_lists(), st.integers(2, 8), st.integers(0, 40))
+# a self-overlap (j = i), a containment, a stop at the rule cap and a stop at
+# the length bound
+@example([((_A, _B, _A), (_B,))], 8, 40)
+@example([((_A, _B, _A, _B, _B), (_A,)), ((_B, _A), (_B,))], 8, 40)
+@example([((_A, _B, _A), (_B,))], 8, 0)
+@example([((_B, _A, _B), (_A, _B, _A))], 6, 40)
 def test_completion_gives_the_rules_of_the_unindexed_pair_loop(relations, max_len, max_rules):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(homotopy, "_MAX_RULES", max_rules)
         rules, confluent = homotopy.complete(relations, max_len)
     assert (list(rules), confluent) == reference_complete(relations, max_len, max_rules)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    relation_lists(max_letters=4, max_relations=4),
+    st.integers(0, 12),
+    st.lists(st.lists(st.sampled_from([CellId(1, k) for k in range(4)]), max_size=8).map(tuple),
+             min_size=1, max_size=12),
+)
+def test_normal_forms_match_leftmost_rewriting_mid_completion(relations, max_rules, words):
+    # a small rule cap stops completion part of the way, a large one lets it end
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homotopy, "_MAX_RULES", max_rules)
+        rules, _ = homotopy.complete(relations, 8)
+    for w in words:
+        assert homotopy.normal_form(w, rules) == leftmost_normal_form(w, list(rules)), w
+    # a rule added after a word was normalised rewrites it the next time
+    for w in words:
+        v = homotopy.normal_form(w, rules)
+        if v:
+            rules.add(v, ())
+            assert homotopy.normal_form(w, rules) == leftmost_normal_form(w, list(rules))
+            assert homotopy.normal_form(v, rules) == ()
 
 
 # the indiscrete groupoid on n objects: n (n - 1)^2 triangle relations, already
