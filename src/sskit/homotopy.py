@@ -26,6 +26,7 @@ UNKNOWN, never into a wrong NO.
 from __future__ import annotations
 
 import bisect
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .core import NO, UNKNOWN, YES, Verdict, all_of
@@ -129,7 +130,7 @@ def normal_form(w: Word, rules: RuleTable) -> Word:
     return rules.normal_form(w)
 
 
-def _critical_pairs(r1: tuple[Word, Word], r2: tuple[Word, Word]):
+def _critical_pairs(r1: tuple[Word, Word], r2: tuple[Word, Word]) -> Iterator[tuple[Word, Word]]:
     l1, o1 = r1
     l2, o2 = r2
     # overlap: proper suffix of l1 equals proper prefix of l2
@@ -196,7 +197,7 @@ def complete(relations: list[tuple[Word, Word]], max_len: int) -> tuple[RuleTabl
         if not add(a, b):
             return rules, False
     # the loop also reaches the rules added inside it
-    for i, new in enumerate(rules.rules):
+    for i, new in enumerate(rules):
         front, back = _partners(rules, i)
         for j in sorted(front | back):
             old = rules.rules[j]
