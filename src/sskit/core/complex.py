@@ -188,6 +188,36 @@ class SimplicialSet:
             index[faces] = found
         return found
 
+    def horn_fillers(
+        self, n: int, i: int | None, faces: tuple[Simplex, ...]
+    ) -> Iterator[Simplex]:
+        """The n-simplices, degenerate ones included, whose faces d_j for
+        j != i are the given ones (all n + 1 faces when i is None), in
+        (d_i, simplex) order: the fillers of a horn, or of a boundary.
+
+        They are read off the boundary index.  By d_k d_i s = d_{i-1} d_k s
+        for k < i and d_k d_i s = d_i d_{k+1} s for k >= i, the given faces
+        fix the boundary of the missing face d_i s, so the fillers are the
+        n-simplices with boundary faces[:i] + (t,) + faces[i:] for each t
+        with that boundary; every vertex is a candidate t when n = 1, and
+        every vertex is a filler of the boundary when n = 0.
+        """
+        if i is None:
+            if n == 0:
+                return map(Simplex, self.cells(0))
+            return iter(self.simplices_with_boundary(n, faces))
+        if not 0 <= i <= n or n < 1:
+            raise ValueError(f"no horn ({n},{i})")
+        if n == 1:
+            missing: Iterable[Simplex] = map(Simplex, self.cells(0))
+        else:
+            face = self.face
+            want = tuple([face(f, i - 1 if k < i else i) for k, f in enumerate(faces)])
+            missing = self.simplices_with_boundary(n - 1, want)
+        head, tail = faces[:i], faces[i:]
+        with_boundary = self.simplices_with_boundary
+        return (s for t in missing for s in with_boundary(n, head + (t,) + tail))
+
     @cached_property
     def _cells_by_faces(self) -> dict[tuple[Simplex, ...], list[CellId]]:
         """The cells of dimension >= 1 grouped by their stored face tuples."""

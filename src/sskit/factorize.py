@@ -45,7 +45,7 @@ from .core import (
     sub_complex,
     validate,
 )
-from .lifting import Key, classify_map, family_keys, key_inclusion
+from .lifting import Key, classify_map, family_keys, key_cells, key_inclusion
 
 # -- small-object stages (one pushout per stage) -------------------------------
 
@@ -104,15 +104,17 @@ class PreFibrantReport:
 def _needs_filler(key: Key, alpha: SimplicialMap, budget: Budget) -> bool:
     """Whether the inner horn alpha is one pre-fibrancy asks to fill (a
     2-horn, or a higher one whose d_0 face, the horn's last (n-1)-cell,
-    maps to a constant simplex) and has no filler.  Raises BudgetExceeded
-    when the filler search runs out of budget."""
-    n = key[0]
+    maps to a constant simplex) and has no filler.  The fillers are looked
+    up by the horn's faces (`horn_fillers`); a filler found costs one node,
+    and raises BudgetExceeded when the budget has none left."""
+    n, h = key
     if n > 2 and not is_constant(alpha.images[CellId(n - 1, n - 1)]):
         return False
-    inc = key_inclusion(key)
-    fixed = {inc.images[a].base: alpha.images[a] for a in inc.source.all_cells()}
-    fillers = enumerate_maps(inc.target, alpha.target, fixed, budget=budget)
-    return next(fillers, None) is None
+    faces = tuple([alpha.images[c] for c in key_cells(key)[0]])
+    if next(alpha.target.horn_fillers(n, h, faces), None) is None:
+        return True
+    budget.spend()
+    return False
 
 
 def _default_bound(S: SimplicialSet) -> int:

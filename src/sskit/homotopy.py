@@ -380,6 +380,13 @@ def check_categorical_fibration(
     node_budget: int = DEFAULT_NODE_BUDGET,
     word_budget: int = DEFAULT_WORD_BUDGET,
 ) -> CategoricalFibrationReport:
+    """Joyal's pair of conditions on p: an inner fibration, checked up to
+    the dimension bound (the inner class of `classify_map`), and an
+    isofibration, checked up to the word budget (`check_isofibration`).
+    The pair characterizes the categorical fibrations when the target is
+    a quasi-category (Joyal, "The theory of quasi-categories and its
+    applications", 2008; Lurie, Higher Topos Theory, Cor. 2.4.6.5).
+    Whether the target is one is not checked."""
     rep = classify_map(p, max_dim, node_budget, classes=("inner",))
     return CategoricalFibrationReport(rep.classes["inner"], check_isofibration(p, word_budget))
 

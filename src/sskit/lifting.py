@@ -2,9 +2,12 @@
 
 A lifting problem is a commuting square u/v over a mono inclusion i and a
 map p; the solver backtracks over images of the missing cells, each
-right after its faces (`SimplicialSet.faces_first`).  NO is only ever
-answered after exhausting the finite search space; running out of node
-budget is the distinct answer BUDGET.
+right after its faces (`SimplicialSet.faces_first`).  Over a horn or a
+boundary, whose missing cells are one simplex and at most one face of
+it, `has_rlp` looks the squares and their lifts up instead
+(`SimplicialSet.horn_fillers`).  NO is only ever answered after
+exhausting the finite search space; running out of node budget is the
+distinct answer BUDGET.
 """
 
 from __future__ import annotations
@@ -17,9 +20,11 @@ from .core import BUDGET, NO, YES, Verdict, all_of
 from .core import (
     Budget,
     BudgetExceeded,
+    CellId,
     DEFAULT_NODE_BUDGET,
     GeneratorComplex,
     SimplicialMap,
+    SimplicialSet,
     Simplex,
     boundary_complex,
     enumerate_maps,
@@ -140,6 +145,21 @@ def key_inclusion(key: Key) -> SimplicialMap:
 _table_simplex = functools.cache(standard_simplex)
 
 
+@functools.cache
+def key_cells(key: Key) -> tuple[tuple[CellId, ...], tuple[CellId, ...]]:
+    """The cells of the generator's domain that are the faces d_j of
+    Delta^n, j != i (every j for a boundary), in order of j; and the cells
+    of Delta^n outside the domain, the missing face d_i before the top."""
+    n, h = key
+    inc = key_inclusion(key)
+    preimage = {s.base: a for a, s in inc.images.items()}
+    lookup, full = _table_simplex(n).lookup, tuple(range(n + 1))
+    given = tuple(
+        preimage[lookup[full[:j] + full[j + 1 :]]] for j in range(n + 1) if j != h
+    ) if n else ()
+    return given, tuple(c for c in inc.target.faces_first if c not in preimage)
+
+
 # -- right-lifting-property checks --------------------------------------------
 
 
@@ -159,7 +179,8 @@ def has_rlp(
     the generators named by the keys, skipping those above the bound
     unbuilt: YES up to the bound, or NO with a square that has no lift.
     The squares over i are the maps u: A -> X, each with every map v
-    extending p o u along i.
+    extending p o u along i.  The u are enumerated; the v, and whether
+    each square lifts, are looked up (`_first_square_without_lift`).
 
     Inner horns are skipped unbuilt, with no search, when p lifts against
     them all (`lifts_inner_horns`, tested at the first one)."""
@@ -177,15 +198,65 @@ def has_rlp(
         i = key_inclusion(key)
         try:
             for u in enumerate_maps(i.source, p.source, budget=budget):
-                fixed = {i.images[a].base: p.apply(s) for a, s in u.images.items()}
-                for v in enumerate_maps(i.target, p.target, fixed, budget=budget):
-                    P = LiftingProblem(i, p, u, v)
-                    r = solve_lift(P, budget)
-                    if r.value != YES:
-                        return Verdict(r.value, max_dim, P if r.value == NO else None)
+                square = _first_square_without_lift(key, i, p, u, budget)
+                if square is not None:
+                    return Verdict(NO, max_dim, square)
         except BudgetExceeded:
             return Verdict(BUDGET, max_dim)
     return Verdict(YES, max_dim)
+
+
+def _given_faces(X: SimplicialSet, s: Simplex, h: int | None) -> tuple[Simplex, ...]:
+    """The faces d_j of s for j != h, in order of j."""
+    n = s.dim
+    return tuple([X.face(s, j) for j in range(n + 1) if j != h]) if n else ()
+
+
+def _first_square_without_lift(
+    key: Key,
+    i: SimplicialMap,
+    p: SimplicialMap,
+    u: SimplicialMap,
+    budget: Budget,
+) -> LiftingProblem | None:
+    """The first square over i with top u that has no lift, or None.
+
+    A map Delta^n -> Y is an n-simplex of Y, so the squares with top u are
+    the fillers in S of the faces of p o u (`horn_fillers`), in the order
+    `enumerate_maps` extends p o u along i, and such a square lifts when a
+    filler in X of the faces of u maps to its simplex.  One node per
+    square.  Each square checks that i is mono and that it commutes, and
+    each lift found is checked against u and v."""
+    n, h = key
+    given, missing = key_cells(key)
+    X, S = p.source, p.target
+    faces = tuple([u.images[c] for c in given])
+    below = tuple([p.apply(f) for f in faces])
+    lifts: dict[Simplex, Simplex] | None = None
+    for top in S.horn_fillers(n, h, below):
+        budget.spend()
+        if not i.is_mono():
+            raise ValueError("i is not a mono inclusion")
+        if _given_faces(S, top, h) != below:
+            raise AssertionError("square does not commute: p o u != v o i")
+        if lifts is None:
+            lifts = {}
+            for s in X.horn_fillers(n, h, faces):
+                lifts.setdefault(p.apply(s), s)
+        lift = lifts.get(top)
+        if lift is None:
+            images = {i.images[a].base: p.apply(s) for a, s in u.images.items()}
+            images[missing[-1]] = top
+            if h is not None:
+                images[missing[0]] = S.face(top, h)
+            P = LiftingProblem(i, p, u, SimplicialMap(i.target, S, images))
+            bad = P.check()
+            if bad:
+                raise AssertionError("; ".join(bad))
+            return P
+        if p.apply(lift) != top or _given_faces(X, lift, h) != faces:
+            raise AssertionError("solver produced an invalid lift")
+    return None
 
 
 @dataclass
