@@ -4,7 +4,9 @@ A command that checks something returns its `Verdict`, and `exit_code`
 is the one rule for every command: 0 = yes with no bound, 1 = no (with a
 witness), 2 = anything else (a yes up to a bound, unknown, budget), or an
 internal fault reported with verdict "error"; 3 = input error.  A command
-that only builds something has no verdict and exits 0.
+that only builds something has no verdict and exits 0.  A search or build
+that runs out of nodes reports verdict "budget" with the nodes used and
+the limit, and exits 2.
 Structured output (`--format structured`) is a single JSON object with a
 `format_version` field.
 """
@@ -25,6 +27,7 @@ from .core import (
     DEFAULT_WORD_BUDGET,
     GENERATORS,
     Budget,
+    BudgetExceeded,
     Simplex,
     SimplicialSet,
     join,
@@ -523,6 +526,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as e:  # ParseError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return INPUT_ERROR
+    except BudgetExceeded as e:  # a build ran out of nodes: neither yes nor no
+        _emit({"command": args.command, "verdict": "budget", "used": e.used,
+               "limit": e.limit}, args)
+        verdict = Verdict(BUDGET, witness=str(e))
     except (AssertionError, RuntimeError) as e:  # an internal fault, never a verdict
         _emit({"command": args.command, "verdict": "error", "reason": str(e)}, args)
         verdict = Verdict(UNKNOWN, witness=str(e))

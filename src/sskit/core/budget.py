@@ -13,8 +13,15 @@ class BudgetExceeded(Exception):
     """Raised when a search consumes its node budget.
 
     Callers that expose a verdict catch this and answer BUDGET, which is
-    always kept distinct from a genuine NO.
+    always kept distinct from a genuine NO.  `used` and `limit` are the
+    budget's counts when it ran out (`used` includes the node that ran
+    over), or None where the raiser gives none.
     """
+
+    def __init__(self, message: str, used: int | None = None, limit: int | None = None) -> None:
+        super().__init__(message)
+        self.used = used
+        self.limit = limit
 
 
 class Budget:
@@ -34,7 +41,7 @@ class Budget:
     def spend(self, n: int = 1) -> None:
         self.used += n
         if self.used > self.limit:
-            raise BudgetExceeded(f"node budget {self.limit} exceeded")
+            raise BudgetExceeded(f"node budget {self.limit} exceeded", self.used, self.limit)
 
 
 YES, NO, UNKNOWN, BUDGET = "yes", "no", "unknown", "budget"

@@ -46,6 +46,9 @@ class SimplicialSet:
         self.labels: dict[CellId, str] = dict(labels or {})
         self._face_cache: dict[tuple[Simplex, int], Simplex] = {}
         self._boundary_index: dict[int, dict[tuple[Simplex, ...], list[Simplex]]] = {}
+        self._face_index: dict[
+            tuple[int, tuple[int, ...]], dict[tuple[Simplex, ...], list[Simplex]]
+        ] = {}
         self._structural_check()
 
     # -- basic queries ---------------------------------------------------
@@ -187,6 +190,21 @@ class SimplicialSet:
             found.sort()
             index[faces] = found
         return found
+
+    def simplices_with_faces(
+        self, n: int, positions: tuple[int, ...], faces: tuple[Simplex, ...]
+    ) -> list[Simplex]:
+        """The n-simplices, degenerate ones included, whose faces d_k for
+        the k in positions are the given ones, sorted; every n-simplex when
+        no position is given.  The n-simplices are grouped by those faces
+        once per dimension and positions, at the first call."""
+        index = self._face_index.get((n, positions))
+        if index is None:
+            index = self._face_index[n, positions] = {}
+            face = self.face
+            for s in self.simplices(n):
+                index.setdefault(tuple([face(s, k) for k in positions]), []).append(s)
+        return index.get(faces, [])
 
     def horn_fillers(
         self, n: int, i: int | None, faces: tuple[Simplex, ...]

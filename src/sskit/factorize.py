@@ -45,7 +45,14 @@ from .core import (
     sub_complex,
     validate,
 )
-from .lifting import Key, classify_map, family_keys, key_cells, key_inclusion
+from .lifting import (
+    Key,
+    classify_map,
+    family_keys,
+    generator_maps,
+    key_cells,
+    key_inclusion,
+)
 
 # -- small-object stages (one pushout per stage) -------------------------------
 
@@ -71,15 +78,16 @@ def soa_stage(
     selector,
     node_budget: int | Budget = DEFAULT_NODE_BUDGET,
 ) -> tuple[SimplicialSet, SimplicialMap, list[Attachment]]:
-    """One stage of the small object argument: enumerate every map from the
-    domain of each keyed generator into S, keep those the selector passes
-    with their key, attach all of them as a single pushout.  All-or-nothing:
-    a budget overrun raises before any cell is attached."""
+    """One stage of the small object argument: list every map from the
+    domain of each keyed generator into S (`generator_maps`), keep those
+    the selector passes with their key, attach all of them as a single
+    pushout.  All-or-nothing: a budget overrun raises before any cell is
+    attached."""
     budget = Budget.of(node_budget)
     attachments = [
         Attachment(key_inclusion(key), alpha)
         for key in keys
-        for alpha in enumerate_maps(key_inclusion(key).source, S, budget=budget)
+        for alpha in generator_maps(key, S, budget)
         if selector(key, alpha)
     ]
     out, inc = attach_all(S, attachments)
@@ -209,7 +217,9 @@ def saturate_prefibrant(
     budget = Budget.of(node_budget)
     pre = is_prefibrant(S, up_to_dim, budget)
     if Verdict(BUDGET) in pre.verdicts.values():
-        raise BudgetExceeded("the pre-fibrancy check ran out of budget")
+        raise BudgetExceeded(
+            "the pre-fibrancy check ran out of budget", budget.used, budget.limit
+        )
     if not pre.ok:
         raise ValueError("saturation requires a pre-fibrant input up to the bound")
 
@@ -228,7 +238,7 @@ def saturate_prefibrant(
         atts = []
         for _, hi in keys:
             inc = key_inclusion((n, hi))
-            for alpha in enumerate_maps(inc.source, part, budget=budget):
+            for alpha in generator_maps((n, hi), part, budget):
                 img = alpha.images[CellId(n - 1, n - 1)]  # the d_0 face
                 # both cells created by the pushout must satisfy (P-2):
                 # the filler has d_0 = img, the freed face has
@@ -395,15 +405,22 @@ def mapping_path_space(
 # -- brute-force descent extension ------------------------------------------------
 
 
+_CELL_CAP = 2  # new cells tried per dimension by the descent search
+
+
 @dataclass
 class DescentSearchResult:
-    verdict: Verdict  # up to the top dimension of the new cells
+    """The answer of `search_descent_extension`, up to the top dimension d
+    of the new cells (the verdict's bound), with the cap k on new cells
+    per dimension that the search ran with.  A NO means "no extension
+    with at most k new cells per dimension up to d"; a YES comes with the
+    extension, its inclusion and its map to the codomain."""
+
+    verdict: Verdict
     extension: SimplicialSet | None = None
     inclusion: SimplicialMap | None = None
     base_map: SimplicialMap | None = None
-
-
-_CELL_CAP = 2  # new cells tried per dimension by the descent search
+    cell_cap: int = _CELL_CAP
 
 
 def search_descent_extension(
@@ -416,10 +433,10 @@ def search_descent_extension(
     inclusion i pulling back to the given complex over its domain.
 
     New cells sit over simplices whose base lies outside the image of i;
-    at most two new cells are tried per dimension.  NO is a bounded
-    refutation (the caps are part of the verdict); BUDGET is a distinct
-    outcome.  The inner-fibration check of each candidate spends the same
-    budget as the search.
+    at most `_CELL_CAP` new cells are tried per dimension.  NO is a
+    bounded refutation, up to the bound and that cap, both recorded in the
+    result; BUDGET is a distinct outcome.  The inner-fibration check of
+    each candidate spends the same budget as the search.
     """
     A, B = i.source, i.target
     X = p.source
@@ -429,6 +446,7 @@ def search_descent_extension(
         raise ValueError("descent search requires a mono inclusion")
     bound = B.dim + 1 if max_dim is None else max_dim
     budget = Budget.of(node_budget)
+    cap = _CELL_CAP
 
     a_cells = {i.images[a].base for a in A.all_cells()}
     # the partial extension: the new cells chosen so far, as (image in B,
@@ -461,7 +479,9 @@ def search_descent_extension(
             raise AssertionError("descent candidate has a non-simplicial base map")
         value = classify_map(qm, bound, budget, classes=("inner",)).classes["inner"].value
         if value == BUDGET:
-            raise BudgetExceeded(f"node budget {budget.limit} exceeded")
+            raise BudgetExceeded(
+                f"node budget {budget.limit} exceeded", budget.used, budget.limit
+            )
         if value != YES:
             return None
         inc = SimplicialMap(X, Y, {c: Simplex(c) for c in X.all_cells()})
@@ -471,7 +491,7 @@ def search_descent_extension(
         """The new d-cells (image, faces) that may follow those chosen at d,
         up to the cap, in nondecreasing order.  The faces are (d-1)-simplices
         of the partial extension, grouped once by their image."""
-        if len(new[d]) >= _CELL_CAP:
+        if len(new[d]) >= cap:
             return
         last = new[d][-1] if new[d] else None
         below: dict[Simplex, list[Simplex]] = {}
@@ -517,7 +537,7 @@ def search_descent_extension(
                 new[d].append(cand)
                 found = climb(d)
     except BudgetExceeded:
-        return DescentSearchResult(Verdict(BUDGET, bound))
+        return DescentSearchResult(Verdict(BUDGET, bound), cell_cap=cap)
     if found is None:
-        return DescentSearchResult(Verdict(NO, bound))
-    return DescentSearchResult(Verdict(YES, bound), *found)
+        return DescentSearchResult(Verdict(NO, bound), cell_cap=cap)
+    return DescentSearchResult(Verdict(YES, bound), *found, cell_cap=cap)

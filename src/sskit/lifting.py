@@ -5,7 +5,8 @@ map p; the solver backtracks over images of the missing cells, each
 right after its faces (`SimplicialSet.faces_first`).  Over a horn or a
 boundary, whose missing cells are one simplex and at most one face of
 it, `has_rlp` looks the squares and their lifts up instead
-(`SimplicialSet.horn_fillers`).  NO is only ever answered after
+(`SimplicialSet.horn_fillers`), and the maps out of a horn or a boundary
+are listed by their faces (`generator_maps`).  NO is only ever answered after
 exhausting the finite search space; running out of node budget is the
 distinct answer BUDGET.
 """
@@ -158,6 +159,112 @@ def key_cells(key: Key) -> tuple[tuple[CellId, ...], tuple[CellId, ...]]:
         preimage[lookup[full[:j] + full[j + 1 :]]] for j in range(n + 1) if j != h
     ) if n else ()
     return given, tuple(c for c in inc.target.faces_first if c not in preimage)
+
+
+# a block of a generator's domain: its cells in `faces_first` order, the
+# top cell last; the steps (cell, cell above it, face index) that give the
+# image of each other cell from the top one's, in the order to take them;
+# and the positions and cells of the top cell's faces that earlier blocks hold
+_Block = tuple[
+    tuple[CellId, ...],
+    tuple[tuple[int, int, int], ...],
+    tuple[int, ...],
+    tuple[CellId, ...],
+]
+
+
+@functools.cache
+def _generator_blocks(key: Key) -> tuple[_Block, ...]:
+    """The domain's `faces_first` order cut after each top cell, so after
+    each face d_j of Delta^n (j != i), in the order j = n, ..., 0: a block
+    holds a top cell and those of its faces that no earlier block has."""
+    A = key_inclusion(key).source
+    blocks: list[_Block] = []
+    cells: list[CellId] = []
+    for c in A.faces_first:
+        cells.append(c)
+        if c.dim < A.dim:
+            continue
+        where = {b: m for m, b in enumerate(cells)}
+        steps, done = [], {len(cells) - 1}
+        for above in reversed(range(len(cells))):
+            for k, f in enumerate(A.cell_faces(cells[above])):
+                b = where.get(f.base)
+                if b is not None and b not in done:
+                    done.add(b)
+                    steps.append((b, above, k))
+        old = [(k, f.base) for k, f in enumerate(A.cell_faces(c)) if f.base not in where]
+        blocks.append((
+            tuple(cells),
+            tuple(steps),
+            tuple(k for k, _ in old),
+            tuple(b for _, b in old),
+        ))
+        cells = []
+    return tuple(blocks)
+
+
+def generator_maps(key: Key, S: SimplicialSet, budget: Budget) -> list[SimplicialMap]:
+    """Every map from the domain of the keyed horn or boundary into S, the
+    same maps in the same order as `enumerate_maps` lists them, for at most
+    its nodes.
+
+    Such a map is its tuple of faces x_j (j != i), with d_k x_j = d_{j-1}
+    x_k for k < j.  The x_j are chosen in the domain's `faces_first`
+    order of them, x_n first; the candidates for x_j are the
+    (n-1)-simplices of S, degenerate ones included, whose faces shared
+    with the x_k already chosen are those of the x_k, read off an index
+    by partial face tuples (`simplices_with_faces`).  Each candidate fixes
+    the images of the cells of its block (`_generator_blocks`), one `face`
+    call each, and the candidates are tried in the order of those images,
+    so the maps come out in `faces_first` lexicographic order.  One node
+    per candidate: each is a map out of the union of the faces chosen so
+    far, which `enumerate_maps` also reaches, at one node, on the top cell
+    of the block."""
+    A = key_inclusion(key).source
+    blocks = _generator_blocks(key)
+    if not blocks:
+        return [SimplicialMap(A, S, {})]
+    face, with_faces = S.face, S.simplices_with_faces
+    m = A.dim
+    images: dict[CellId, Simplex] = {}
+    # per block, the candidates' sorted image tuples by the shared faces
+    tried: list[dict[tuple[Simplex, ...], list[tuple[Simplex, ...]]]] = [
+        {} for _ in blocks
+    ]
+
+    def candidates(level: int) -> Iterator[tuple[Simplex, ...]]:
+        cells, steps, positions, fixed = blocks[level]
+        faces = tuple([images[c] for c in fixed])
+        found = tried[level].get(faces)
+        if found is None:
+            found = []
+            for x in with_faces(m, positions, faces):
+                row = [x] * len(cells)
+                for b, above, k in steps:
+                    row[b] = face(row[above], k)
+                found.append(tuple(row))
+            found.sort()
+            tried[level][faces] = found
+        return iter(found)
+
+    out: list[SimplicialMap] = []
+    last = len(blocks) - 1
+    untried = [candidates(0)]
+    while untried:
+        level = len(untried) - 1
+        cells = blocks[level][0]
+        for row in untried[level]:
+            budget.spend()
+            images.update(zip(cells, row))
+            if level == last:
+                out.append(SimplicialMap(A, S, images))
+            else:
+                untried.append(candidates(level + 1))
+                break
+        else:
+            untried.pop()
+    return out
 
 
 # -- right-lifting-property checks --------------------------------------------

@@ -1,5 +1,6 @@
 """Normal forms, complex construction, generators, and mapping spaces."""
 
+import itertools
 import math
 import random
 
@@ -429,6 +430,27 @@ def test_simplices_with_boundary_agrees_with_the_full_scan(seed):
         for _ in range(10):
             faces = tuple(rng.choice(lower) for _ in range(n + 1))
             assert X.simplices_with_boundary(n, faces) == sorted(scan.get(faces, []))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**30))
+def test_simplices_with_faces_agrees_with_the_full_scan(seed):
+    """Every set of positions, given faces that some simplex has and
+    random ones; no position gives every simplex."""
+    rng = random.Random(seed)
+    X = random_looped_complex(rng)
+    for n in range(X.dim + 2):
+        assert X.simplices_with_faces(n, (), ()) == list(X.simplices(n))
+        lower = list(X.simplices(n - 1)) if n else []
+        for size in range(1, n + 2) if n else ():
+            for positions in itertools.combinations(range(n + 1), size):
+                scan = {}
+                for s in X.simplices(n):
+                    scan.setdefault(tuple(X.face(s, k) for k in positions), []).append(s)
+                tuples = set(scan) | {tuple(rng.choice(lower) for _ in positions) for _ in range(4)}
+                for faces in tuples:
+                    got = X.simplices_with_faces(n, positions, faces)
+                    assert got == sorted(scan.get(faces, [])), (n, positions, faces)
 
 
 def test_product_of_two_intervals():

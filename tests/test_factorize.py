@@ -4,9 +4,11 @@ saturation, descent, and mapping path spaces."""
 import ast
 import pathlib
 import random
+from functools import partial
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sskit
 from sskit import factorize
@@ -300,11 +302,11 @@ def test_is_prefibrant_results_and_node_counts_are_pinned(
 @pytest.mark.parametrize(
     "name, used, counts, attached",
     [
-        ("simplex2", 433, [(3, 3, 1)], []),
-        ("spine2", 741, [(3, 2), (3, 3, 1)], [1]),
-        ("simplex3", 965, [(4, 6, 4, 1)], []),
-        ("cosk0_3_2", 1350, [(3, 6, 12)], []),
-        ("simplex3_1skeleton", 2552, [(4, 6), (4, 10, 4), (4, 12, 6)], [4, 2]),
+        ("simplex2", 123, [(3, 3, 1)], []),
+        ("spine2", 205, [(3, 2), (3, 3, 1)], [1]),
+        ("simplex3", 265, [(4, 6, 4, 1)], []),
+        ("cosk0_3_2", 459, [(3, 6, 12)], []),
+        ("simplex3_1skeleton", 588, [(4, 6), (4, 10, 4), (4, 12, 6)], [4, 2]),
     ],
 )
 def test_prefibrantize_results_and_node_counts_are_pinned(name, used, counts, attached):
@@ -320,7 +322,7 @@ def test_prefibrantize_results_and_node_counts_are_pinned(name, used, counts, at
 def test_saturation_result_and_node_count_are_pinned():
     budget = Budget(10**6)
     res = saturate_prefibrant(cosk0_complex(3, 2).complex, 3, budget)
-    assert budget.used == 2580
+    assert budget.used == 1728
     assert res.truncation.cell_counts() == (3, 6, 120, 108)
     assert len(res.steps) == 108
     assert res.p2_violations == []
@@ -328,21 +330,21 @@ def test_saturation_result_and_node_count_are_pinned():
 
 
 def test_saturation_spends_one_budget_across_its_pre_check_and_attachments():
-    # the pre-check and the attachments take 2,580 nodes together, so the
+    # the pre-check and the attachments take 1,728 nodes together, so the
     # saturation of cosk0(3, 2) at 3,000 nodes answers; one node fewer runs
     # out in the attachments, which a budget per phase would not
     S = cosk0_complex(3, 2).complex
-    assert saturate_prefibrant(S, 3, 2580).truncation.cell_counts() == (3, 6, 120, 108)
-    assert is_prefibrant(S, 3, 2579).ok
+    assert saturate_prefibrant(S, 3, 1728).truncation.cell_counts() == (3, 6, 120, 108)
+    assert is_prefibrant(S, 3, 1727).ok
     with pytest.raises(BudgetExceeded):
-        saturate_prefibrant(S, 3, 2579)
+        saturate_prefibrant(S, 3, 1727)
 
 
 def test_descent_result_and_node_count_are_pinned():
     budget = Budget(10**6)
     lam = horn_complex(2, 1).complex
     res = descend_over_triangle(identity_map(lam), 2, 3, budget)
-    assert budget.used == 702
+    assert budget.used == 166
     assert [s.cell_counts() for s in res.stages] == [(3, 2), (3, 3, 1), (3, 6, 16, 12)]
 
 
@@ -353,18 +355,58 @@ def test_a_starved_prefibrancy_check_answers_budget(limit):
     assert rep.witness is None
 
 
-@pytest.mark.parametrize("limit", [2000, Budget(2000)], ids=["int", "Budget"])
+@pytest.mark.parametrize("limit", [500, Budget(500)], ids=["int", "Budget"])
 def test_prefibrantize_spends_one_budget_across_its_stages(limit):
-    # the stages take 816 and 1,736 nodes: each fits in 2,000, the two
-    # together take 2,552
+    # the stages take 200 and 388 nodes: each fits in 500, the two
+    # together take 588
+    S = PIN_COMPLEXES["simplex3_1skeleton"]()
+    second = prefibrantize(S, 1, 3, 500).result
+    assert len(prefibrantize(second, 1, 3, 500).stages) == 2
     with pytest.raises(BudgetExceeded):
-        prefibrantize(PIN_COMPLEXES["simplex3_1skeleton"](), 2, 3, limit)
+        prefibrantize(S, 2, 3, limit)
 
 
-@pytest.mark.parametrize("limit", [432])
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**30))
+def test_a_starved_stage_attaches_nothing_or_the_whole_stage(seed):
+    """At a random limit, a stage accepting every horn (as `complete`) or
+    only those with no filler (as `prefibrantize`, whose selector spends
+    the same budget) either raises before any cell is attached or is the
+    stage the unlimited budget gives."""
+    rng = random.Random(seed)
+    S = rng.choice([random_looped_complex, random_generator_complex])(rng)
+    S = getattr(S, "complex", S)
+    keys = list(family_keys("inner", 3))
+    needs_filler = rng.random() < 0.5
+
+    def stage(budget):
+        choose = (partial(factorize._needs_filler, budget=budget) if needs_filler
+                  else lambda k, a: True)
+        attached = []
+
+        def attach(T, atts):
+            attached.append(len(atts))
+            return attach_all(T, atts)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(factorize, "attach_all", attach)
+            try:
+                out, _, atts = soa_stage(S, keys, choose, budget)
+            except BudgetExceeded:
+                assert attached == []
+                return None
+        return serialize_complex(out), [a.map.images for a in atts], budget.used
+
+    full = stage(Budget(10**7))
+    limit = rng.randint(1, full[2] + 1)
+    got = stage(Budget(limit))
+    assert got == (None if limit < full[2] else full)
+
+
+@pytest.mark.parametrize("limit", [122])
 def test_a_starved_filler_search_attaches_nothing(limit):
     # the triangle is pre-fibrant, so no stage may attach a filler; the
-    # stage takes 433 nodes, the last for the filler its last horn finds,
+    # stage takes 123 nodes, the last for the filler its last horn finds,
     # so this limit runs out inside the last filler lookup of the stage
     with pytest.raises(BudgetExceeded):
         prefibrantize(standard_simplex(2).complex, 1, 3, limit)
@@ -498,6 +540,7 @@ def test_descent_search_agrees_with_the_recursive_search(max_dim, statuses):
         for limit in (50, 400, 1393, 1394, 5000, 40000):
             budget, ref_budget = Budget(limit), Budget(limit)
             res = search_descent_extension(p, i, max_dim, budget)
+            assert res.cell_cap == _CELL_CAP == 2
             got = (res.verdict.value, None, None)
             if res.verdict.value == YES:
                 got = (YES, serialize_complex(res.extension), _images(res.base_map))

@@ -37,6 +37,7 @@ from sskit.lifting import (
     classify_map,
     family_keys,
     generator_inclusion,
+    generator_maps,
     has_rlp,
     key_inclusion,
     solve_lift,
@@ -538,3 +539,43 @@ def test_horn_fillers_are_the_simplices_with_the_given_faces(seed):
 def test_horn_fillers_name_no_horn_below_dimension_one():
     with pytest.raises(ValueError, match="no horn"):
         PT.horn_fillers(0, 0, ())
+
+
+# -- maps out of horns and boundaries, listed by their faces --------------------------
+
+GENERATOR_KEYS = [(n, None) for n in range(5)] + [
+    (n, i) for n in range(1, 5) for i in range(n + 1)
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**30))
+def test_generator_maps_are_the_enumerated_maps(seed):
+    """The same maps in the same order as `enumerate_maps`, never for more
+    nodes, out of every horn and boundary up to dimension 4; and at a
+    starved limit, a budget overrun exactly when `enumerate_maps` would
+    need more nodes than the full list took."""
+    rng = random.Random(seed)
+    for S in (random_looped_complex(rng), random_generator_complex(rng).complex):
+        for key in GENERATOR_KEYS:
+            budget, ref_budget = Budget(10**7), Budget(10**7)
+            got = generator_maps(key, S, budget)
+            ref = list(enumerate_maps(key_inclusion(key).source, S, budget=ref_budget))
+            assert [f.images for f in got] == [f.images for f in ref], key
+            assert budget.used <= ref_budget.used, key
+            limit = rng.randint(1, budget.used + 1)
+            try:
+                starved = generator_maps(key, S, Budget(limit))
+            except BudgetExceeded:
+                assert limit < budget.used
+            else:
+                assert limit >= budget.used
+                assert [f.images for f in starved] == [f.images for f in got]
+
+
+def test_generator_maps_out_of_the_empty_boundary():
+    """The boundary of the point is empty: one map, for no node."""
+    budget = Budget(1)
+    maps = generator_maps((0, None), COSK0, budget)
+    assert [f.images for f in maps] == [{}]
+    assert budget.used == 0

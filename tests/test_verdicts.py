@@ -3,6 +3,7 @@ command under a starved budget."""
 
 import ast
 import inspect
+import json
 
 import pytest
 
@@ -13,7 +14,6 @@ from sskit.core import (
     NO,
     UNKNOWN,
     YES,
-    BudgetExceeded,
     Simplex,
     Verdict,
     all_of,
@@ -141,14 +141,12 @@ def files(tmp_path_factory):
 
 
 STARVED = [1, 2, 3, 5, 8, 13, 30, 100]
-# these five raise BudgetExceeded out of main, a traceback at exit 1; main
-# cannot map it to exit 2 until the benchmark's checker reads a budget
-# report for prefibrantize, complete and pathspace
-KNOWN_ESCAPE = pytest.mark.xfail(strict=True, raises=BudgetExceeded, reason="escapes main")
-ESCAPING = ("prefibrantize", "saturate", "complete", "descend-triangle", "pathspace")
+# the commands that build something rather than check it: out of nodes,
+# main reports verdict "budget" at exit 2, as every check answers BUDGET
+BUILDS = ("prefibrantize", "saturate", "complete", "descend-triangle", "pathspace")
 
 COMMANDS = [
-    pytest.param(argv, id=name, marks=[KNOWN_ESCAPE] if name in ESCAPING else [])
+    pytest.param(argv, id=name)
     for name, argv in (
         ("validate", lambda f: ["validate", f["cosk0"]]),
         ("gen", lambda f: ["gen", "cosk0", "3", "2"]),
@@ -185,3 +183,20 @@ def test_every_command_answers_a_starved_budget_with_an_exit_code(argv, files, c
             err = capsys.readouterr().err
             assert code in (0, 1, 2, 3), (nodes, words, code)
             assert "Traceback" not in err, (nodes, words)
+
+
+@pytest.mark.parametrize("argv", [p for p in COMMANDS if p.id in BUILDS])
+def test_a_starved_build_reports_budget_at_exit_2(argv, files, capsys):
+    """One node is too few for each build; the node that runs over is
+    counted in `used`."""
+    for fmt in ("structured", "human"):
+        code = cli.main(["--format", fmt, "--node-budget", "1", *argv(files)])
+        out, err = capsys.readouterr()
+        assert (code, err) == (2, "")
+        if fmt == "structured":
+            report = json.loads(out)
+            assert report["verdict"] == "budget"
+            assert (report["used"], report["limit"]) == (2, 1)
+            assert set(report) == {"format_version", "command", "verdict", "used", "limit"}
+        else:
+            assert out.splitlines()[1:] == ["verdict: budget", "used: 2", "limit: 1"]
