@@ -553,8 +553,8 @@ GENERATOR_KEYS = [(n, None) for n in range(5)] + [
 def test_generator_maps_are_the_enumerated_maps(seed):
     """The same maps in the same order as `enumerate_maps`, never for more
     nodes, out of every horn and boundary up to dimension 4; and at a
-    starved limit, a budget overrun exactly when `enumerate_maps` would
-    need more nodes than the full list took."""
+    starved limit, a budget overrun exactly when the limit is below the
+    nodes the full list took, else the full list."""
     rng = random.Random(seed)
     for S in (random_looped_complex(rng), random_generator_complex(rng).complex):
         for key in GENERATOR_KEYS:
