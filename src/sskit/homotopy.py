@@ -14,19 +14,18 @@ leftmost, with the lowest rule position among the rules matching there,
 in one left-to-right pass; a word no longer than the shortest left side
 takes at most one lookup per step.  Completion visits exactly the rule
 pairs that can give a critical pair by their letters, drawn from the
-letter indexes in the order of a loop over all pairs, and normalises
-through the table itself, not the module-level `normal_form`.  It has
-two bounds and no pass limit: more than `_MAX_RULES` rules beyond one
-per relation, and a left side longer than twice the word budget, the
-longest word a presentation normalises (an inverse check joins two hom
-words).  Hitting either makes the presentation inexact: answers turn
-UNKNOWN, never into a wrong NO.
+letter indexes in the order of a loop over all pairs; the loop itself
+finds their critical pairs and joins each through the table, not the
+module-level `normal_form`.  It has two bounds and no pass limit: more
+than `_MAX_RULES` rules beyond one per relation, and a left side longer
+than twice the word budget, the longest word a presentation normalises
+(an inverse check joins two hom words).  Hitting either makes the
+presentation inexact: answers turn UNKNOWN, never into a wrong NO.
 """
 
 from __future__ import annotations
 
 import bisect
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .core import NO, UNKNOWN, YES, Verdict, all_of
@@ -57,7 +56,8 @@ class RuleTable:
     `after[a]` list, in increasing order, the positions of the rules whose
     left side starts with the letter a and holds it after its first letter;
     `_partners` reads the pairs completion visits from these two indexes.
-    `normal_form` rewrites with the table, as the module function does.
+    `normal_form` rewrites with the table, as the module function does;
+    `homotopy_category` looks the suffixes of hom words up in `position`.
     """
 
     def __init__(self) -> None:
@@ -83,19 +83,16 @@ class RuleTable:
         for a in set(l[1:]):
             self.after.setdefault(a, []).append(p)
 
-    def has_suffix_rule(self, w: Word) -> bool:
-        """Is some left side a suffix of w?"""
-        return any(w[len(w) - n :] in self.position for n in self.lengths if n <= len(w))
-
     def normal_form(self, w: Word) -> Word:
         """The normal form of w; see the module function `normal_form`."""
-        lengths = self.lengths
-        if not lengths or len(w) < lengths[0]:
+        lengths, position = self.lengths, self.position
+        if not lengths or len(w) <= lengths[0]:
+            # only a left side of w's own length can match, at 0
+            p = position.get(w)
+            while p is not None:
+                w = self.rules[p][1]
+                p = position.get(w)
             return w
-        if len(w) == lengths[0]:
-            p = self.position.get(w)
-            return w if p is None else self.normal_form(self.rules[p][1])
-        position = self.position
         back = lengths[-1] - 1
         i = 0
         while i < len(w):
@@ -130,20 +127,6 @@ def normal_form(w: Word, rules: RuleTable) -> Word:
     return rules.normal_form(w)
 
 
-def _critical_pairs(r1: tuple[Word, Word], r2: tuple[Word, Word]) -> Iterator[tuple[Word, Word]]:
-    l1, o1 = r1
-    l2, o2 = r2
-    # overlap: proper suffix of l1 equals proper prefix of l2
-    for k in range(1, min(len(l1), len(l2))):
-        if l1[len(l1) - k :] == l2[:k]:
-            yield o1 + l2[k:], l1[: len(l1) - k] + o2
-    # containment: l2 occurs strictly inside l1
-    if len(l2) < len(l1):
-        for i in range(len(l1) - len(l2) + 1):
-            if l1[i : i + len(l2)] == l2:
-                yield o1, l1[:i] + o2 + l1[i + len(l2) :]
-
-
 def _partners(rules: RuleTable, i: int) -> tuple[set[int], set[int]]:
     """The earlier rules j that can give rule i a critical pair (i, j), and
     the rules j <= i that can give one as (j, i).  For l2 to overlap the
@@ -175,10 +158,13 @@ def complete(relations: list[tuple[Word, Word]], max_len: int) -> tuple[RuleTabl
     rule j that can give it a critical pair (`_partners`, drawn from the
     indexes by first letter and by the letters after the first), visited
     in increasing order of j, (i, j) before (j, i), as a loop over all
-    pairs would.  Returns (rules, confluent) with sound rules; it stops,
-    confluent False, at more than `_MAX_RULES` rules beyond one per
-    relation or at a left side longer than `max_len`.  The two bounds keep
-    the loop finite.
+    pairs would.  The critical pairs of (l1 -> r1, l2 -> r2), where a
+    proper suffix of l1 is a proper prefix of l2 by increasing length, then
+    where a shorter l2 lies inside l1 by position, are each joined by `add`
+    as found.  Returns (rules, confluent) with sound rules; it stops,
+    confluent False, at the first join past `_MAX_RULES` rules beyond one
+    per relation or with a left side longer than `max_len`.  The two
+    bounds keep the loop finite.
     """
     rules = RuleTable()
     cap = len(relations) + _MAX_RULES
@@ -188,7 +174,7 @@ def complete(relations: list[tuple[Word, Word]], max_len: int) -> tuple[RuleTabl
         a, b = nf(a), nf(b)
         if a == b:
             return True
-        if (len(a), a) < (len(b), b):
+        if len(a) < len(b) or len(a) == len(b) and a < b:
             a, b = b, a
         rules.add(a, b)
         return len(rules) <= cap and len(a) <= max_len
@@ -201,10 +187,17 @@ def complete(relations: list[tuple[Word, Word]], max_len: int) -> tuple[RuleTabl
         front, back = _partners(rules, i)
         for j in sorted(front | back):
             old = rules.rules[j]
-            if j in front and not all(add(a, b) for a, b in _critical_pairs(new, old)):
-                return rules, False
-            if j in back and not all(add(a, b) for a, b in _critical_pairs(old, new)):
-                return rules, False
+            for (l1, r1), (l2, r2), visit in (new, old, j in front), (old, new, j in back):
+                if not visit:
+                    continue
+                n, m = len(l1), len(l2)
+                for k in range(1, n if n < m else m):
+                    if l1[n - k :] == l2[:k] and not add(r1 + l2[k:], l1[: n - k] + r2):
+                        return rules, False
+                if m < n:
+                    for p in range(n - m + 1):
+                        if l1[p : p + m] == l2 and not add(r1, l1[:p] + r2 + l1[p + m :]):
+                            return rules, False
     return rules, True
 
 
@@ -262,6 +255,14 @@ def _path_of(*faces: Simplex) -> Word:
 
 
 def homotopy_category(S: SimplicialSet, word_budget: int = DEFAULT_WORD_BUDGET) -> CategoryPresentation:
+    """The presentation of S's homotopy category, with `hom[(x, y)]` the
+    irreducible words from x to y of at most word_budget letters.  They
+    are listed by length, () first; the words one letter longer extend
+    those in their order by the edges out of their end in `S.cells(1)`
+    order, dropping a word that ends in a left side.  `inverse_of` returns
+    the first inverse in this order.  `exact`: completion ended confluent
+    and no irreducible word has word_budget letters, so every morphism has
+    exactly one listed word and a missing inverse is a NO."""
     objects = S.cells(0)
     edges = {e: _edge_endpoints(S, e) for e in S.cells(1)}
     relations = []
@@ -274,20 +275,25 @@ def homotopy_category(S: SimplicialSet, word_budget: int = DEFAULT_WORD_BUDGET) 
     out: dict[CellId, list[CellId]] = {x: [] for x in objects}
     for e, (src, _) in edges.items():
         out[src].append(e)
+    # the words of k + 1 letters are irreducible up to their last letter
+    position = rules.position
+    suffixes = [[-n for n in rules.lengths if n <= k + 1] for k in range(word_budget)]
     exhausted = True
     for x in objects:
         pres.hom.setdefault((x, x), []).append(())
         frontier: list[tuple[CellId, Word]] = [(x, ())]
-        for _ in range(word_budget):
+        for k in range(word_budget):
             nxt = []
             for at, w in frontier:
                 for e in out[at]:
                     w2 = w + (e,)
-                    if rules.has_suffix_rule(w2):
-                        continue
-                    tgt = edges[e][1]
-                    pres.hom.setdefault((x, tgt), []).append(w2)
-                    nxt.append((tgt, w2))
+                    for n in suffixes[k]:
+                        if w2[n:] in position:
+                            break
+                    else:
+                        tgt = edges[e][1]
+                        pres.hom.setdefault((x, tgt), []).append(w2)
+                        nxt.append((tgt, w2))
             frontier = nxt
             if not frontier:
                 break

@@ -130,6 +130,51 @@ def test_normal_forms_and_hom_sets_match_leftmost_rewriting(n, seed):
             assert h.nf(w) == w == leftmost_normal_form(w, rules)
 
 
+def reference_hom_words(h, word_budget):
+    """The hom-word search from before the suffix test was inlined: a word
+    is dropped when any left side of the completed rules is a suffix of it.
+    Returns (hom, exact)."""
+    lefts = {l for l, _ in h.rules}
+    lengths = sorted({len(l) for l in lefts})
+    out = {x: [] for x in h.objects}
+    for e, (src, _) in h.edges.items():
+        out[src].append(e)
+    hom = {}
+    exhausted = True
+    for x in h.objects:
+        hom.setdefault((x, x), []).append(())
+        frontier = [(x, ())]
+        for _ in range(word_budget):
+            nxt = []
+            for at, w in frontier:
+                for e in out[at]:
+                    w2 = w + (e,)
+                    if any(w2[len(w2) - n :] in lefts for n in lengths if n <= len(w2)):
+                        continue
+                    tgt = h.edges[e][1]
+                    hom.setdefault((x, tgt), []).append(w2)
+                    nxt.append((tgt, w2))
+            frontier = nxt
+            if not frontier:
+                break
+        if frontier:
+            exhausted = False
+    return hom, h.confluent and exhausted
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 6), st.integers(1, 4), st.integers(0, 2**30))
+def test_hom_words_are_listed_as_by_the_any_suffix_search(n, word_budget, seed):
+    # inverse_of returns the first inverse in this order as the witness of
+    # an is_equivalence YES, so the order of each hom list is pinned too
+    rng = random.Random(seed)
+    X = random_triangle_subset(n, rng.randint(0, n * (n - 1) ** 2), rng)
+    h = homotopy_category(X, word_budget)
+    hom, exact = reference_hom_words(h, word_budget)
+    assert list(h.hom.items()) == list(hom.items())
+    assert h.exact == exact
+
+
 @functools.lru_cache(maxsize=None)
 def triangle_subset_categories(n, word_budget, max_rules=homotopy._MAX_RULES):
     """(rules, confluent, exact, hom-set sizes) of the homotopy categories of
