@@ -15,12 +15,13 @@ in one left-to-right pass; a word no longer than the shortest left side
 takes at most one lookup per step.  Completion visits exactly the rule
 pairs that can give a critical pair by their letters, drawn from the
 letter indexes in the order of a loop over all pairs; the loop itself
-finds their critical pairs and joins each through the table, not the
-module-level `normal_form`.  It has two bounds and no pass limit: more
-than `_MAX_RULES` rules beyond one per relation, and a left side longer
-than twice the word budget, the longest word a presentation normalises
-(an inverse check joins two hom words).  Hitting either makes the
-presentation inexact: answers turn UNKNOWN, never into a wrong NO.
+finds their critical pairs and joins each as found, normalising through
+the table, not the module-level `normal_form`.  It has two bounds and no
+pass limit: more than `_MAX_RULES` rules beyond one per relation, and a
+left side longer than twice the word budget, the longest word a
+presentation normalises (an inverse check joins two hom words).  Hitting
+either makes the presentation inexact: answers turn UNKNOWN, never into
+a wrong NO.
 """
 
 from __future__ import annotations
