@@ -35,14 +35,12 @@ from .core import (
     degeneracy_words,
     degenerate,
     enumerate_maps,
-    hom_left,
     identity_map,
     is_constant,
     map_by_vertices,
     restricted_function_complex,
     simplex_as_map,
     standard_simplex,
-    sub_complex,
     validate,
 )
 from .lifting import (
@@ -206,14 +204,14 @@ def saturate_prefibrant(
 ) -> SaturationResult:
     """Skeletal completion of a pre-fibrant complex by attaching, in each
     dimension n = 3..up_to_dim, every inner n-horn with NON-constant d_0
-    face whose image lies in the already-built part.  Verifies that every
-    attached cell has non-constant d_0 and that the left mapping spaces
-    are unchanged in levels <= up_to_dim - 2.  It keeps its own
-    enumerate-and-attach loop: horns map into the part built so far but
-    attach to the whole stage, which `soa_stage` could do only through a
-    target restriction that no other caller needs.  The pre-check and the
-    attachments spend one budget.  A pre-check that runs out of it raises
-    BudgetExceeded, as the attachments do: it refutes nothing."""
+    face, as one `soa_stage` per dimension.  The n-horn is a complex of
+    dimension n - 1, so its maps only meet cells of dimension <= n - 1:
+    those of S and those attached below n, the part built so far.
+    Verifies that every attached cell has non-constant d_0 and that the
+    left mapping spaces are unchanged in levels <= up_to_dim - 2.  The
+    pre-check and the attachments spend one budget.  A pre-check that
+    runs out of it raises BudgetExceeded, as the attachments do: it
+    refutes nothing."""
     budget = Budget.of(node_budget)
     pre = is_prefibrant(S, up_to_dim, budget)
     if Verdict(BUDGET) in pre.verdicts.values():
@@ -223,55 +221,42 @@ def saturate_prefibrant(
     if not pre.ok:
         raise ValueError("saturation requires a pre-fibrant input up to the bound")
 
+    def keeps_p2(key: Key, alpha: SimplicialMap) -> bool:
+        """Whether both cells the pushout creates satisfy (P-2): the filler
+        has d_0 = img, the freed face has d_0 = d_{i-1}(img)."""
+        n, i = key
+        img = alpha.images[CellId(n - 1, n - 1)]  # the d_0 face
+        return not (is_constant(img) or is_constant(alpha.target.face(img, i - 1)))
+
     cur = S
-    s_cells = set(S.all_cells())
     attached: set[CellId] = set()
     steps: list[tuple[int, int, CellId]] = []
     higher = (k for k in family_keys("inner", up_to_dim) if k[0] >= 3)
     for n, keys in itertools.groupby(higher, lambda k: k[0]):
-        allowed = [
-            c
-            for c in cur.all_cells()
-            if (c in s_cells and c.dim <= n) or (c in attached and c.dim <= n - 1)
-        ]
-        part, part_inc = sub_complex(cur, allowed)
-        atts = []
-        for _, hi in keys:
-            inc = key_inclusion((n, hi))
-            for alpha in generator_maps((n, hi), part, budget):
-                img = alpha.images[CellId(n - 1, n - 1)]  # the d_0 face
-                # both cells created by the pushout must satisfy (P-2):
-                # the filler has d_0 = img, the freed face has
-                # d_0 = d_{hi-1}(img)
-                if is_constant(img) or is_constant(part.face(img, hi - 1)):
-                    continue
-                atts.append((hi, Attachment(inc, compose(alpha, part_inc))))
-        nxt, _ = attach_all(cur, [a for _, a in atts])
-        for hi, att in atts:
+        cur, _, atts = soa_stage(cur, keys, keeps_p2, budget)
+        for att in atts:
+            face, top = att.new_cells  # the freed face d_i, then the filler
             attached.update(att.new_cells)
-            top = next(c for c in att.new_cells if c.dim == n)
-            steps.append((n, hi, top))
-        cur = nxt
+            steps.append((n, cur.cell_faces(top).index(Simplex(face)), top))
 
     T = cur
     inc = SimplicialMap(S, T, {c: Simplex(c) for c in S.all_cells()})
-    p2 = [
-        c
-        for c in attached
-        if c.dim >= 1 and is_constant(T.face(Simplex(c), 0))
-    ]
-
-    levels_ok = True
-    lev = max(up_to_dim - 2, 0)
-    for x in S.cells(0):
-        for y in S.cells(0):
-            hs = hom_left(S, x, y, lev)
-            ht = hom_left(T, x, y, lev)
-            if any(
-                set(hs.levels[k]) != set(ht.levels[k]) for k in range(lev + 1)
-            ):
-                levels_ok = False
+    p2 = [c for c in attached if c.dim >= 1 and is_constant(T.face(Simplex(c), 0))]
+    levels_ok = _same_hom_levels(S, T, max(up_to_dim - 2, 0))
     return SaturationResult(T, inc, steps, p2, levels_ok, up_to_dim)
+
+
+def _same_hom_levels(S: SimplicialSet, T: SimplicialSet, up_to: int) -> bool:
+    """Whether levels 0..up_to of every left mapping space `hom_left(S, x,
+    y, up_to)` are those of T's, for T holding S under the same cell ids
+    and no other vertex.  Level k of all of them at once is the
+    (k+1)-simplices with constant d_0, each in the space of its initial
+    vertex and of its d_0's vertex."""
+
+    def constant_d0(X: SimplicialSet, k: int) -> set[Simplex]:
+        return {u for u in X.simplices(k + 1) if is_constant(X.face(u, 0))}
+
+    return all(constant_d0(S, k) == constant_d0(T, k) for k in range(up_to + 1))
 
 
 # -- descent over the 2-horn -----------------------------------------------------

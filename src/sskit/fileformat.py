@@ -15,7 +15,7 @@ a whole.
 from __future__ import annotations
 
 import re
-from typing import Callable, Iterator
+from typing import Callable
 
 from .certify import AnodyneCertificate
 from .core import (
@@ -78,18 +78,6 @@ def serialize_certificate(cert: AnodyneCertificate, B: SimplicialSet) -> str:
 
 
 # -- parsing ---------------------------------------------------------------------
-
-
-def _strip(raw: str) -> str:
-    return raw.split("#", 1)[0].strip()
-
-
-def _records(text: str) -> Iterator[tuple[int, str, list[str]]]:
-    """Line number, text and tokens of each line left non-empty by _strip."""
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = _strip(raw)
-        if line:
-            yield lineno, line, line.split()
 
 
 def _parse_token(tok: str, byname: dict[str, CellId], lineno: int) -> Simplex:
@@ -239,7 +227,11 @@ def parse_certificate(text: str, B: SimplicialSet) -> AnodyneCertificate:
     family = None
     steps = []
     byname = B.cells_by_name
-    for lineno, line, toks in _records(text):
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0] if "#" in raw else raw
+        toks = line.split()
+        if not toks:
+            continue
         if toks[0] == "class" and len(toks) == 2:
             if family is not None:
                 raise ParseError(lineno, "repeated class header")
@@ -253,7 +245,7 @@ def parse_certificate(text: str, B: SimplicialSet) -> AnodyneCertificate:
                 raise ParseError(lineno, f"bad step numbers {toks[1]!r} {toks[2]!r}") from None
             steps.append((n, hi, byname[toks[3]]))
         else:
-            raise ParseError(lineno, f"bad certificate record {line!r}")
+            raise ParseError(lineno, f"bad certificate record {line.strip()!r}")
     if family is None:
         raise ParseError(1, "missing class header")
     return AnodyneCertificate(family, steps)

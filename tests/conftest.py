@@ -14,6 +14,7 @@ from sskit.core import (
     from_vertex_tuples,
     horn_complex,
     identity_map,
+    j_truncation,
     map_by_vertices,
     pushout,
     spine_complex,
@@ -41,6 +42,32 @@ def build_walking_iso():
     b.add_cell(2, (Simplex(x, (0,)), Simplex(x, (0,)), Simplex(gf)), "t_gf_id")
     b.add_cell(2, (Simplex(y, (0,)), Simplex(y, (0,)), Simplex(fg)), "t_fg_id")
     return b.build(), x, y
+
+
+def build_loop_over_iso(stray_vertex: bool = False):
+    """X onto the 2-truncated walking isomorphism `j_truncation(2)`: vertices
+    a -> 0 and b -> 1, edges u: a -> b over 01 and v: b -> a over 10, a
+    loop l at a over s_0 0, and no triangles, so X's presentation is not
+    exact.  With `stray_vertex`, X also has a vertex c -> 0 that no edge
+    leaves.  Returns (the map, c or None)."""
+    b = ComplexBuilder()
+    a, bv = b.add_cell(0, label="a"), b.add_cell(0, label="b")
+    b.add_cell(1, (Simplex(bv), Simplex(a)), "u")
+    b.add_cell(1, (Simplex(a), Simplex(bv)), "v")
+    b.add_cell(1, (Simplex(a), Simplex(a)), "l")
+    c = b.add_cell(0, label="c") if stray_vertex else None
+    X, J = b.build(), j_truncation(2)
+    at = J.lookup
+    images = {
+        CellId(0, 0): Simplex(at[(0,)]),
+        CellId(0, 1): Simplex(at[(1,)]),
+        CellId(1, 0): Simplex(at[(0, 1)]),
+        CellId(1, 1): Simplex(at[(1, 0)]),
+        CellId(1, 2): Simplex(at[(0,)], (0,)),
+    }
+    if c is not None:
+        images[c] = Simplex(at[(0,)])
+    return SimplicialMap(X, J.complex, images), c
 
 
 def build_glued_spines():

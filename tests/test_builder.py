@@ -40,7 +40,7 @@ from sskit.core import (
 )
 from sskit.core.generators import tuple_label
 from sskit.core.simplex import apply_degeneracy, degenerate_by, face_word
-from sskit.fileformat import ParseError, _parse_token, _strip, parse_complex, serialize_complex
+from sskit.fileformat import ParseError, _parse_token, parse_complex, serialize_complex
 from sskit.lifting import key_inclusion
 
 from conftest import (
@@ -246,6 +246,11 @@ def ref_product(X, Y):
     proj1 = {c: p[0] for c, p in cell_pair.items()}
     proj2 = {c: p[1] for c, p in cell_pair.items()}
     return SimplicialSet(counts, faces, labels), cell_pair, pair_cell, proj1, proj2
+
+
+def _strip(raw):
+    """A line without its comment and surrounding whitespace."""
+    return raw.split("#", 1)[0].strip()
 
 
 def ref_parse_complex(text):
@@ -855,3 +860,22 @@ def test_only_the_generator_table_builds_horns_and_boundaries():
         ("lifting.py", "key_inclusion", "boundary_complex"),
         ("lifting.py", "key_inclusion", "horn_complex"),
     ]
+
+
+def test_only_the_small_object_stage_lists_and_attaches_cells():
+    """Inside the library, cells are attached only by `soa_stage` and by
+    the single `pushout`, and maps out of generators are listed only by
+    `soa_stage`: saturation runs one stage per dimension."""
+    assert library_calls({"attach_all", "generator_maps"}) == [
+        ("core/maps.py", "pushout", "attach_all"),
+        ("factorize.py", "soa_stage", "attach_all"),
+        ("factorize.py", "soa_stage", "generator_maps"),
+    ]
+    saturation = [
+        name
+        for _, where, name in library_calls(
+            {"sub_complex", "compose", "hom_left", "attach_all", "generator_maps"}
+        )
+        if where.startswith("saturate_prefibrant")
+    ]
+    assert saturation == []

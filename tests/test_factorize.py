@@ -2,6 +2,7 @@
 saturation, descent, and mapping path spaces."""
 
 import ast
+import json
 import pathlib
 import random
 from functools import partial
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sskit
-from sskit import factorize
+from sskit import cli, factorize
 from sskit.core import BUDGET, NO, YES, Verdict
 from sskit.core import (
     Budget,
@@ -27,6 +28,7 @@ from sskit.core import (
     degeneracy_words,
     enumerate_maps,
     from_vertex_tuples,
+    hom_left,
     horn_complex,
     identity_map,
     is_constant,
@@ -38,6 +40,7 @@ from sskit.core import (
 )
 from sskit.factorize import (
     Attachment,
+    SaturationResult,
     attach_all,
     descend_over_triangle,
     is_prefibrant,
@@ -53,6 +56,7 @@ from sskit.lifting import (
     classify_map,
     family_keys,
     generator_inclusion,
+    generator_maps,
     key_inclusion,
     spine_inclusion,
 )
@@ -338,6 +342,139 @@ def test_saturation_spends_one_budget_across_its_pre_check_and_attachments():
     assert is_prefibrant(S, 3, 1727).ok
     with pytest.raises(BudgetExceeded):
         saturate_prefibrant(S, 3, 1727)
+
+
+def listed_saturation(S, up_to_dim, budget):
+    """Saturation as its own list-and-attach loop, the reference for the
+    `soa_stage` one: per dimension n, the horns are listed into the
+    sub-complex of the cells of S of dimension <= n and of those attached
+    of dimension <= n - 1, pushed into the stage by one `compose` each, and
+    attached at once; the mapping spaces are compared pair by pair."""
+    pre = is_prefibrant(S, up_to_dim, budget)
+    if Verdict(BUDGET) in pre.verdicts.values():
+        raise BudgetExceeded("pre-check", budget.used, budget.limit)
+    if not pre.ok:
+        raise ValueError("not pre-fibrant")
+    cur, s_cells, attached, steps = S, set(S.all_cells()), set(), []
+    for n in range(3, up_to_dim + 1):
+        allowed = [
+            c
+            for c in cur.all_cells()
+            if (c in s_cells and c.dim <= n) or (c in attached and c.dim <= n - 1)
+        ]
+        part, part_inc = sub_complex(cur, allowed)
+        atts = []
+        for hi in range(1, n):
+            for alpha in generator_maps((n, hi), part, budget):
+                img = alpha.images[CellId(n - 1, n - 1)]
+                if is_constant(img) or is_constant(part.face(img, hi - 1)):
+                    continue
+                atts.append((hi, Attachment(key_inclusion((n, hi)), compose(alpha, part_inc))))
+        cur, _ = attach_all(cur, [a for _, a in atts])
+        for hi, att in atts:
+            attached.update(att.new_cells)
+            steps.append((n, hi, next(c for c in att.new_cells if c.dim == n)))
+    p2 = [c for c in attached if c.dim >= 1 and is_constant(cur.face(Simplex(c), 0))]
+    lev = max(up_to_dim - 2, 0)
+    return SaturationResult(
+        cur, None, steps, p2, per_pair_hom_levels_equal(S, cur, lev), up_to_dim
+    )
+
+
+def per_pair_hom_levels_equal(S, T, lev):
+    return all(
+        set(hom_left(S, x, y, lev).levels[k]) == set(hom_left(T, x, y, lev).levels[k])
+        for x in S.cells(0)
+        for y in S.cells(0)
+        for k in range(lev + 1)
+    )
+
+
+def saturation_outcome(saturate, S, up_to_dim, limit):
+    budget = Budget(limit)
+    try:
+        res = saturate(S, up_to_dim, budget)
+    except (BudgetExceeded, ValueError) as e:
+        return type(e), budget.used
+    return (
+        serialize_complex(res.truncation),
+        res.steps,
+        res.p2_violations,
+        res.hom_levels_equal,
+        budget.used,
+    )
+
+
+def saturation_inputs():
+    yield standard_simplex(2).complex, 3
+    yield standard_simplex(2).complex, 4
+    yield standard_simplex(3).complex, 3
+    yield cosk0_complex(3, 2).complex, 3
+    for seed in range(1, 9):
+        G = random_generator_complex(random.Random(seed))
+        yield prefibrantize(G.complex, stages=2).result, 3
+
+
+@pytest.mark.parametrize("limit, kinds", [
+    (500, {BudgetExceeded}),
+    (3000, {BudgetExceeded, "answer"}),
+    (10**6, {"answer"}),
+])
+def test_saturation_matches_its_list_and_attach_reference(limit, kinds):
+    """The same truncation bytes, steps, P-2 list, hom-level flag and
+    nodes, or the same exception at the same node count."""
+    outcomes = set()
+    for S, up_to_dim in saturation_inputs():
+        got = saturation_outcome(saturate_prefibrant, S, up_to_dim, limit)
+        assert got == saturation_outcome(listed_saturation, S, up_to_dim, limit)
+        outcomes.add(got[0] if len(got) == 2 else "answer")
+    assert outcomes == kinds
+
+
+def test_the_hom_level_check_matches_the_per_pair_one():
+    """T is one stage of inner-horn attachments on S with a random
+    selector, so it holds S under the same ids and has no other vertex."""
+    rng = random.Random(34)
+    seen = []
+    for _ in range(200):
+        S = random_generator_complex(rng).complex
+        share = rng.random()
+        T, _, _ = soa_stage(
+            S, family_keys("inner", 3), lambda key, alpha: rng.random() < share, 10**6
+        )
+        lev = rng.choice([0, 1])
+        same = factorize._same_hom_levels(S, T, lev)
+        assert same == per_pair_hom_levels_equal(S, T, lev)
+        seen.append(same)
+    assert True in seen and False in seen
+
+
+@pytest.mark.parametrize("name, steps, violations", [("d2", 30, 28), ("cosk0", 162, 72)])
+def test_saturation_reports_the_violations_of_a_stage_that_keeps_every_horn(
+    name, steps, violations, monkeypatch, tmp_path, capsys
+):
+    X = {"d2": standard_simplex(2).complex, "cosk0": cosk0_complex(3, 2).complex}[name]
+    every_horn = factorize.soa_stage
+
+    def keep_all(S, keys, selector, budget):
+        return every_horn(S, keys, lambda key, alpha: True, budget)
+
+    monkeypatch.setattr(factorize, "soa_stage", keep_all)
+    res = saturate_prefibrant(X, 3)
+    assert (len(res.steps), len(res.p2_violations), res.hom_levels_equal) == (
+        steps,
+        violations,
+        False,
+    )
+    path = tmp_path / "x.txt"
+    path.write_text(serialize_complex(X))
+    assert cli.main(["--format", "structured", "saturate", str(path), "--up-to", "3"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert (report["steps"], report["p2_violations"], report["hom_levels_equal"]) == (
+        steps,
+        violations,
+        False,
+    )
 
 
 def test_descent_result_and_node_count_are_pinned():

@@ -49,6 +49,7 @@ from sskit.homotopy import check_categorical_fibration, check_isofibration, dwye
 from sskit.lifting import generator_inclusion, key_inclusion, spine_inclusion
 
 from conftest import (
+    build_loop_over_iso,
     build_walking_iso,
     ill_posed_squares,
     parallel_edges_map,
@@ -108,6 +109,18 @@ def test_certificate_text_names_cells_of_the_target():
     assert e.value.lineno == 2
     with pytest.raises(ParseError):
         parse_certificate("step 2 1 012\n", i.target)
+
+
+def test_a_certificate_reads_its_lines_as_complexes_and_maps_do():
+    # a comment after a record, a blank line, and a bad record whose
+    # message quotes it without its comment or surrounding whitespace
+    good = "# a certificate\nclass inner  # the family\n\nstep 2 1 012 # one filler\n"
+    d2 = standard_simplex(2).complex
+    cert = parse_certificate(good, d2)
+    assert (cert.family, cert.steps) == ("inner", [(2, 1, CellId(2, 0))])
+    with pytest.raises(ParseError) as e:
+        parse_certificate(good + "  fill  2 1   012  # not a record\n", d2)
+    assert str(e.value) == "line 5: bad certificate record 'fill  2 1   012'"
 
 
 def test_name_table_uniquifies_duplicate_labels():
@@ -335,6 +348,28 @@ def test_cli_equiv_edge_refutes_a_directed_edge(tmp_path, capsys):
     d1 = _write(tmp_path, "d1.txt", serialize_complex(standard_simplex(1).complex))
     assert cli.main(["equiv-edge", d1, "01"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["mapspace", "{f}", "0", "nope"], "mapspace takes two vertex names"),
+    (["mapspace", "{f}", "01", "2"], "mapspace takes two vertex names"),
+    (["equiv-edge", "{f}", "nope"], "no edge named 'nope'"),
+    (["equiv-edge", "{f}", "0"], "no edge named '0'"),
+])
+def test_cli_rejects_a_name_that_is_not_a_cell_of_the_right_dimension(argv, message, tmp_path, capsys):
+    full = _write(tmp_path, "full.txt", serialize_complex(standard_simplex(2).complex))
+    assert cli.main([a.format(f=full) for a in argv]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def test_cli_isofib_reports_an_undecided_lift_as_unknown(tmp_path, capsys):
+    p, _ = build_loop_over_iso()
+    _write(tmp_path, "x.txt", serialize_complex(p.source))
+    _write(tmp_path, "j.txt", serialize_complex(p.target))
+    path = _write(tmp_path, "p.map", serialize_map(p, "x.txt", "j.txt"))
+    assert cli.main(["--word-budget", "4", "isofib", path]) == 2
+    assert capsys.readouterr().out == "command: isofib\nverdict: unknown\n"
 
 
 def test_cli_saturate_and_descend(tmp_path, capsys):

@@ -9,6 +9,7 @@ import pytest
 
 from hypothesis import example, given, settings, strategies as st
 
+from sskit.core import NO, UNKNOWN, Verdict
 from sskit.core import (
     CellId,
     ComplexBuilder,
@@ -31,7 +32,7 @@ from sskit.homotopy import (
     pi0,
 )
 
-from conftest import parallel_edges_map, random_generator_complex
+from conftest import build_loop_over_iso, parallel_edges_map, random_generator_complex
 
 
 def test_triangle_presentation_is_exact_with_one_composite():
@@ -544,6 +545,24 @@ def test_vertex_inclusion_strands_an_equivalence(walking_iso):
     assert rep.witness is not None
     base_edge, stranded = rep.witness
     assert stranded == CellId(0, 0)
+
+
+def test_an_undecided_lift_leaves_the_isofibration_unknown():
+    # u lifts 01 from a, but X's presentation is not exact, so whether u
+    # is an equivalence stays unknown, and so does the isofibration
+    p, _ = build_loop_over_iso()
+    assert not homotopy_category(p.source, 4).exact
+    assert check_isofibration(p, 4) == Verdict(UNKNOWN, 4)
+
+
+def test_an_edge_from_another_vertex_lifts_nothing_at_a_stray_one():
+    # u lies over 01 but starts at a, so it is no lift at c, which no edge
+    # leaves: c is stranded whatever u is
+    p, c = build_loop_over_iso(stray_vertex=True)
+    v = check_isofibration(p, 4)
+    assert v.value == NO
+    assert v.witness == (CellId(1, 0), c)
+    assert p.target.label(v.witness[0]) == "01"
 
 
 def test_categorical_fibration_combines_both_checks(walking_iso):
