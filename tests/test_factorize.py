@@ -460,21 +460,14 @@ def test_saturation_reports_the_violations_of_a_stage_that_keeps_every_horn(
         return every_horn(S, keys, lambda key, alpha: True, budget)
 
     monkeypatch.setattr(factorize, "soa_stage", keep_all)
+    expected = (steps, violations, False)
     res = saturate_prefibrant(X, 3)
-    assert (len(res.steps), len(res.p2_violations), res.hom_levels_equal) == (
-        steps,
-        violations,
-        False,
-    )
+    assert (len(res.steps), len(res.p2_violations), res.hom_levels_equal) == expected
     path = tmp_path / "x.txt"
     path.write_text(serialize_complex(X))
     assert cli.main(["--format", "structured", "saturate", str(path), "--up-to", "3"]) == 1
     report = json.loads(capsys.readouterr().out)
-    assert (report["steps"], report["p2_violations"], report["hom_levels_equal"]) == (
-        steps,
-        violations,
-        False,
-    )
+    assert (report["steps"], report["p2_violations"], report["hom_levels_equal"]) == expected
 
 
 def test_descent_result_and_node_count_are_pinned():
