@@ -5,12 +5,18 @@ These are all built from vertex tuples.  A strictly increasing tuple
 names the evident degenerate simplex.  Each constructor also returns the
 tuple -> CellId table so that canonical inclusions between generators can
 be written down directly.
+
+The named constructors keep what they build in one bounded table per
+process: equal parameters give the identical `GeneratorComplex`, which
+every caller shares.  Complexes never change after construction, so
+sharing one is safe; never write into its `lookup` or `labels`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
+from functools import lru_cache
+from itertools import combinations, product as iproduct
 from typing import Callable
 
 from .complex import ComplexBuilder, SimplicialSet
@@ -18,9 +24,10 @@ from .simplex import CellId, Simplex, apply_degeneracy
 
 
 def tuple_label(t: tuple[int, ...]) -> str:
-    if all(v <= 9 for v in t):
-        return "".join(str(v) for v in t)
-    return "-".join(str(v) for v in t)
+    """Vertices run together when all are single digits, else joined by -."""
+    if not t:
+        return ""
+    return ("" if max(t) <= 9 else "-").join(map(str, t))
 
 
 @dataclass(frozen=True)
@@ -49,34 +56,48 @@ def tuple_simplex(t: tuple[int, ...], lookup: dict[tuple[int, ...], CellId]) -> 
 
 
 def from_vertex_tuples(tuples) -> GeneratorComplex:
-    """Build a complex from strictly increasing vertex tuples, face-closed."""
-    closed: set[tuple[int, ...]] = set()
-    stack = [tuple(t) for t in tuples]
-    while stack:
-        t = stack.pop()
-        if t in closed or not t:
-            continue
-        closed.add(t)
-        if len(t) > 1:
-            stack.extend(t[:i] + t[i + 1 :] for i in range(len(t)))
+    """Build a complex from strictly increasing vertex tuples, face-closed.
+
+    Cells are added by length, each length in sorted order.  The face d_j
+    of a k-cell t drops position j of t, so d_0 ... d_k are
+    `combinations(t, k)` reversed, read from a table of simplices.
+    """
+    levels: list[set[tuple[int, ...]]] = []
+    for t in tuples:
+        t = tuple(t)
+        while len(levels) < len(t):
+            levels.append(set())
+        if t:
+            levels[len(t) - 1].add(t)
+    for k in range(len(levels) - 1, 0, -1):
+        below = levels[k - 1]
+        for t in levels[k]:
+            below.update(combinations(t, k))
 
     builder = ComplexBuilder()
+    add_cell = builder.add_cell
     lookup: dict[tuple[int, ...], CellId] = {}
-    for t in sorted(closed, key=lambda t: (len(t), t)):
-        lookup[t] = builder.add_cell(
-            len(t) - 1,
-            (Simplex(lookup[t[:i] + t[i + 1 :]]) for i in range(len(t))),
-            tuple_label(t),
-        )
+    simplex: dict[tuple[int, ...], Simplex] = {}
+    for k, level in enumerate(levels):
+        for t in sorted(level):
+            faces = reversed([simplex[f] for f in combinations(t, k)]) if k else ()
+            c = lookup[t] = add_cell(k, faces, tuple_label(t))
+            simplex[t] = Simplex(c)
     return GeneratorComplex(builder.build(), lookup)
 
 
+# each named constructor's table; a few dozen generators cover any one run
+_shared = lru_cache(maxsize=64)
+
+
+@_shared
 def standard_simplex(n: int) -> GeneratorComplex:
     if n < 0:
         raise ValueError("simplex dimension must be >= 0")
     return from_vertex_tuples([tuple(range(n + 1))])
 
 
+@_shared
 def boundary_complex(n: int) -> GeneratorComplex:
     if n < 0:
         raise ValueError("boundary dimension must be >= 0")
@@ -86,6 +107,7 @@ def boundary_complex(n: int) -> GeneratorComplex:
     )
 
 
+@_shared
 def horn_complex(n: int, i: int) -> GeneratorComplex:
     if n < 1 or not 0 <= i <= n:
         raise ValueError(f"no horn ({n},{i})")
@@ -95,12 +117,14 @@ def horn_complex(n: int, i: int) -> GeneratorComplex:
     )
 
 
+@_shared
 def spine_complex(n: int) -> GeneratorComplex:
     if n < 1:
         raise ValueError("spine needs n >= 1")
     return from_vertex_tuples((k, k + 1) for k in range(n))
 
 
+@_shared
 def cosk0_complex(n_vertices: int, bound: int) -> GeneratorComplex:
     """Truncation of the 0-coskeleton of a vertex set up to the bound.
 

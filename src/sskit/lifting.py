@@ -136,14 +136,12 @@ def family_keys(name: str, max_dim: int) -> Iterator[Key]:
 @functools.cache
 def key_inclusion(key: Key) -> SimplicialMap:
     """The generator named by a key, built once per process: complexes and
-    maps never change after construction, so every caller shares it, and
-    the generators into one Delta^n share that simplex."""
+    maps never change after construction, so every caller shares it.  Its
+    horn or boundary and its Delta^n come from core's shared generator
+    table, so the generators into one Delta^n share that simplex."""
     n, i = key
     sub = boundary_complex(n) if i is None else horn_complex(n, i)
-    return generator_inclusion(sub, _table_simplex(n))
-
-
-_table_simplex = functools.cache(standard_simplex)
+    return generator_inclusion(sub, standard_simplex(n))
 
 
 @functools.cache
@@ -154,7 +152,7 @@ def key_cells(key: Key) -> tuple[tuple[CellId, ...], tuple[CellId, ...]]:
     n, h = key
     inc = key_inclusion(key)
     preimage = {s.base: a for a, s in inc.images.items()}
-    lookup, full = _table_simplex(n).lookup, tuple(range(n + 1))
+    lookup, full = standard_simplex(n).lookup, tuple(range(n + 1))
     given = tuple(
         preimage[lookup[full[:j] + full[j + 1 :]]] for j in range(n + 1) if j != h
     ) if n else ()

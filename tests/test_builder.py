@@ -11,6 +11,7 @@ from functools import partial
 from itertools import product as iproduct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sskit
 from sskit.core import (
@@ -398,6 +399,74 @@ def test_from_vertex_tuples_matches_the_counting_constructor(seed):
         R, lookup = ref_from_vertex_tuples(ts)
         assert_same_complex(G.complex, R)
         assert G.lookup == lookup
+
+
+def ref_tuple_label(t):
+    if all(v <= 9 for v in t):
+        return "".join(str(v) for v in t)
+    return "-".join(str(v) for v in t)
+
+
+def ref_closure_builder(tuples):
+    """`from_vertex_tuples` as it was: the face closure one sliced face at
+    a time, then every cell added in (length, tuple) order."""
+    closed = set()
+    stack = [tuple(t) for t in tuples]
+    while stack:
+        t = stack.pop()
+        if t in closed or not t:
+            continue
+        closed.add(t)
+        if len(t) > 1:
+            stack.extend(t[:i] + t[i + 1 :] for i in range(len(t)))
+    builder = ComplexBuilder()
+    lookup = {}
+    for t in sorted(closed, key=lambda t: (len(t), t)):
+        lookup[t] = builder.add_cell(
+            len(t) - 1,
+            (Simplex(lookup[t[:i] + t[i + 1 :]]) for i in range(len(t))),
+            ref_tuple_label(t),
+        )
+    return builder.build(), lookup
+
+
+vertex_sets = st.lists(st.integers(0, 13), max_size=5, unique=True).map(lambda vs: tuple(sorted(vs)))
+
+
+@st.composite
+def tuple_families(draw):
+    """Strictly increasing tuples, vertices up to 13, with some members
+    given again as sub-tuples of others (the empty tuple among them)."""
+    family = draw(st.lists(vertex_sets, max_size=6))
+    for t in list(family):
+        if draw(st.booleans()):
+            keep = draw(st.lists(st.booleans(), min_size=len(t), max_size=len(t)))
+            family.append(tuple(v for v, k in zip(t, keep) if k))
+    return family
+
+
+@settings(max_examples=150, deadline=None)
+@given(tuple_families())
+def test_from_vertex_tuples_matches_the_closure_builder(family):
+    G = from_vertex_tuples(family)
+    R, lookup = ref_closure_builder(family)
+    assert list(G.lookup.items()) == list(lookup.items())
+    assert_same_complex(G.complex, R)
+    assert serialize_complex(G.complex) == serialize_complex(R)
+
+
+@pytest.mark.parametrize("family", [[], [()], [(), (0,)], [(10, 11, 12)], [(0, 3, 9), (3, 9, 10), (9,)]])
+def test_from_vertex_tuples_matches_the_closure_builder_on_edge_cases(family):
+    G = from_vertex_tuples(family)
+    R, lookup = ref_closure_builder(family)
+    assert list(G.lookup.items()) == list(lookup.items())
+    assert_same_complex(G.complex, R)
+    assert serialize_complex(G.complex) == serialize_complex(R)
+
+
+@given(st.lists(st.integers(-3, 30), max_size=6).map(tuple))
+def test_tuple_label_matches_the_old_expression(t):
+    assert tuple_label(t) == ref_tuple_label(t)
 
 
 @pytest.mark.parametrize("n, bound", [(1, 0), (1, 2), (2, 3), (3, 2), (4, 1), (4, 2)])

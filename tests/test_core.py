@@ -45,7 +45,7 @@ from sskit.core import (
 )
 from sskit.core import spaces
 from sskit.factorize import mapping_path_space
-from sskit.fileformat import serialize_complex
+from sskit.fileformat import parse_complex, serialize_complex
 from sskit.lifting import generator_inclusion
 
 from conftest import build_walking_iso, random_generator_complex, random_looped_complex
@@ -241,8 +241,11 @@ def test_face_reads_its_cache_first_and_keeps_its_range_check():
     s = Simplex(CellId(2, 1), (1,))  # a degenerate 3-simplex
     faces = [X.face(s, i) for i in range(4)]
     assert all((s, i) in X._face_cache for i in range(4))
-    # a cached answer is the one a complex with an empty cache computes
-    assert faces == [cosk0_complex(3, 2).complex.face(s, i) for i in range(4)]
+    # a cached answer is the one a complex with an empty cache computes;
+    # read back from its file, as cosk0_complex hands out the shared X
+    fresh = parse_complex(serialize_complex(X))
+    assert fresh is not X and not any((s, i) in fresh._face_cache for i in range(4))
+    assert faces == [fresh.face(s, i) for i in range(4)]
     assert [X.face(s, i) for i in range(4)] == faces
     for i in (-1, 4, 5):
         with pytest.raises(IndexError):

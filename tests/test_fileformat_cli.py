@@ -276,6 +276,50 @@ def test_cli_gen_covers_every_generator(kind, params, capsys):
     assert parse_complex(out) == GENERATORS[kind](*params).complex
 
 
+SHARED_PARAMS = {
+    "simplex": [(n,) for n in range(5)],
+    "boundary": [(n,) for n in range(5)],
+    "horn": [(n, i) for n in range(1, 5) for i in range(n + 1)],
+    "spine": [(n,) for n in range(1, 5)],
+    "cosk0": [(2, 2), (3, 2)],
+    "jtrunc": [(2,), (3,)],
+}
+
+
+def test_named_generators_are_shared_and_left_unchanged_by_the_cli(tmp_path, capsys):
+    """Each named constructor hands out one shared complex per parameter
+    tuple from a bounded table; commands that read Delta^n, horns and
+    boundaries from it leave every one as it was built."""
+    shared = {}
+    for kind, params in SHARED_PARAMS.items():
+        for ps in params:
+            G = GENERATORS[kind](*ps)
+            assert GENERATORS[kind](*ps) is G
+            shared[kind, ps] = G, serialize_complex(G.complex), list(G.lookup.items())
+    assert GENERATORS["jtrunc"](2) is cosk0_complex(2, 2)
+    assert standard_simplex.cache_info().maxsize is not None
+
+    horn, full, inc = _gen_files(tmp_path)
+    ident = _identity_map_file(tmp_path)
+    horn_id = _write(
+        tmp_path, "hid.map",
+        serialize_map(identity_map(horn_complex(2, 1).complex), "horn.txt", "horn.txt"),
+    )
+    for argv in (
+        ["lift", "--along", inc, inc],
+        ["--max-dim", "3", "classify", inc],
+        ["--stages", "1", "complete", full],
+        ["pathspace", ident, "--up-to", "2"],
+        ["--max-dim", "3", "--stages", "1", "descend-triangle", horn_id],
+    ):
+        assert cli.main(argv) in (0, 1)
+    capsys.readouterr()
+    for (kind, ps), (G, text, lookup) in shared.items():
+        assert GENERATORS[kind](*ps) is G
+        assert serialize_complex(G.complex) == text
+        assert list(G.lookup.items()) == lookup
+
+
 def test_cli_structured_output_is_versioned_json(tmp_path, capsys):
     horn, full, inc = _gen_files(tmp_path)
     assert cli.main(["--format", "structured", "certify", inc]) == 0
