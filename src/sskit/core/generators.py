@@ -25,9 +25,7 @@ from .simplex import CellId, Simplex, apply_degeneracy
 
 def tuple_label(t: tuple[int, ...]) -> str:
     """Vertices run together when all are single digits, else joined by -."""
-    if not t:
-        return ""
-    return ("" if max(t) <= 9 else "-").join(map(str, t))
+    return ("" if max(t, default=0) <= 9 else "-").join(map(str, t))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from functools import partial
 from itertools import product as iproduct
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import sskit
 from sskit.core import (
@@ -447,16 +447,12 @@ def tuple_families(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(tuple_families())
+@example([])
+@example([()])
+@example([(), (0,)])
+@example([(10, 11, 12)])
+@example([(0, 3, 9), (3, 9, 10), (9,)])
 def test_from_vertex_tuples_matches_the_closure_builder(family):
-    G = from_vertex_tuples(family)
-    R, lookup = ref_closure_builder(family)
-    assert list(G.lookup.items()) == list(lookup.items())
-    assert_same_complex(G.complex, R)
-    assert serialize_complex(G.complex) == serialize_complex(R)
-
-
-@pytest.mark.parametrize("family", [[], [()], [(), (0,)], [(10, 11, 12)], [(0, 3, 9), (3, 9, 10), (9,)]])
-def test_from_vertex_tuples_matches_the_closure_builder_on_edge_cases(family):
     G = from_vertex_tuples(family)
     R, lookup = ref_closure_builder(family)
     assert list(G.lookup.items()) == list(lookup.items())
