@@ -7,6 +7,10 @@ internal fault reported with verdict "error"; 3 = input error.  A command
 that only builds something has no verdict and exits 0.  A search or build
 that runs out of nodes reports verdict "budget" with the nodes used and
 the limit, and exits 2.
+`saturate` on an input that is not pre-fibrant up to `--up-to` is an
+input error (exit 3): the message keeps its prefix "saturation requires a
+pre-fibrant input up to the bound" and names the inner horn with no
+filler, its dimension n, index i and faces.
 Structured output (`--format structured`) is a single JSON object with a
 `format_version` field.
 """

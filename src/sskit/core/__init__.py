@@ -29,7 +29,6 @@ from .maps import (
     enumerate_maps,
     identity_map,
     join,
-    join_functor,
     map_by_vertices,
     product,
     product_functor,

@@ -618,16 +618,6 @@ def join(X: SimplicialSet, Y: SimplicialSet) -> Join:
     return Join(X, Y)
 
 
-def join_functor(J: Join, K: Join, f: SimplicialMap, g: SimplicialMap) -> SimplicialMap:
-    """Induced map J -> K for f: J.x -> K.x and g: J.y -> K.y."""
-    images = {jc: K.embed_x(f.images[c]) for c, jc in J.x_cell.items()}
-    for c, jc in J.y_cell.items():
-        images[jc] = K.embed_y(g.images[c])
-    for (cx, cy), jc in J.pair_cell.items():
-        images[jc] = K.join_simplex(f.images[cx], g.images[cy])
-    return SimplicialMap(J.complex, K.complex, images)
-
-
 # -- maps out of standard simplices ----------------------------------------
 
 

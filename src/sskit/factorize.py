@@ -1,6 +1,5 @@
 """Stage-bounded factorizations: horn attachment stages, pre-fibrancy,
-saturation, descent over the 2-horn, mapping path spaces, and a
-brute-force descent-extension search.
+saturation, descent over the 2-horn and mapping path spaces.
 
 Every construction here is truncation-bounded and records its bound;
 attachment enumeration ranges over ALL maps from the generator domains,
@@ -24,15 +23,12 @@ from .core import (
     DEFAULT_NODE_BUDGET,
     DEFAULT_WORD_BUDGET,
     CellId,
-    ComplexBuilder,
     LevelwiseSpace,
     SimplicialMap,
     SimplicialSet,
     Simplex,
-    apply_images,
     attach_all,
     compose,
-    degeneracy_words,
     degenerate,
     enumerate_maps,
     identity_map,
@@ -41,11 +37,10 @@ from .core import (
     restricted_function_complex,
     simplex_as_map,
     standard_simplex,
-    validate,
+    word_label,
 )
 from .lifting import (
     Key,
-    classify_map,
     family_keys,
     generator_maps,
     key_cells,
@@ -101,6 +96,7 @@ class PreFibrantReport:
     # the 2-horns at index 1, keys n >= 3 the constant-d_0 horns
     verdicts: dict[int, Verdict]
     witness: SimplicialMap | None = None  # the horn behind a NO
+    horn: Key | None = None  # its (n, i)
 
     @property
     def ok(self) -> bool:
@@ -144,7 +140,7 @@ def is_prefibrant(
             report.verdicts[n] = Verdict(YES)
             for alpha in enumerate_maps(key_inclusion(key).source, S, budget=budget):
                 if _needs_filler(key, alpha, budget):
-                    report.verdicts[n], report.witness = Verdict(NO), alpha
+                    report.verdicts[n], report.witness, report.horn = Verdict(NO), alpha, key
                     return report
     except BudgetExceeded:
         report.verdicts[n] = Verdict(BUDGET)
@@ -219,7 +215,14 @@ def saturate_prefibrant(
             "the pre-fibrancy check ran out of budget", budget.used, budget.limit
         )
     if not pre.ok:
-        raise ValueError("saturation requires a pre-fibrant input up to the bound")
+        n, i = pre.horn
+        js = [j for j in range(n + 1) if j != i]
+        faces = [pre.witness.images[c] for c in key_cells(pre.horn)[0]]
+        named = ", ".join(f"d{j} = {word_label(S.names[s.base], s.word)}" for j, s in zip(js, faces))
+        raise ValueError(
+            "saturation requires a pre-fibrant input up to the bound: the inner "
+            f"horn of dimension {n} at index {i} with faces {named} has no filler"
+        )
 
     def keeps_p2(key: Key, alpha: SimplicialMap) -> bool:
         """Whether both cells the pushout creates satisfy (P-2): the filler
@@ -386,143 +389,3 @@ def mapping_path_space(
         raise AssertionError("mapping path space factorization failed")
     return PathSpaceResult(Q, section, projection, to_source, up_to)
 
-
-# -- brute-force descent extension ------------------------------------------------
-
-
-_CELL_CAP = 2  # new cells tried per dimension by the descent search
-
-
-@dataclass
-class DescentSearchResult:
-    """The answer of `search_descent_extension`, up to the top dimension d
-    of the new cells (the verdict's bound), with the cap k on new cells
-    per dimension that the search ran with.  A NO means "no extension
-    with at most k new cells per dimension up to d"; a YES comes with the
-    extension, its inclusion and its map to the codomain."""
-
-    verdict: Verdict
-    extension: SimplicialSet | None = None
-    inclusion: SimplicialMap | None = None
-    base_map: SimplicialMap | None = None
-    cell_cap: int = _CELL_CAP
-
-
-def search_descent_extension(
-    p: SimplicialMap,
-    i: SimplicialMap,
-    max_dim: int | None = None,
-    node_budget: int | Budget = DEFAULT_NODE_BUDGET,
-) -> DescentSearchResult:
-    """Exhaustive bounded search for Y over the codomain of a mono
-    inclusion i pulling back to the given complex over its domain.
-
-    New cells sit over simplices whose base lies outside the image of i;
-    at most `_CELL_CAP` new cells are tried per dimension.  NO is a
-    bounded refutation, up to the bound and that cap, both recorded in the
-    result; BUDGET is a distinct outcome.  The inner-fibration check of
-    each candidate spends the same budget as the search.
-    """
-    A, B = i.source, i.target
-    X = p.source
-    if p.target != A:
-        raise ValueError("p must land in the domain of i")
-    if not i.is_mono():
-        raise ValueError("descent search requires a mono inclusion")
-    bound = B.dim + 1 if max_dim is None else max_dim
-    budget = Budget.of(node_budget)
-    cap = _CELL_CAP
-
-    a_cells = {i.images[a].base for a in A.all_cells()}
-    # the partial extension: the new cells chosen so far, as (image in B,
-    # face tuple) per dimension, and the image of every cell.  q lists X's
-    # cells and then the new ones in the order they were added, which is
-    # (dim, index) order, so the newest cell is q's last item
-    q = {c: i.apply(p.images[c]) for c in X.all_cells()}
-    new: list[list[tuple[Simplex, tuple[Simplex, ...]]]] = [[] for _ in range(bound + 1)]
-
-    @functools.cache
-    def outside(d: int) -> list[Simplex]:
-        """The d-simplices of B outside A, nondegenerate images first."""
-        return sorted(
-            (s for s in B.simplices(d) if s.base not in a_cells),
-            key=lambda s: (len(s.word), s),
-        )
-
-    def try_build():
-        builder = ComplexBuilder()
-        for c in X.all_cells():
-            builder.add_cell(c.dim, X.cell_faces(c))
-        for d, cells in enumerate(new):
-            for _, fs in cells:
-                builder.add_cell(d, fs)
-        Y = builder.build()
-        if validate(Y):
-            return None
-        qm = SimplicialMap(Y, B, q)
-        if qm.check():
-            raise AssertionError("descent candidate has a non-simplicial base map")
-        value = classify_map(qm, bound, budget, classes=("inner",)).classes["inner"].value
-        if value == BUDGET:
-            raise BudgetExceeded(
-                f"node budget {budget.limit} exceeded", budget.used, budget.limit
-            )
-        if value != YES:
-            return None
-        inc = SimplicialMap(X, Y, {c: Simplex(c) for c in X.all_cells()})
-        return Y, inc, qm
-
-    def candidates(d: int):
-        """The new d-cells (image, faces) that may follow those chosen at d,
-        up to the cap, in nondecreasing order.  The faces are (d-1)-simplices
-        of the partial extension, grouped once by their image."""
-        if len(new[d]) >= cap:
-            return
-        last = new[d][-1] if new[d] else None
-        below: dict[Simplex, list[Simplex]] = {}
-        for c in [c for c in q if c.dim < d]:
-            for s in (Simplex(c, w) for w in degeneracy_words(c.dim, d - 1)):
-                below.setdefault(apply_images(q, s), []).append(s)
-        for img in outside(d):
-            opts = []
-            for j in range(d + 1 if d else 0):
-                opts.append(below.get(B.face(img, j), ()))
-                if not opts[-1]:
-                    break
-            for fs in itertools.product(*opts):
-                if last is None or (img, fs) >= last:
-                    yield img, fs
-
-    # the path: one frame [d, the untried candidates at d, or None while the
-    # search is above d] per dimension climbed or new cell added
-    path: list[list] = []
-
-    def climb(d: int):
-        """Enter dimensions d .. bound + 1, one node each, and try the
-        partial extension as it stands."""
-        for _ in range(d, bound + 2):
-            budget.spend()
-        path.extend([e, None] for e in range(d, bound + 1))
-        return try_build()
-
-    try:
-        found = climb(0)
-        while path and found is None:
-            d, untried = frame = path[-1]
-            if untried is None:
-                frame[1] = untried = candidates(d)
-            else:
-                new[d].pop()
-                q.popitem()
-            cand = next(untried, None)
-            if cand is None:
-                path.pop()
-            else:
-                q[CellId(d, X.n_cells(d) + len(new[d]))] = cand[0]
-                new[d].append(cand)
-                found = climb(d)
-    except BudgetExceeded:
-        return DescentSearchResult(Verdict(BUDGET, bound), cell_cap=cap)
-    if found is None:
-        return DescentSearchResult(Verdict(NO, bound), cell_cap=cap)
-    return DescentSearchResult(Verdict(YES, bound), *found, cell_cap=cap)

@@ -944,3 +944,29 @@ def test_only_the_small_object_stage_lists_and_attaches_cells():
         if where.startswith("saturate_prefibrant")
     ]
     assert saturation == []
+
+
+def unused_imports(package):
+    """(module, name) for every name a module under the package imports
+    and never reads, the re-exporting `__init__.py` files and `from
+    __future__` left out."""
+    out = []
+    for path in sorted(package.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [(a.asname or a.name).split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [a.asname or a.name for a in node.names]
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        module = path.relative_to(package).as_posix()
+        out += [(module, name) for name in imported if name not in read]
+    return out
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """Every name a library module imports is read somewhere in it."""
+    assert unused_imports(pathlib.Path(sskit.__file__).parent) == []

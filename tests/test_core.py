@@ -30,7 +30,6 @@ from sskit.core import (
     is_constant,
     j_truncation,
     join,
-    join_functor,
     product,
     product_functor,
     pushout,
@@ -479,14 +478,6 @@ def test_join_of_interval_and_point_is_a_triangle():
     assert J.complex.cell_counts() == (3, 3, 1)
     assert validate(J.complex) == []
     assert J.inc_x.check() == [] and J.inc_y.check() == []
-
-
-def test_join_functor_respects_identities():
-    d1 = standard_simplex(1).complex
-    pt = standard_simplex(0).complex
-    J = join(d1, pt)
-    f = join_functor(J, J, identity_map(d1), identity_map(pt))
-    assert f == identity_map(J.complex)
 
 
 def test_pushout_of_two_triangles_along_an_edge():

@@ -6,7 +6,7 @@ import json
 import pathlib
 import random
 from functools import partial
-from itertools import combinations, product
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,14 +18,9 @@ from sskit.core import (
     Budget,
     BudgetExceeded,
     CellId,
-    ComplexBuilder,
-    SimplicialMap,
     Simplex,
-    apply_images,
-    boundary_complex,
     compose,
     cosk0_complex,
-    degeneracy_words,
     enumerate_maps,
     from_vertex_tuples,
     hom_left,
@@ -35,7 +30,6 @@ from sskit.core import (
     spine_complex,
     standard_simplex,
     sub_complex,
-    terminal_map,
     validate,
 )
 from sskit.factorize import (
@@ -47,18 +41,14 @@ from sskit.factorize import (
     mapping_path_space,
     prefibrantize,
     saturate_prefibrant,
-    search_descent_extension,
     soa_stage,
-    _CELL_CAP,
 )
 from sskit.fileformat import serialize_complex
 from sskit.lifting import (
-    classify_map,
     family_keys,
     generator_inclusion,
     generator_maps,
     key_inclusion,
-    spine_inclusion,
 )
 
 from conftest import (
@@ -128,9 +118,6 @@ def test_factorizations_record_their_bound():
     p = identity_map(horn_complex(2, 1).complex)
     assert descend_over_triangle(p).bound == 3
     assert descend_over_triangle(p, max_dim=0).bound == 0
-    i = generator_inclusion(horn_complex(2, 1), standard_simplex(2))
-    assert search_descent_extension(p, i).verdict.bound == 3  # the target's dimension plus one
-    assert search_descent_extension(p, i, max_dim=1).verdict.bound == 1
 
 
 def test_saturation_of_the_triangle():
@@ -148,9 +135,24 @@ def test_saturation_of_the_triangle():
         assert not is_constant(T.face(Simplex(top), 0))
 
 
+SPINE_NOT_PREFIBRANT = (
+    "saturation requires a pre-fibrant input up to the bound: the inner horn "
+    "of dimension 2 at index 1 with faces d0 = 12, d2 = 01 has no filler"
+)
+
+
 def test_saturation_rejects_non_prefibrant_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^{SPINE_NOT_PREFIBRANT}$"):
         saturate_prefibrant(spine_complex(2).complex, 3)
+
+
+@pytest.mark.parametrize("fmt", ["human", "structured"])
+def test_saturate_names_the_horn_without_a_filler_and_exits_3(fmt, tmp_path, capsys):
+    assert cli.main(["gen", "spine", "2"]) == 0
+    path = tmp_path / "spine2.txt"
+    path.write_text(capsys.readouterr().out)
+    assert cli.main(["--format", fmt, "saturate", str(path), "--up-to", "3"]) == 3
+    assert capsys.readouterr() == ("", f"error: {SPINE_NOT_PREFIBRANT}\n")
 
 
 def test_a_starved_saturation_pre_check_is_a_budget_overrun_not_a_refutation():
@@ -212,57 +214,6 @@ def test_mapping_path_space_checks_its_bound_before_enumerating():
     # at 50 nodes the function complex of Delta^2 would run out of budget
     with pytest.raises(ValueError, match="^truncation bound too small for the source complex$"):
         mapping_path_space(identity_map(standard_simplex(2).complex), 1, Budget(50))
-
-
-def test_descent_extension_search_finds_the_minimal_filler():
-    lam = horn_complex(2, 1)
-    i = generator_inclusion(lam, standard_simplex(2))
-    res = search_descent_extension(identity_map(lam.complex), i)
-    assert res.verdict.value == YES
-    assert res.extension.cell_counts() == (3, 3, 1)
-    assert res.inclusion.is_mono()
-    assert res.base_map.check() == []
-
-
-def test_descent_extension_search_over_the_spine():
-    sp = spine_complex(2)
-    i = generator_inclusion(sp, standard_simplex(2))
-    res = search_descent_extension(identity_map(sp.complex), i)
-    assert res.verdict.value == YES
-    assert res.extension.cell_counts() == (3, 3, 1)
-
-
-def test_descent_extension_search_rejects_a_non_mono_inclusion():
-    # the pullback of the identity of Delta^1 over Delta^0 along the
-    # collapse Delta^1 -> Delta^0 is Delta^1 x Delta^1, not Delta^1, so no
-    # extension of it can be an answer
-    d1, pt = standard_simplex(1).complex, standard_simplex(0).complex
-    with pytest.raises(ValueError, match="mono inclusion"):
-        search_descent_extension(identity_map(d1), terminal_map(d1, pt))
-
-
-@pytest.mark.parametrize("target, needed", [
-    # cosk0(3,2) is no nerve, so every candidate's inner check searches
-    (cosk0_complex(3, 2), 743),
-    # over Delta^2 the found extension is a nerve and its check is free
-    (standard_simplex(2), 292),
-], ids=["cosk0", "nerve"])
-@pytest.mark.parametrize("limit", [50, 200, 1000, 1500])
-def test_descent_search_spends_no_more_than_its_budget(limit, target, needed, monkeypatch):
-    spent = []
-    spend = Budget.spend
-
-    def counting_spend(self, n=1):
-        spent.append(n)
-        spend(self, n)
-
-    monkeypatch.setattr(Budget, "spend", counting_spend)
-    sp = spine_complex(2)
-    i = generator_inclusion(sp, target)
-    res = search_descent_extension(identity_map(sp.complex), i, node_budget=limit)
-    assert sum(spent) <= limit + 1
-    # the unbounded search finds its extension after the needed nodes
-    assert res.verdict.value == (YES if limit >= needed else BUDGET)
 
 
 # The node counts below pin the faces-first search order; the results were
@@ -540,161 +491,6 @@ def test_a_starved_filler_search_attaches_nothing(limit):
     # so this limit runs out inside the last filler lookup of the stage
     with pytest.raises(BudgetExceeded):
         prefibrantize(standard_simplex(2).complex, 1, 3, limit)
-
-
-# -- the descent search against its recursive predecessor --------------------------
-
-
-def recursive_descent_search(p, i, max_dim, budget):
-    """`search_descent_extension` as it was, with a recursive `grow` that
-    re-listed and re-mapped the simplices below for every candidate image
-    and built the table of images outside A for every dimension up front."""
-    A, B = i.source, i.target
-    X = p.source
-    bound = B.dim + 1 if max_dim is None else max_dim
-    a_cells = {i.images[a].base for a in A.all_cells()}
-    q = {c: i.apply(p.images[c]) for c in X.all_cells()}
-    new = [[] for _ in range(bound + 1)]
-    outside = {
-        d: sorted(
-            (s for s in B.simplices(d) if s.base not in a_cells),
-            key=lambda s: (len(s.word), s),
-        )
-        for d in range(bound + 1)
-    }
-
-    def new_cell(d, idx):
-        return CellId(d, X.n_cells(d) + idx)
-
-    def try_build():
-        builder = ComplexBuilder()
-        for c in X.all_cells():
-            builder.add_cell(c.dim, X.cell_faces(c) if c.dim > 0 else ())
-        for d, cells in enumerate(new):
-            for _, fs in cells:
-                builder.add_cell(d, fs)
-        Y = builder.build()
-        if validate(Y):
-            return None
-        qm = SimplicialMap(Y, B, q)
-        rep = classify_map(qm, bound, budget, classes=("inner",))
-        status = rep.classes["inner"].value
-        if status == BUDGET:
-            raise BudgetExceeded("budget")
-        return (Y, qm) if status == YES else None
-
-    def simplices_so_far(d):
-        out = list(X.simplices(d))
-        for k in range(min(d, bound) + 1):
-            for idx in range(len(new[k])):
-                c = new_cell(k, idx)
-                out.extend(Simplex(c, w) for w in degeneracy_words(k, d))
-        return out
-
-    def face_choices(d, img):
-        below = simplices_so_far(d - 1)
-        opts_per_face = []
-        for j in range(d + 1):
-            want = B.face(img, j)
-            opts = [s for s in below if apply_images(q, s) == want]
-            if not opts:
-                return []
-            opts_per_face.append(opts)
-        return list(product(*opts_per_face))
-
-    def grow(d):
-        budget.spend()
-        if d > bound:
-            return try_build()
-        found = grow(d + 1)
-        if found is not None or len(new[d]) >= _CELL_CAP:
-            return found
-        last = new[d][-1] if new[d] else None
-        for img in outside[d]:
-            for fs in face_choices(d, img) if d > 0 else [()]:
-                cand = (img, fs)
-                if last is not None and cand < last:
-                    continue
-                c = new_cell(d, len(new[d]))
-                new[d].append(cand)
-                q[c] = img
-                found = grow(d)
-                if found is not None:
-                    return found
-                new[d].pop()
-                del q[c]
-        return None
-
-    try:
-        found = grow(0)
-    except BudgetExceeded:
-        return BUDGET, None, None
-    if found is None:
-        return NO, None, None
-    Y, qm = found
-    return YES, serialize_complex(Y), _images(qm)
-
-
-def _descent_inclusions():
-    incs = [key_inclusion((n, k)) for n in range(1, 4) for k in range(n + 1)]
-    incs += [key_inclusion((n, None)) for n in range(4)]
-    incs += [spine_inclusion(2), spine_inclusion(3)]
-    for n in (1, 2):
-        D = standard_simplex(n).complex
-        incs += [sub_complex(D, [v])[1] for v in D.cells(0)]
-    return incs
-
-
-def _descent_inputs(seed):
-    """(p, i) per inclusion: the identity over its domain, and one seeded
-    map into the domain from a vertex or an edge."""
-    rng = random.Random(seed)
-    sources = [standard_simplex(0).complex, standard_simplex(1).complex]
-    out = []
-    for i in _descent_inclusions():
-        A = i.source
-        out.append((identity_map(A), i))
-        maps = list(enumerate_maps(rng.choice(sources), A))
-        if maps:
-            out.append((rng.choice(maps), i))
-    return out
-
-
-@pytest.mark.parametrize(
-    "max_dim, statuses", [(None, {YES, BUDGET}), (1, {YES}), (2, {YES, NO, BUDGET})]
-)
-def test_descent_search_agrees_with_the_recursive_search(max_dim, statuses):
-    # with max_dim 1 no inner horn is checked, so the first candidate is found
-    seen = set()
-    for p, i in _descent_inputs(15):
-        for limit in (50, 400, 1393, 1394, 5000, 40000):
-            budget, ref_budget = Budget(limit), Budget(limit)
-            res = search_descent_extension(p, i, max_dim, budget)
-            assert res.cell_cap == _CELL_CAP == 2
-            got = (res.verdict.value, None, None)
-            if res.verdict.value == YES:
-                got = (YES, serialize_complex(res.extension), _images(res.base_map))
-            assert got == recursive_descent_search(p, i, max_dim, ref_budget)
-            assert budget.used == ref_budget.used
-            seen.add(res.verdict.value)
-    assert seen == statuses
-
-
-def test_a_descent_search_past_a_thousand_dimensions_answers_budget():
-    # the boundary of Delta^2 is no nerve, so the inner checks search
-    i = sub_complex(boundary_complex(2).complex, [CellId(0, 0)])[1]
-    res = search_descent_extension(identity_map(i.source), i, 1100, 3000)
-    assert (res.verdict.value, res.verdict.bound) == (BUDGET, 1100)
-
-
-def test_a_descent_over_nerves_past_a_thousand_dimensions_is_found():
-    """Every candidate over Delta^1 is a nerve, so none of the 1100-bound
-    inner checks builds a horn."""
-    i = sub_complex(standard_simplex(1).complex, [CellId(0, 0)])[1]
-    res = search_descent_extension(identity_map(i.source), i, 1100, 3000)
-    assert (res.verdict.value, res.verdict.bound) == (YES, 1100)
-    assert validate(res.extension) == []
-    assert res.inclusion.check() == res.base_map.check() == []
 
 
 def recursive_spenders(package):
