@@ -13,7 +13,6 @@ import pytest
 
 from sskit.certify import (
     check_two_out_of_three,
-    classify_inclusion,
     search_certificate,
     verify_certificate,
 )

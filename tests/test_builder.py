@@ -970,3 +970,9 @@ def unused_imports(package):
 def test_no_module_imports_a_name_it_never_uses():
     """Every name a library module imports is read somewhere in it."""
     assert unused_imports(pathlib.Path(sskit.__file__).parent) == []
+
+
+def test_no_test_or_tool_module_imports_a_name_it_never_uses():
+    """The same for the test modules and the tools."""
+    tests = pathlib.Path(__file__).parent
+    assert unused_imports(tests) + unused_imports(tests.parent / "tools") == []

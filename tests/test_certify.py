@@ -13,7 +13,6 @@ from sskit.core import (
     YES,
     Budget,
     BudgetExceeded,
-    CellId,
     ComplexBuilder,
     Simplex,
     from_vertex_tuples,

@@ -13,7 +13,6 @@ from sskit.core import (
     ComplexBuilder,
     Simplex,
     SimplicialMap,
-    SimplicialSet,
     apply_degeneracy,
     apply_images,
     boundary_complex,

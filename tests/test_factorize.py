@@ -18,9 +18,12 @@ from sskit.core import (
     Budget,
     BudgetExceeded,
     CellId,
+    ComplexBuilder,
     Simplex,
+    boundary_complex,
     compose,
     cosk0_complex,
+    degenerate,
     enumerate_maps,
     from_vertex_tuples,
     hom_left,
@@ -96,6 +99,37 @@ def test_spine_is_not_prefibrant_and_the_witness_is_the_open_horn():
         assert rep.witness is not None
 
 
+def triangle_beside_a_degeneracy():
+    """An edge e from a to b and one triangle with the faces of s1 e, (s0 b,
+    e, e), that is not s1 e.  Every 2-horn at index 1 fills; the 3-horn at
+    index 1 with d0 constant, d2 = s1 e and d3 the triangle has no filler."""
+    b = ComplexBuilder()
+    a, end = b.add_cell(0), b.add_cell(0)
+    e = Simplex(b.add_cell(1, (Simplex(end), Simplex(a))))
+    b.add_cell(2, (degenerate(Simplex(end), 0), e, e))
+    return b.build()
+
+
+@pytest.mark.parametrize("make, key", [
+    (lambda: spine_complex(2).complex, (2, 1)),
+    (lambda: spine_complex(3).complex, (2, 1)),
+    (lambda: boundary_complex(2).complex, (2, 1)),
+    (lambda: horn_complex(3, 1).complex, (2, 1)),
+    (triangle_beside_a_degeneracy, (3, 1)),
+], ids=["spine2", "spine3", "boundary2", "horn3_1", "triangle_beside_s1"])
+def test_the_prefibrancy_witness_is_a_horn_of_its_key_with_no_filler(make, key):
+    S = make()
+    rep = is_prefibrant(S, 3)
+    assert rep.horn == key
+    assert rep.verdicts[key[0]] == Verdict(NO)
+    i = key_inclusion(key)
+    assert rep.witness.source is i.source and rep.witness.target is S
+    assert rep.witness.check() == []
+    if key[0] > 2:
+        assert is_constant(rep.witness.images[CellId(key[0] - 1, key[0] - 1)])
+    assert all(compose(i, f) != rep.witness for f in enumerate_maps(i.target, S))
+
+
 def test_prefibrantize_is_idempotent_on_prefibrant_input():
     d2 = standard_simplex(2).complex
     tr = prefibrantize(d2, stages=3)
@@ -153,6 +187,17 @@ def test_saturate_names_the_horn_without_a_filler_and_exits_3(fmt, tmp_path, cap
     path.write_text(capsys.readouterr().out)
     assert cli.main(["--format", fmt, "saturate", str(path), "--up-to", "3"]) == 3
     assert capsys.readouterr() == ("", f"error: {SPINE_NOT_PREFIBRANT}\n")
+
+
+def test_saturate_names_a_horn_of_dimension_3(tmp_path, capsys):
+    path = tmp_path / "x.txt"
+    path.write_text(serialize_complex(triangle_beside_a_degeneracy()))
+    assert cli.main(["saturate", str(path), "--up-to", "3"]) == 3
+    assert capsys.readouterr() == ("", (
+        "error: saturation requires a pre-fibrant input up to the bound: the "
+        "inner horn of dimension 3 at index 1 with faces d0 = s0,1@c0_1, "
+        "d2 = s1@c1_0, d3 = c2_0 has no filler\n"
+    ))
 
 
 def test_a_starved_saturation_pre_check_is_a_budget_overrun_not_a_refutation():
@@ -427,6 +472,31 @@ def test_descent_result_and_node_count_are_pinned():
     res = descend_over_triangle(identity_map(lam), 2, 3, budget)
     assert budget.used == 166
     assert [s.cell_counts() for s in res.stages] == [(3, 2), (3, 3, 1), (3, 6, 16, 12)]
+
+
+@pytest.mark.parametrize("make, needed", [
+    (lambda: identity_map(horn_complex(2, 1).complex), 166),
+    (build_horn_plus_vertex, 182),
+], ids=["identity", "plus_vertex"])
+@pytest.mark.parametrize("limit", [50, 150, 170, 1000])
+def test_descent_over_the_triangle_spends_no_more_than_its_budget(limit, make, needed, monkeypatch):
+    spent = []
+    spend = Budget.spend
+
+    def counting_spend(self, n=1):
+        spent.append(n)
+        spend(self, n)
+
+    monkeypatch.setattr(Budget, "spend", counting_spend)
+    p = make()
+    if limit < needed:
+        with pytest.raises(BudgetExceeded):
+            descend_over_triangle(p, 2, 3, limit)
+        assert sum(spent) <= limit + 1
+    else:
+        # two stages take the needed nodes whatever the limit above them
+        assert len(descend_over_triangle(p, 2, 3, limit).stages) == 3
+        assert sum(spent) == needed
 
 
 @pytest.mark.parametrize("limit", range(1, 12))
