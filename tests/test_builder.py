@@ -40,6 +40,7 @@ from sskit.core import (
     validate,
 )
 from sskit.core.generators import tuple_label
+from sskit.core.maps import _shuffles
 from sskit.core.simplex import apply_degeneracy, degenerate_by, face_word
 from sskit.fileformat import ParseError, _parse_token, parse_complex, serialize_complex
 from sskit.lifting import key_inclusion
@@ -47,6 +48,7 @@ from sskit.lifting import key_inclusion
 from conftest import (
     build_horn_plus_vertex,
     random_generator_complex,
+    random_looped_complex,
     random_tuple_family,
     reference_face,
 )
@@ -857,6 +859,41 @@ def test_the_block_formula_gives_the_cell_of_each_pair(seed):
                 first, width, stride = P._blocks[c.dim][I, J][:3]
                 assert c.index == first + x.index * width + y.index * stride
                 assert P.simplex_of_pair(Simplex(x, I), Simplex(y, J)) == Simplex(c)
+
+
+def ref_cell_pair_walk(P):
+    """The pair (s_I x, s_J y) of each cell of P, by walking the rows of
+    `_shuffles` in the order the cells were made: per dimension n and p,
+    each x of dim p, then each I, q, y and J."""
+    X, Y = P.x, P.y
+    xdims = tuple(p for p, k in enumerate(X.cell_counts()) if k)
+    ydims = tuple(q for q, k in enumerate(Y.cell_counts()) if k)
+    ycells = [Y.cells(q) for q in range(Y.dim + 1)]
+    pairs = []
+    for n in range(X.dim + Y.dim + 1):
+        for p, rows in _shuffles(n, xdims, ydims):
+            seconds = [
+                (I, [Simplex(y, J) for q, Js in qs for y in ycells[q] for J, _ in Js])
+                for I, qs in rows
+            ]
+            pairs += [(Simplex(x, I), v) for x in X.cells(p) for I, vs in seconds for v in vs]
+    return dict(zip(P.complex.all_cells(), pairs))
+
+
+def test_cell_pair_is_the_walk_over_the_shuffle_rows():
+    """`cell_pair` has the keys, pairs and order of the walk over the rows
+    of `_shuffles`, on random factors, on cosk0 and jtrunc factors (whose
+    stored faces can be degenerate) and with an empty factor."""
+    rng = random.Random(11)
+    factors = [random_generator_complex(rng).complex for _ in range(3)]
+    factors += [random_looped_complex(rng) for _ in range(3)]
+    factors += [cosk0_complex(3, 2).complex, j_truncation(2).complex, SimplicialSet([], {})]
+    for X in factors:
+        for Y in factors:
+            P = product(X, Y)
+            want = ref_cell_pair_walk(P)
+            assert len(want) == sum(P.complex.cell_counts())
+            assert list(P.cell_pair.items()) == list(want.items())
 
 
 def test_simplex_of_pair_reads_no_pair_table():
