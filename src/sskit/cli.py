@@ -3,8 +3,10 @@
 A command that checks something returns its `Verdict`, and `exit_code`
 is the one rule for every command: 0 = yes with no bound, 1 = no (with a
 witness), 2 = anything else (a yes up to a bound, unknown, budget), or an
-internal fault reported with verdict "error"; 3 = input error.  A command
-that only builds something has no verdict and exits 0.  A search or build
+internal fault: any other exception the library raises, reported with
+verdict "error"; 3 = input error.  A command that only builds something
+has no verdict and exits 0.  Cells are named on the command line as the
+files name them (`SimplicialSet.cells_by_name`).  A search or build
 that runs out of nodes reports verdict "budget" with the nodes used and
 the limit, and exits 2.
 `saturate` on an input that is not pre-fibrant up to `--up-to` is an
@@ -205,7 +207,7 @@ def _cmd_homcat(args):
 
 def _cmd_equiv_edge(args):
     X = _load_complex(args.file)
-    e = X.cell_by_label(args.edge)
+    e = X.cells_by_name.get(args.edge)
     if e is None or e.dim != 1:
         raise ValueError(f"no edge named {args.edge!r}")
     v = homotopy.homotopy_category(X, args.word_budget).is_equivalence(Simplex(e))
@@ -264,8 +266,7 @@ def _cmd_dk_check(args):
 
 def _cmd_mapspace(args):
     X = _load_complex(args.file)
-    x = X.cell_by_label(args.x)
-    y = X.cell_by_label(args.y)
+    x, y = X.cells_by_name.get(args.x), X.cells_by_name.get(args.y)
     if x is None or x.dim != 0 or y is None or y.dim != 0:
         raise ValueError("mapspace takes two vertex names")
     hs = hom_left(X, x, y, args.up_to)
@@ -534,7 +535,7 @@ def main(argv: list[str] | None = None) -> int:
         _emit({"command": args.command, "verdict": "budget", "used": e.used,
                "limit": e.limit}, args)
         verdict = Verdict(BUDGET, witness=str(e))
-    except (AssertionError, RuntimeError) as e:  # an internal fault, never a verdict
+    except Exception as e:  # an internal fault, never a verdict
         _emit({"command": args.command, "verdict": "error", "reason": str(e)}, args)
         verdict = Verdict(UNKNOWN, witness=str(e))
     finally:

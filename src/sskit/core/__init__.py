@@ -13,6 +13,7 @@ from .generators import (
     from_vertex_tuples,
     horn_complex,
     j_truncation,
+    shared_table,
     spine_complex,
     standard_simplex,
     tuple_simplex,

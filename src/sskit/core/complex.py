@@ -88,12 +88,6 @@ class SimplicialSet:
         lab = self.labels.get(c)
         return f"c{c.dim}_{c.index}" if lab is None else lab
 
-    def cell_by_label(self, name: str) -> CellId | None:
-        for c, lab in self.labels.items():
-            if lab == name:
-                return c
-        return None
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SimplicialSet):
             return NotImplemented
@@ -284,18 +278,19 @@ class SimplicialSet:
 
     @cached_property
     def names(self) -> dict[CellId, str]:
-        """Unique whitespace-free names of the cells, as the file formats
-        write them: the label, or c<dim>_<index> for a cell whose label is
-        missing, empty or holds whitespace, primed until unused in cell
-        order (`UniqueNames`).  One pass over the cells, each name probed
-        once unless it repeats.  Built once per complex; callers must not
-        change it."""
+        """Unique names of the cells with no whitespace and no `#` (which
+        starts a comment), as the file formats write them: the label, or
+        c<dim>_<index> for a cell whose label is missing, empty or holds
+        whitespace or `#`, primed until unused in cell order
+        (`UniqueNames`).  One pass over the cells, each name probed once
+        unless it repeats.  Built once per complex; callers must not change
+        it."""
         names: dict[CellId, str] = {}
         take = UniqueNames().take
         labels = self.labels
         for c in self._all_cells:
             nm = labels.get(c)
-            if nm is None or nm.split() != [nm]:
+            if nm is None or "#" in nm or nm.split() != [nm]:
                 nm = f"c{c.dim}_{c.index}"
             names[c] = take(nm)
         return names

@@ -84,18 +84,19 @@ def from_vertex_tuples(tuples) -> GeneratorComplex:
     return GeneratorComplex(builder.build(), lookup)
 
 
-# each named constructor's table; a few dozen generators cover any one run
-_shared = lru_cache(maxsize=64)
+# the table of each named constructor, and of each per-generator table in
+# `sskit.lifting`; a few dozen generators cover any one run
+shared_table = lru_cache(maxsize=64)
 
 
-@_shared
+@shared_table
 def standard_simplex(n: int) -> GeneratorComplex:
     if n < 0:
         raise ValueError("simplex dimension must be >= 0")
     return from_vertex_tuples([tuple(range(n + 1))])
 
 
-@_shared
+@shared_table
 def boundary_complex(n: int) -> GeneratorComplex:
     if n < 0:
         raise ValueError("boundary dimension must be >= 0")
@@ -105,7 +106,7 @@ def boundary_complex(n: int) -> GeneratorComplex:
     )
 
 
-@_shared
+@shared_table
 def horn_complex(n: int, i: int) -> GeneratorComplex:
     if n < 1 or not 0 <= i <= n:
         raise ValueError(f"no horn ({n},{i})")
@@ -115,14 +116,14 @@ def horn_complex(n: int, i: int) -> GeneratorComplex:
     )
 
 
-@_shared
+@shared_table
 def spine_complex(n: int) -> GeneratorComplex:
     if n < 1:
         raise ValueError("spine needs n >= 1")
     return from_vertex_tuples((k, k + 1) for k in range(n))
 
 
-@_shared
+@shared_table
 def cosk0_complex(n_vertices: int, bound: int) -> GeneratorComplex:
     """Truncation of the 0-coskeleton of a vertex set up to the bound.
 

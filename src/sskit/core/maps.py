@@ -307,9 +307,8 @@ class Product:
         ydims = tuple(q for q, k in enumerate(ny) if k)
         xcells, xrows, xlabels = _factor_rows(X)
         ycells, yrows, ylabels = _factor_rows(Y)
-        # per dimension: the rows of `_shuffles`, the block of each pair
-        # of words with the bounds of its cells x and y, and the cells
-        self._layout: list[tuple] = []
+        # per dimension: the block of each pair of words with the bounds
+        # of its cells x and y, and the cells
         self._blocks: list[dict[tuple[tuple[int, ...], tuple[int, ...]], tuple]] = []
         self._simplices: list[list[Simplex]] = []
         builder, normal = ComplexBuilder(), self.simplex_of_pair
@@ -359,7 +358,6 @@ class Product:
                                     else:
                                         fs = map(face, map(add, xo[i], yo[j]))
                                     cells.append(add_cell(n, fs, ulab + vlabs[j]))
-            self._layout.append(layout)
             self._blocks.append(blocks)
             # Simplex(c) for each cell, made without a Python-level call
             self._simplices.append(
@@ -370,24 +368,21 @@ class Product:
 
     @cached_property
     def cell_pair(self) -> dict[CellId, tuple[Simplex, Simplex]]:
-        """The pair (s_I x, s_J y) of each cell, in cell order."""
+        """The pair (s_I x, s_J y) of each cell, in cell order, read off the
+        blocks: cell first + i * width + j * stride of the block of (I, J)
+        is (s_I x_i, s_J y_j)."""
         X, Y = self.x, self.y
-        ycells = [Y.cells(q) for q in range(Y.dim + 1)]
-        pairs: list[tuple[Simplex, Simplex]] = []
-        for layout in self._layout:
-            for p, rows in layout:
-                seconds = [
-                    (I, [Simplex(y, J) for q, Js in qs for y in ycells[q] for J, _ in Js])
-                    for I, qs in rows
-                ]
-                pairs += [
-                    (u, v)
-                    for x in X.cells(p)
-                    for I, vs in seconds
-                    for u in [Simplex(x, I)]
-                    for v in vs
-                ]
-        return dict(zip([s.base for cells in self._simplices for s in cells], pairs))
+        out: dict[CellId, tuple[Simplex, Simplex]] = {}
+        for n, (blocks, simplices) in enumerate(zip(self._blocks, self._simplices)):
+            pairs: list = [None] * len(simplices)
+            for (I, J), (first, width, stride, _, q, _) in blocks.items():
+                vs = [Simplex(y, J) for y in Y.cells(q)]
+                for x in X.cells(n - len(I)):
+                    u = Simplex(x, I)
+                    pairs[first : first + len(vs) * stride : stride] = [(u, v) for v in vs]
+                    first += width
+            out.update(zip([s.base for s in simplices], pairs))
+        return out
 
     @cached_property
     def pair_cell(self) -> dict[tuple[Simplex, Simplex], CellId]:

@@ -183,9 +183,8 @@ def _connecting(
     """id x d : K x Delta^m -> K x Delta^n, where m = len(images) - 1 and
     d sends vertex v to vertex images[v]."""
     m = len(images) - 1
-    d = map_by_vertices(
-        deltas[m].complex, deltas[n], {CellId(0, v): w for v, w in enumerate(images)}
-    )
+    G = deltas[m]
+    d = map_by_vertices(G.complex, deltas[n], {G.lookup[(v,)]: w for v, w in enumerate(images)})
     return product_functor(products[m], products[n], identity_map(products[m].x), d)
 
 

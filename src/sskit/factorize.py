@@ -105,14 +105,15 @@ class PreFibrantReport:
 
 def _needs_filler(key: Key, alpha: SimplicialMap, budget: Budget) -> bool:
     """Whether the inner horn alpha is one pre-fibrancy asks to fill (a
-    2-horn, or a higher one whose d_0 face, the horn's last (n-1)-cell,
-    maps to a constant simplex) and has no filler.  The fillers are looked
-    up by the horn's faces (`horn_fillers`); a filler found costs one node,
-    and raises BudgetExceeded when the budget has none left."""
+    2-horn, or a higher one whose d_0 face maps to a constant simplex) and
+    has no filler.  The fillers are looked up by the horn's faces
+    (`horn_fillers`); a filler found costs one node, and raises
+    BudgetExceeded when the budget has none left."""
     n, h = key
-    if n > 2 and not is_constant(alpha.images[CellId(n - 1, n - 1)]):
+    given = key_cells(key)[0]  # the faces d_j, j != h, d_0 first
+    if n > 2 and not is_constant(alpha.images[given[0]]):
         return False
-    faces = tuple([alpha.images[c] for c in key_cells(key)[0]])
+    faces = tuple([alpha.images[c] for c in given])
     if next(alpha.target.horn_fillers(n, h, faces), None) is None:
         return True
     budget.spend()
@@ -227,8 +228,8 @@ def saturate_prefibrant(
     def keeps_p2(key: Key, alpha: SimplicialMap) -> bool:
         """Whether both cells the pushout creates satisfy (P-2): the filler
         has d_0 = img, the freed face has d_0 = d_{i-1}(img)."""
-        n, i = key
-        img = alpha.images[CellId(n - 1, n - 1)]  # the d_0 face
+        _, i = key
+        img = alpha.images[key_cells(key)[0][0]]  # the d_0 face
         return not (is_constant(img) or is_constant(alpha.target.face(img, i - 1)))
 
     cur = S
@@ -350,8 +351,9 @@ def mapping_path_space(
     if C.dim > up_to:
         raise ValueError("truncation bound too small for the source complex")
     budget = Budget.of(node_budget)
-    rfc = restricted_function_complex(D, standard_simplex(1).complex, up_to, budget, word_budget)
-    start, end = CellId(0, 0), CellId(0, 1)
+    interval = standard_simplex(1)
+    rfc = restricted_function_complex(D, interval.complex, up_to, budget, word_budget)
+    start, end = interval.lookup[(0,)], interval.lookup[(1,)]
 
     levels = [
         [

@@ -13,7 +13,6 @@ distinct answer BUDGET.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -31,11 +30,10 @@ from .core import (
     enumerate_maps,
     horn_complex,
     require_composable,
+    shared_table,
     spine_complex,
     standard_simplex,
 )
-
-FIBRATION_CLASSES = ("inner", "left", "right", "kan", "trivial_kan")
 
 # legal horn indices per class, in each dimension
 HORN_RANGES = {
@@ -44,6 +42,8 @@ HORN_RANGES = {
     "right": lambda n: range(1, n + 1),
     "kan": lambda n: range(0, n + 1),
 }
+
+FIBRATION_CLASSES = (*HORN_RANGES, "trivial_kan")
 
 # a generator's name: (n, i) for the horn of index i in Delta^n, (n, None)
 # for the boundary of Delta^n
@@ -133,18 +133,19 @@ def family_keys(name: str, max_dim: int) -> Iterator[Key]:
     return ((n, i) for n in range(1, max_dim + 1) for i in HORN_RANGES[name](n))
 
 
-@functools.cache
+@shared_table
 def key_inclusion(key: Key) -> SimplicialMap:
-    """The generator named by a key, built once per process: complexes and
-    maps never change after construction, so every caller shares it.  Its
-    horn or boundary and its Delta^n come from core's shared generator
+    """The generator named by a key, kept in a bounded table
+    (`shared_table`), as `key_cells` and `_generator_blocks` are: complexes
+    and maps never change after construction, so every caller shares it.
+    Its horn or boundary and its Delta^n come from core's shared generator
     table, so the generators into one Delta^n share that simplex."""
     n, i = key
     sub = boundary_complex(n) if i is None else horn_complex(n, i)
     return generator_inclusion(sub, standard_simplex(n))
 
 
-@functools.cache
+@shared_table
 def key_cells(key: Key) -> tuple[tuple[CellId, ...], tuple[CellId, ...]]:
     """The cells of the generator's domain that are the faces d_j of
     Delta^n, j != i (every j for a boundary), in order of j; and the cells
@@ -171,7 +172,7 @@ _Block = tuple[
 ]
 
 
-@functools.cache
+@shared_table
 def _generator_blocks(key: Key) -> tuple[_Block, ...]:
     """The domain's `faces_first` order cut after each top cell, so after
     each face d_j of Delta^n (j != i), in the order j = n, ..., 0: a block

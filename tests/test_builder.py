@@ -614,7 +614,7 @@ def ref_names(X):
     names, used = {}, set()
     for c in X.all_cells():
         nm = X.labels.get(c)
-        if nm is None or nm.split() != [nm]:
+        if nm is None or "#" in nm or nm.split() != [nm]:
             nm = f"c{c.dim}_{c.index}"
         while nm in used:
             nm += "'"
@@ -626,10 +626,11 @@ def ref_names(X):
 @pytest.mark.parametrize("seed", range(3))
 def test_names_match_the_probing_loop(seed):
     """Many cells with one label, primed labels with gaps, positional names
-    that collide with labels, and labels a file cannot hold."""
+    that collide with labels, and labels a file cannot hold (whitespace,
+    and `#`, which starts a comment)."""
     rng = random.Random(seed)
     X = cosk0_complex(4, 2).complex
-    pool = ["a", "a", "a'", "a'''", "a''''''", "c1_3", "c1_3'", "", "b c", None, "b"]
+    pool = ["a", "a", "a'", "a'''", "a''''''", "c1_3", "c1_3'", "", "b c", None, "b", "a#1", "#"]
     labels = {c: rng.choice(pool) for c in X.all_cells()}
     S = SimplicialSet(
         X.cell_counts(), {c: X.cell_faces(c) for c in X.all_cells() if c.dim > 0},
@@ -981,6 +982,14 @@ def test_only_the_small_object_stage_lists_and_attaches_cells():
         if where.startswith("saturate_prefibrant")
     ]
     assert saturation == []
+
+
+def test_generator_cells_are_read_off_the_generator_tables():
+    """`factorize.py` and `core/spaces.py` call no `CellId(...)`: the d_0
+    face of a horn and the vertices of a Delta^n are read off `key_cells`
+    and the generators' `lookup`, which own how those cells are numbered."""
+    calls = library_calls({"CellId"})
+    assert calls and [c for c in calls if c[0] in ("factorize.py", "core/spaces.py")] == []
 
 
 def unused_imports(package):

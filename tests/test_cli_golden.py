@@ -1,7 +1,12 @@
 """Exit codes and printed bytes of the commands that no benchmark workload
 runs (so `tools/same_outputs.py` never compares them), pinned in both
 output formats: `catfib`, `dk-check`, `two-of-three`, `descend-triangle`,
-`certify --verify`, `validate` and `gen`."""
+`certify --verify`, `validate` and `gen`.  Also the pins of the CI step
+that runs the installed entry point, made here through `cli.main`: large
+generators, `complete` in stages and out of budget, and `classify` at a
+large bound."""
+
+import json
 
 import pytest
 
@@ -477,3 +482,45 @@ GOLDEN = {
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_prints_the_pinned_bytes_and_exit_code(case, fmt, tmp_path, monkeypatch, capsys):
     assert run_case(case, fmt, tmp_path, monkeypatch, capsys) == GOLDEN[case, fmt]
+
+
+# -- the pins of the installed-entry-point check, through `cli.main` --------------
+
+
+@pytest.mark.parametrize("argv, cells", [
+    (["simplex", "12"], 2**13 - 1),
+    (["horn", "12", "1"], 2**13 - 3),  # no top cell and no face d_1
+], ids=["simplex-12", "horn-12-1"])
+def test_gen_writes_every_cell_of_a_large_generator(argv, cells, tmp_path):
+    out = tmp_path / "g.txt"
+    assert cli.main(["gen", *argv, "-o", str(out)]) == 0
+    assert sum(line.split()[:1] == ["cell"] for line in out.read_text().splitlines()) == cells
+
+
+def _complex_file(tmp_path, name, X):
+    path = tmp_path / name
+    path.write_text(serialize_complex(X))
+    return str(path)
+
+
+def test_complete_attaches_its_stages_or_reports_the_budget(tmp_path, capsys):
+    """A stage of inner-horn attachments on Delta^3 fits in 3,000 nodes;
+    at 30 it reports a budget verdict at exit 2, with no traceback; two
+    stages on the 3-horn label 16,286 new cells."""
+    d3 = _complex_file(tmp_path, "d3.txt", standard_simplex(3).complex)
+    h31 = _complex_file(tmp_path, "h31.txt", horn_complex(3, 1).complex)
+    structured = ["--format", "structured"]
+    assert cli.main([*structured, "--node-budget", "3000", "--stages", "1", "complete", d3]) == 0
+    assert json.loads(capsys.readouterr().out)["stages"] == [15, 531]
+    assert cli.main([*structured, "--node-budget", "30", "--stages", "1", "complete", d3]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["verdict"] == "budget"
+    assert "Traceback" not in captured.err
+    assert cli.main([*structured, "--stages", "2", "complete", h31]) == 0
+    assert json.loads(capsys.readouterr().out)["stages"] == [13, 179, 16299]
+
+
+def test_classify_decides_the_inner_class_of_a_map_of_nerves_at_any_bound(tmp_path, capsys):
+    ident = _write_map(tmp_path, "d2-identity", identity_map(standard_simplex(2).complex))
+    assert cli.main(["--max-dim", "1100", "classify", ident, "--classes", "inner"]) == 2
+    assert "inner: YesUpTo(1100)" in capsys.readouterr().out.splitlines()

@@ -81,6 +81,25 @@ def test_random_complex_round_trip(seed):
     assert parse_complex(serialize_complex(X)) == X
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**30), st.data())
+def test_any_labels_round_trip(seed, data):
+    """Every name the serializer writes reads back: labels drawn with `#`
+    (which starts a comment in a file), whitespace, primes and positional
+    names give a file that parses to the same cell counts and faces, with
+    the names as its labels."""
+    X = random_generator_complex(random.Random(seed)).complex
+    labels = st.one_of(st.none(), st.text(alphabet="a#c0_' \t", max_size=4))
+    S = SimplicialSet(
+        X.cell_counts(),
+        {c: X.cell_faces(c) for c in X.all_cells() if c.dim > 0},
+        {c: lab for c in X.all_cells() if (lab := data.draw(labels)) is not None},
+    )
+    back = parse_complex(serialize_complex(S))
+    assert back.cell_counts() == S.cell_counts() and back == S
+    assert [back.label(c) for c in back.all_cells()] == [S.names[c] for c in S.all_cells()]
+
+
 def test_map_round_trip():
     i = key_inclusion((2, 1))
     complexes = {"A": i.source, "B": i.target}
@@ -809,17 +828,27 @@ def test_cli_descend_triangle_reports_a_failed_stage(tmp_path, capsys, monkeypat
     }
 
 
-@pytest.mark.parametrize("error", [RuntimeError, RecursionError])
-def test_cli_reports_a_runtime_error_as_an_internal_fault(error, tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("fmt", ["human", "structured"])
+@pytest.mark.parametrize("error", [RuntimeError, RecursionError, KeyError, IndexError, TypeError])
+def test_cli_reports_a_runtime_error_as_an_internal_fault(error, fmt, tmp_path, capsys, monkeypatch):
+    """Any exception the library raises, other than an input error or a
+    budget, is an internal fault: verdict "error" at exit 2, never the
+    exit 1 of a refutation and never a traceback."""
     path = _complex_file(tmp_path, "d1.txt", standard_simplex(1).complex)
 
     def broken(*args):
         raise error("internal fault")
 
     monkeypatch.setattr(factorize, "prefibrantize", broken)
-    assert cli.main(["prefibrantize", path]) == 2
+    assert cli.main(["--format", fmt, "prefibrantize", path]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "command: prefibrantize\nverdict: error\nreason: internal fault\n"
+    reason = str(error("internal fault"))
+    if fmt == "human":
+        assert captured.out == f"command: prefibrantize\nverdict: error\nreason: {reason}\n"
+    else:
+        assert json.loads(captured.out) == {
+            "format_version": 1, "command": "prefibrantize", "verdict": "error", "reason": reason,
+        }
     assert captured.err == ""
 
 

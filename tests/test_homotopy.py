@@ -399,7 +399,7 @@ def test_the_rule_cap_counts_only_rules_beyond_the_relations():
 
 def _five_triangles_of_cosk0_3():
     X = cosk0_complex(3, 2).complex
-    tris = [X.cell_by_label(t) for t in ("010", "012", "020", "021", "101")]
+    tris = [X.cells_by_name[t] for t in ("010", "012", "020", "021", "101")]
     return sub_complex(X, X.cells(0) + X.cells(1) + tris)[0]
 
 
@@ -426,7 +426,7 @@ def test_a_long_rule_stops_completion_short_of_a_wrong_no():
     # four triangles of cosk0(4, 2) whose completion grows long left sides;
     # at word budget 4 it stops at the first one longer than 8 letters
     X = cosk0_complex(4, 2).complex
-    tris = [X.cell_by_label(t) for t in ("031", "120", "203", "312")]
+    tris = [X.cells_by_name[t] for t in ("031", "120", "203", "312")]
     S = sub_complex(X, X.cells(0) + X.cells(1) + tris)[0]
     h = homotopy_category(S, 4)
     assert not h.confluent and not h.exact
@@ -448,7 +448,7 @@ def test_mutually_inverse_edges_are_equivalences(walking_iso):
     h = homotopy_category(S)
     assert h.exact
     assert h.iso_exists(x, y)
-    f = S.cell_by_label("f")
+    f = S.cells_by_name["f"]
     assert homotopy_category(S).is_equivalence(Simplex(f)).value == "yes"
 
 

@@ -323,6 +323,31 @@ def test_each_key_names_one_inclusion_per_process():
         assert key_inclusion(key) is key_inclusion(key)
 
 
+def test_the_per_key_tables_are_bounded_and_eviction_moves_no_nodes():
+    """`key_inclusion`, `key_cells` and `_generator_blocks` keep a bounded
+    number of keys, as core's generator table does; a classification
+    whose keys were evicted and built again gives the same report for the
+    same nodes."""
+    tables = (key_inclusion, lifting.key_cells, lifting._generator_blocks)
+    assert all(table.cache_info().maxsize is not None for table in tables)
+    p = terminal_map(COSK0, PT)
+
+    def classify():
+        budget = Budget(DEFAULT_NODE_BUDGET)
+        return classify_map(p, 3, budget), budget.used
+
+    first = classify()
+    keys = [*family_keys("kan", 10), *family_keys("trivial_kan", 10)]
+    assert len(keys) > 64
+    for key in keys:
+        lifting.key_cells(key)
+        lifting._generator_blocks(key)
+    assert all(table.cache_info().currsize == 64 for table in tables)
+    misses = lifting.key_cells.cache_info().misses
+    assert classify() == first
+    assert lifting.key_cells.cache_info().misses > misses  # its keys were built again
+
+
 def test_a_second_classification_builds_no_generator(monkeypatch):
     p = identity_map(standard_simplex(2).complex)
     classify_map(p, 3)

@@ -76,7 +76,7 @@ def test_the_unbounded_yeses_exit_0():
     for verdict in (
         solve_lift(extension_problem(i, i)),
         certify.search_certificate(i),
-        homotopy_category(S).is_equivalence(Simplex(S.cell_by_label("f"))),
+        homotopy_category(S).is_equivalence(Simplex(S.cells_by_name["f"])),
         certify.check_two_out_of_three(u, v).verdict,
     ):
         assert (verdict.value, verdict.bound, exit_code(verdict)) == (YES, None, 0)
