@@ -84,8 +84,8 @@ def from_vertex_tuples(tuples) -> GeneratorComplex:
     return GeneratorComplex(builder.build(), lookup)
 
 
-# the table of each named constructor, and of each per-generator table in
-# `sskit.lifting`; a few dozen generators cover any one run
+# the bounded table of each named constructor here and of each per-key
+# generator table in `sskit.lifting`; a few dozen generators cover any run
 shared_table = lru_cache(maxsize=64)
 
 

@@ -110,7 +110,7 @@ def _needs_filler(key: Key, alpha: SimplicialMap, budget: Budget) -> bool:
     (`horn_fillers`); a filler found costs one node, and raises
     BudgetExceeded when the budget has none left."""
     n, h = key
-    given = key_cells(key)[0]  # the faces d_j, j != h, d_0 first
+    given = key_cells(key)[0]  # the faces d_j, j != h: d_0 first, as h > 0
     if n > 2 and not is_constant(alpha.images[given[0]]):
         return False
     faces = tuple([alpha.images[c] for c in given])

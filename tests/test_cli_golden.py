@@ -24,6 +24,7 @@ from sskit.fileformat import serialize_complex, serialize_map
 from sskit.lifting import generator_inclusion, key_inclusion
 
 from conftest import build_edges_over_horn, build_walking_iso, parallel_edges_map
+from test_fileformat_cli import _complex_file
 from test_homotopy import parallel_edges_with_homotopies
 
 
@@ -497,12 +498,6 @@ def test_gen_writes_every_cell_of_a_large_generator(argv, cells, tmp_path):
     assert sum(line.split()[:1] == ["cell"] for line in out.read_text().splitlines()) == cells
 
 
-def _complex_file(tmp_path, name, X):
-    path = tmp_path / name
-    path.write_text(serialize_complex(X))
-    return str(path)
-
-
 def test_complete_attaches_its_stages_or_reports_the_budget(tmp_path, capsys):
     """A stage of inner-horn attachments on Delta^3 fits in 3,000 nodes;
     at 30 it reports a budget verdict at exit 2, with no traceback; two
@@ -521,6 +516,8 @@ def test_complete_attaches_its_stages_or_reports_the_budget(tmp_path, capsys):
 
 
 def test_classify_decides_the_inner_class_of_a_map_of_nerves_at_any_bound(tmp_path, capsys):
+    """The identity of Delta^2 is a map between nerves, so its inner class
+    is decided with no walk over its keys, at any bound."""
     ident = _write_map(tmp_path, "d2-identity", identity_map(standard_simplex(2).complex))
     assert cli.main(["--max-dim", "1100", "classify", ident, "--classes", "inner"]) == 2
     assert "inner: YesUpTo(1100)" in capsys.readouterr().out.splitlines()
